@@ -229,6 +229,7 @@ class Analyzer:
         self.grid = grid
         self.sink = sink
         self.vars: dict[str, VarInfo] = {}
+        self.rejected: set[str] = set()   # declared with an invalid shape
         self.order: list[str] = []
         self.loop_vars: dict[str, DType] = {}
 
@@ -244,7 +245,7 @@ class Analyzer:
                     self.sink.error(f"duplicate host init for '{name}'", p.loc)
                 host_inits[name] = init
         for d in self.program.decls:
-            if d.name in self.vars:
+            if d.name in self.vars or d.name in self.rejected:
                 self.sink.error(f"duplicate declaration of '{d.name}'", d.loc)
                 continue
             init = d.init
@@ -252,7 +253,12 @@ class Analyzer:
                 if init is not None:
                     self.sink.error(f"'{d.name}' has both an inline and a host init", d.loc)
                 init = host_inits.pop(d.name)
+            reported = len(self.sink.items)
             self.check_shape(d)
+            if len(self.sink.items) > reported:
+                # uses of the name are skipped instead of indexing its shape
+                self.rejected.add(d.name)
+                continue
             if init is not None:
                 self.check_init(d, init)
             self.vars[d.name] = VarInfo(d, init)
@@ -301,7 +307,7 @@ class Analyzer:
 
     def lookup(self, name: str, loc: Loc) -> VarInfo | None:
         info = self.vars.get(name)
-        if info is None and name not in self.loop_vars:
+        if info is None and name not in self.loop_vars and name not in self.rejected:
             self.sink.error(f"unknown identifier '{name}'", loc)
         return info
 
@@ -338,7 +344,8 @@ class Analyzer:
         if isinstance(ax.stop, str):
             info = self.vars.get(ax.stop)
             if info is None:
-                self.sink.error(f"unknown identifier '{ax.stop}' as dynamic stop", loc)
+                if ax.stop not in self.rejected:
+                    self.sink.error(f"unknown identifier '{ax.stop}' as dynamic stop", loc)
                 return None
             if info.decl.kind is not VarKind.LS or info.decl.dtype is not DType.I16:
                 self.sink.error(f"dynamic stop '{ax.stop}' must be an i16 ls variable", loc)

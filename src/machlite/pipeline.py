@@ -33,7 +33,7 @@ def infer_grid(text: str) -> tuple[int, int] | None:
     if any(d.severity == "error" for d in diags):
         raise CompileError([d for d in diags if d.severity == "error"])
     for d in prog.decls:
-        if d.kind is VarKind.LA:
+        if d.kind is VarKind.LA and len(d.shape) >= 2:
             return d.shape[0], d.shape[1]
     return None
 
