@@ -12,6 +12,7 @@ import numpy as np
 
 from machlite.frontend.syntax import DType, InitSpec, VarKind
 from machlite.frontend.semantic import GridConfig, TypedProgram, VarInfo
+from machlite.memwords import np_dtype
 
 
 @dataclass
@@ -39,10 +40,6 @@ class ILProgram:
     order: tuple[str, ...]
 
 
-def _np_dtype(dtype: DType):
-    return np.float32 if dtype is DType.F32 else np.int16
-
-
 def _full_shape(info: VarInfo, grid: GridConfig) -> tuple[int, ...]:
     d = info.decl
     if d.kind is VarKind.GS or d.kind is VarKind.ULS:
@@ -56,7 +53,7 @@ def _full_shape(info: VarInfo, grid: GridConfig) -> tuple[int, ...]:
 
 def materialize_init(init: InitSpec, shape: tuple[int, ...], dtype: DType,
                      seed: int, var_index: int) -> np.ndarray:
-    nd = _np_dtype(dtype)
+    nd = np_dtype(dtype)
     if init.form == "zeros":
         return np.zeros(shape, nd)
     if init.form == "constant":

@@ -5,7 +5,7 @@ diagnostic list rather than raising on malformed input.
 """
 from __future__ import annotations
 
-from machlite.diagnostics import DiagnosticSink, Loc
+from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.lexer import Token, tokenize
 from machlite.frontend.syntax import (
     Assign,

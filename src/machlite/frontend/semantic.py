@@ -19,7 +19,6 @@ from machlite.frontend.syntax import (
     GatherMul,
     InitSpec,
     Lit,
-    Pragma,
     Put,
     RangeFor,
     Reduce,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -293,8 +293,3 @@ def gen_source(seed: int, limits: FuzzLimits | None = None) -> str:
     """Deterministic random program for one fuzz seed."""
     return _Gen(seed, limits or FuzzLimits()).generate()
 
-
-def gen_bundle(seed: int, limits: FuzzLimits | None = None):
-    """Compile the seed's program; returns the full stage bundle."""
-    from .pipeline import compile_source
-    return compile_source(gen_source(seed, limits), seed=seed)

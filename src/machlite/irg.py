@@ -93,12 +93,6 @@ class IRGraph:
     by_name: dict[str, int] = field(default_factory=dict)
     outputs: tuple[int, ...] = ()
 
-    def node_by_id(self, nid: int) -> IRNode:
-        for n in ordered_walk(self):
-            if n.id == nid:
-                return n
-        raise KeyError(nid)
-
     def max_id(self) -> int:
         last = -1
         for n in ordered_walk(self):

@@ -1,7 +1,6 @@
 """Lowering: turn a planned graph into per-role virtual machine programs.
 
 partition     graph -> broadcast sections + executive instruction list
-distribute    sections -> per-response-tile chunk assignments in drain order
 build_masks   participation-filter table for every distinct worker slicing
 lower         the whole pipeline, returning a validated VMachineProgram
 emit_text     deterministic textual listings (see emit)
@@ -23,7 +22,7 @@ __all__ = [
     "COLOR_IDS", "COLOR_NAMES", "FabricLayout", "GraphLowerer", "Instr",
     "MaskEntry", "MaskTable", "MemSym", "RespChunk", "RpcDef", "RpcTable",
     "Section", "VMachineProgram", "WORKER_WORDS", "assign_sections",
-    "build_layout", "build_masks", "chunk_sizes", "distribute", "lower",
+    "build_layout", "build_masks", "chunk_sizes", "lower",
     "mask_bit", "partition", "region_members", "resp_words", "split_even",
 ]
 
@@ -33,10 +32,6 @@ def partition(g: IRGraph, plan: MemPlan, mask_table: MaskTable | None = None):
     low = GraphLowerer(g, plan, mask_table if mask_table is not None else MaskTable())
     sections, instrs, rpcs = low.lower()
     return sections, instrs, rpcs, low.masks
-
-
-def distribute(sections, n_resp: int):
-    return assign_sections(sections, n_resp)
 
 
 def build_masks(g: IRGraph, plan: MemPlan) -> MaskTable:

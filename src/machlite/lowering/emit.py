@@ -322,7 +322,6 @@ def _sections_of(lines) -> dict[str, list[str]]:
     return out
 
 
-_DT = {"f32": DType.F32, "i16": DType.I16}
 _VK = {k.value: k for k in VarKind} | {"-": None}
 
 
@@ -368,7 +367,7 @@ def load_text(files: dict[str, str]) -> VMachineProgram:
         mlid, name, space = int(parts[0]), parts[1], parts[2]
         addr = int(parts[3][1:])
         size = int(parts[4].split("=")[1])
-        dt, vk, kind = _DT[parts[5]], _VK[parts[6]], parts[7]
+        dt, vk, kind = DType(parts[5]), _VK[parts[6]], parts[7]
         shp = parts[8].split("=")[1]
         shape = tuple(int(v) for v in shp.split(",")) if shp != "-" else ()
         mm = parts[9].split("=")[1]

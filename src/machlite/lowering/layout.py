@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..diagnostics import CompileError, Diagnostic
 
-# Color channel ids (the fabric provides 24; we use 16).
+# Color channel ids (the fabric provides 24; we use 15).
 CTRL_DRAIN = 0      # response -> merge: RPC id chunks
 ARGS_DRAIN = 1      # response -> merge: argument word chunks
 CTRL_BCAST = 2      # merge -> field: RPC id stream
@@ -37,7 +37,6 @@ RED_CTRL = 11       # reduction stage 4: final tile to the executive
 SHIFT_A = 12        # neighbor exchange: phase-A transmit, phase-B receive
 SHIFT_B = 13        # neighbor exchange: phase-B transmit, phase-A receive
 LOOPBACK = 14       # self-routed index stream for gather/scatter
-MSG = 15            # header-routed point-to-point messages
 N_COLORS = 24
 
 COLOR_NAMES = {
@@ -48,7 +47,7 @@ COLOR_NAMES = {
     RED_UP_E: "red_up_e", RED_UP_S: "red_up_s",
     RED_BCAST: "red_bcast", RED_CTRL: "red_ctrl",
     SHIFT_A: "shift_a", SHIFT_B: "shift_b",
-    LOOPBACK: "loopback", MSG: "msg",
+    LOOPBACK: "loopback",
 }
 COLOR_IDS = {v: k for k, v in COLOR_NAMES.items()}
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..frontend.syntax import DType
-from ..memwords import encode_words
+from ..memwords import encode_words, np_dtype
 
 TOKEN_WORDS = {"as": 1, "ar": 1, "aw1": 3, "ad1": 3, "aw2": 6, "ad2": 6}
 
@@ -64,10 +64,6 @@ class RpcDef:
     def has_dyn(self) -> bool:
         ops = self.srcs + ((self.dst,) if self.dst else ())
         return any(o.dyn for o in ops if isinstance(o, OperandSpec))
-
-
-def dtype_name(dt: DType) -> str:
-    return "f32" if dt is DType.F32 else "i16"
 
 
 def operand_spec(ml, access, *, sized: bool) -> OperandSpec:
@@ -118,7 +114,7 @@ def operand_words(spec: OperandSpec, ml, access, plan) -> list[int]:
 
 
 def imm_words(value, dt: DType) -> list[int]:
-    arr = np.asarray(value, dtype=np.float32 if dt is DType.F32 else np.int16)
+    arr = np.asarray(value, dtype=np_dtype(dt))
     return [int(w) for w in encode_words(arr.reshape(()), dt)]
 
 

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..frontend.syntax import DType, VarKind
-from ..irg import CONTROLLER_OPS, IRGraph, IRNode, ImmArg, MemArg, node_placement
-from ..memwords import encode_words
+from ..frontend.syntax import DType
+from ..irg import IRGraph, IRNode, ImmArg, MemArg, node_placement
 from . import rpc as rpcmod
-from .rpc import OperandSpec, RpcTable, dtype_name, operand_spec, operand_words
+from .rpc import OperandSpec, RpcTable, operand_spec, operand_words
 
 
 @dataclass
@@ -139,7 +136,7 @@ class GraphLowerer:
         words.append(self.static_len(n))
         if dyn is not None:
             words.append(self.addr(dyn.mlid))
-        rd = self.rpcs.intern("map", n.op_name, dtype_name(dt), specs, dspec,
+        rd = self.rpcs.intern("map", n.op_name, dt.value, specs, dspec,
                               arity=len(words))
         self.queue(rd, words, splices, n)
 
@@ -151,7 +148,7 @@ class GraphLowerer:
     def queue_gather(self, n: IRNode) -> None:
         args, dyn = self.node_dyn_split(n)
         dml = self.g.memlocs[n.result_index]
-        dt = dtype_name(dml.dtype)
+        dt = dml.dtype.value
         op = n.op_name
         words: list[int] = []
         specs: list[OperandSpec] = []
@@ -179,7 +176,7 @@ class GraphLowerer:
 
     def queue_shift(self, n: IRNode) -> None:
         dml = self.g.memlocs[n.result_index]
-        dt = dtype_name(dml.dtype)
+        dt = dml.dtype.value
         sspec, swords = self.vec_spec_words(n.args[0], sized=False)
         dspec, dwords = self.dst_spec_words(n, sized=False)
         axis, off = n.attrs["axis"], n.attrs["offset"]
@@ -196,7 +193,7 @@ class GraphLowerer:
         args, dyn = self.node_dyn_split(n)
         src = args[0]
         sml = self.g.memlocs[src.mlid]
-        dt = dtype_name(sml.dtype)
+        dt = sml.dtype.value
         dml = self.g.memlocs[n.result_index]
         to_gs = dml.placement == "controller"
         target = "gs" if to_gs else "uls"
@@ -241,7 +238,7 @@ class GraphLowerer:
     def emit_controller(self, n: IRNode) -> None:
         op = n.op_name
         dml = self.g.memlocs[n.result_index]
-        dt = dtype_name(dml.dtype)
+        dt = dml.dtype.value
         dst = self.addr(n.result_index)
         if op == "ga_load":
             ga = n.args[0]
@@ -264,7 +261,7 @@ class GraphLowerer:
 
     def emit_exit_if(self, n: IRNode) -> None:
         self.flush()
-        dt = dtype_name(self.operand_dtype(n.args))
+        dt = self.operand_dtype(n.args).value
         ins = Instr("cmp_br", dtype=dt, cmp=n.attrs["cmp"],
                     a=self.exec_operand(n.args[0]),
                     b=self.exec_operand(n.args[1]))
@@ -275,7 +272,7 @@ class GraphLowerer:
         self.flush()
         start, extent = n.attrs["start"], n.attrs["extent"]
         cnt = self.addr(n.args[1].mlid)
-        i16 = dtype_name(DType.I16)
+        i16 = DType.I16.value
         self.instrs.append(Instr("mov", dtype=i16, dst=cnt,
                                  a=("i", tuple(rpcmod.imm_words(start, DType.I16)))))
         top = len(self.instrs)
@@ -310,7 +307,7 @@ class GraphLowerer:
                 if self.queue_reduce(n):
                     self.flush()
                     dml = self.g.memlocs[n.result_index]
-                    self.instrs.append(Instr("recv", dtype=dtype_name(dml.dtype),
+                    self.instrs.append(Instr("recv", dtype=dml.dtype.value,
                                              dst=self.addr(n.result_index)))
             elif op == "shift":
                 self.queue_shift(n)

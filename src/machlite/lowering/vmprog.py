@@ -14,19 +14,13 @@ import numpy as np
 
 from ..diagnostics import CompileError, Diagnostic
 from ..frontend.syntax import DType, VarKind
-from ..memwords import encode_words
+from ..memplan import WORKER_WORDS
+from ..memwords import encode_words, np_dtype
 from .distribute import resp_words
 from .layout import FabricLayout
 from .masks import MaskTable, region_members
 from .rpc import RpcTable
 from .sections import Instr, Section
-
-WORKER_WORDS = 24576
-
-
-def np_dtype(dt: DType):
-    return np.float32 if dt is DType.F32 else np.int16
-
 
 @dataclass(frozen=True)
 class MemSym:

@@ -1,5 +1,7 @@
-"""16-bit word codecs and window addressing shared by the loader, the
-reference interpreter's planned-replay mode, and the simulator kernels.
+"""Word semantics shared by the loader, the reference interpreter and the
+simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
+16-bit ALU (`alu`) and compare ops (`CMPS`) both backends evaluate with,
+16-bit word codecs, and window addressing.
 
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.
@@ -9,6 +11,42 @@ from __future__ import annotations
 import numpy as np
 
 from machlite.frontend.syntax import DType
+
+CMPS = {
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
+
+
+def np_dtype(dt: DType):
+    return np.float32 if dt is DType.F32 else np.int16
+
+
+def alu(op: str, dt: DType, a, b=None):
+    """The 16-bit ALU both backends share: i16 wraps, division truncates
+    toward zero with x/0 defined as 0."""
+    nd = np_dtype(dt)
+    a = np.asarray(a, dtype=nd)
+    if op in ("copy", "fill"):
+        return a
+    b = np.asarray(b, dtype=nd)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        if op == "mul":
+            return a * b
+        assert op == "div", op
+        if dt is DType.F32:
+            return a / b
+        q = np.where(b == 0, np.int64(0),
+                     np.trunc(a.astype(np.int64) / np.where(b == 0, 1, b)))
+        return q.astype(np.int16)
 
 
 def encode_words(arr: np.ndarray, dtype: DType) -> np.ndarray:

@@ -39,7 +39,7 @@ def infer_grid(text: str) -> tuple[int, int] | None:
 
 
 def compile_source(text: str, nx: int | None = None, ny: int | None = None, *,
-                   seed: int = 0, **lower_kw) -> Bundle:
+                   seed: int = 0) -> Bundle:
     if nx is None or ny is None:
         grid = infer_grid(text)
         if grid is None:
@@ -61,7 +61,7 @@ def compile_source(text: str, nx: int | None = None, ny: int | None = None, *,
     if bad:
         raise CompileError(bad)
     plan = memplan.plan(g)
-    vm = lower(g, plan, **lower_kw)
+    vm = lower(g, plan)
     return Bundle(source=text, grid=(nx, ny), seed=seed,
                   il=il, graph=g, plan=plan, vm=vm)
 

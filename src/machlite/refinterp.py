@@ -29,7 +29,7 @@ from machlite.irg import (
     ordered_walk,
 )
 from machlite.memplan import MemPlan, WORKER_WORDS, lifespans
-from machlite.memwords import decode_words, encode_words
+from machlite.memwords import CMPS, alu, decode_words, encode_words, np_dtype
 
 
 @dataclass
@@ -40,10 +40,6 @@ class RefResult:
 
     def by_name(self, g: IRGraph, name: str) -> np.ndarray:
         return self.values[g.by_name[name]]
-
-
-def np_dtype(dt: DType):
-    return np.float32 if dt is DType.F32 else np.int16
 
 
 def full_shape(g: IRGraph, ml: MemLoc) -> tuple[int, ...]:
@@ -250,11 +246,7 @@ class _Interp:
         if op == "exit_if":
             a = self.scalar_value(n.args[0])
             b = self.scalar_value(n.args[1])
-            taken = {
-                ">": a > b, "<": a < b, ">=": a >= b,
-                "<=": a <= b, "==": a == b, "!=": a != b,
-            }[n.attrs["cmp"]]
-            if taken:
+            if CMPS[n.attrs["cmp"]](a, b):
                 raise _Break
             return
         if op == "ga_load":
@@ -285,7 +277,7 @@ class _Interp:
             nargs = n.args[:dyn_pos]
         if ml.placement == "controller":
             vals = [self.fetch_arg(a, None, dtype) for a in nargs]
-            self.store.write(n.result_index, self.apply_op(n.op_name, vals, dtype))
+            self.store.write(n.result_index, alu(n.op_name, dtype, *vals))
             return
         region = self.region_of(n)
         has_dyn = dyn_pos is not None or (
@@ -295,31 +287,10 @@ class _Interp:
             for x in range(xs, xe, xst):
                 for y in range(ys, ye, yst):
                     vals = [self.fetch_arg(a, region, dtype, x, y) for a in nargs]
-                    self.write_dest(n, region, self.apply_op(n.op_name, vals, dtype), x, y)
+                    self.write_dest(n, region, alu(n.op_name, dtype, *vals), x, y)
             return
         vals = [self.fetch_arg(a, region, dtype) for a in nargs]
-        self.write_dest(n, region, self.apply_op(n.op_name, vals, dtype))
-
-    def apply_op(self, op: str, vals, dtype: DType) -> np.ndarray:
-        nd = np_dtype(dtype)
-        if op in ("copy", "fill"):
-            return np.asarray(vals[0], dtype=nd)
-        a, b = (np.asarray(v, dtype=nd) for v in vals)
-        # i16 arithmetic wraps like the hardware's 16-bit ALU
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            assert op == "div"
-            if dtype is DType.F32:
-                return a / b
-            # integer division: C-style truncation, x/0 defined as 0
-            q = np.where(b == 0, np.int64(0),
-                         np.trunc(a.astype(np.int64) / np.where(b == 0, 1, b)))
-            return q.astype(np.int16)
+        self.write_dest(n, region, alu(n.op_name, dtype, *vals))
 
     def eval_reduce(self, n: IRNode) -> None:
         src = n.args[0]

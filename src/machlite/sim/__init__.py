@@ -1,12 +1,12 @@
 """Cycle-stepped simulator for the spatial fabric."""
 from .config import SimConfig
-from .machine import DeadlockError, Machine, Message, simulate
+from .machine import DeadlockError, Machine
 from .router import (
-    ADVANCE, DATA, HEADER, OPPOSITE, PORTS, RESET, Router, Wavelet, advance,
-    data, reset)
+    ADVANCE, DATA, OPPOSITE, PORTS, RESET, Router, Wavelet, advance, data,
+    reset)
 
 __all__ = [
-    "SimConfig", "Machine", "Message", "DeadlockError", "simulate",
+    "SimConfig", "Machine", "DeadlockError",
     "Router", "Wavelet", "PORTS", "OPPOSITE",
-    "DATA", "ADVANCE", "RESET", "HEADER", "data", "advance", "reset",
+    "DATA", "ADVANCE", "RESET", "data", "advance", "reset",
 ]

@@ -15,7 +15,6 @@ class SimConfig:
     deadlock_window: int = 10_000
     max_cycles: int = 20_000_000
     trace: bool = True
-    seed: int = 0
 
     def validate(self) -> None:
         errs = []

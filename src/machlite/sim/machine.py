@@ -12,37 +12,22 @@ progress raises DeadlockError with a dump of the blocked channels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..lowering.layout import (
-    ARGS_BCAST, COLOR_NAMES, EXEC, MERGE, MSG, RED_BCAST, RED_COL, RED_CTRL,
+    ARGS_BCAST, COLOR_NAMES, EXEC, MERGE, RED_BCAST, RED_COL, RED_CTRL,
     RED_ROW, RED_UP_E, RED_UP_S, REDUCE, RESP, WORKER)
-from ..lowering.vmprog import np_dtype
-from ..memwords import decode_words
+from ..memwords import decode_words, np_dtype
 from ..refinterp import RefResult
 from .config import SimConfig
 from .roles import ExecCpu, MergeCpu, ReduceCpu, RespCpu, WorkerCpu
-from .router import (
-    ADVANCE, HEADER, OPPOSITE, RESET, Router, Wavelet, data, reset)
+from .router import ADVANCE, OPPOSITE, RESET, Router
 
 
 class DeadlockError(RuntimeError):
     def __init__(self, message: str, report: str):
         super().__init__(message + "\n" + report)
         self.report = report
-
-
-@dataclass
-class Message:
-    mid: int
-    src: tuple
-    dst: tuple
-    words: list = field(default_factory=list)
-    hops: int = -1
-    done: bool = False
-    expect: int | None = None
 
 
 class Machine:
@@ -67,9 +52,6 @@ class Machine:
         self.section_latencies: list = []
         self.pending_depart = None
         self.rpc_occupancy: dict = {}
-        self.messages: dict[int, Message] = {}
-        self._open_msgs: dict[tuple, Message] = {}
-        self._next_mid = 0
         self._last_progress = 0
 
         h = self.cfg.hop_latency_cycles
@@ -139,30 +121,6 @@ class Machine:
             r.step_ring(color)
             self.absorbed[color] += 1
             return True
-        if w.kind == HEADER:
-            out = r.header_out(w)
-            if r.out_locked(color, out):
-                return False
-            ok = self.commit(r, color, port, q, w, (out,), used)
-            if ok:
-                if w.length is None or w.length > 0:
-                    r.locks[(color, out)] = [port, w.length]
-                if out != "C":
-                    w.hops += 1
-                    self.trace_event("msg_hop", mid=w.mid,
-                                     at=(r.x, r.y), out=out)
-            return ok
-        lock_out, ent = r.lock_for(color, port)
-        if lock_out is not None:
-            ok = self.commit(r, color, port, q, w, (lock_out,), used)
-            if ok:
-                if w.kind == RESET:
-                    del r.locks[(color, lock_out)]
-                elif ent[1] is not None:
-                    ent[1] -= 1
-                    if ent[1] <= 0:
-                        del r.locks[(color, lock_out)]
-            return ok
         outs = r.state(color).get(port)
         if outs is None:
             return False
@@ -211,38 +169,6 @@ class Machine:
         for cpu in self.cpus:
             if cpu.tick():
                 prog = True
-        if self._collect_messages():
-            prog = True
-        return prog
-
-    def _collect_messages(self) -> bool:
-        prog = False
-        for xy, r in self.routers.items():
-            q = r.outbox.get(MSG)
-            while q:
-                w, ready = q[0]
-                if ready > self.cycle:
-                    break
-                q.popleft()
-                self.delivered[MSG] += 1
-                prog = True
-                if w.kind == HEADER:
-                    msg = self.messages[w.mid]
-                    msg.hops = w.hops
-                    msg.expect = w.length
-                    self._open_msgs[xy] = msg
-                    if w.length == 0:
-                        msg.done = True
-                        del self._open_msgs[xy]
-                elif w.kind == RESET:
-                    msg = self._open_msgs.pop(xy)
-                    msg.done = True
-                else:
-                    msg = self._open_msgs[xy]
-                    msg.words.append(w.word)
-                    if msg.expect is not None and len(msg.words) == msg.expect:
-                        msg.done = True
-                        del self._open_msgs[xy]
         return prog
 
     # --- stepping ------------------------------------------------------------
@@ -325,44 +251,6 @@ class Machine:
                              f"{getattr(cpu, 'state', '?')}")
         return "blocked channels:\n" + "\n".join(lines) if lines else "(empty fabric)"
 
-    # --- messages ------------------------------------------------------------
-
-    def send_message(self, src: tuple, dst: tuple, payload,
-                     terminated: bool = False) -> int:
-        if dst not in self.routers:
-            raise ValueError(f"message destination {dst} is off the fabric")
-        words = [int(v) & 0xFFFF for v in payload]
-        if not terminated and len(words) > 31:
-            raise ValueError(
-                f"{len(words)} payload words exceed the 5-bit length field; "
-                "use a reset-terminated message")
-        mid = self._next_mid
-        self._next_mid += 1
-        head = Wavelet(HEADER, 0, dst=dst, mid=mid,
-                       length=None if terminated else len(words))
-        msg = Message(mid, src, dst)
-        self.messages[mid] = msg
-        r = self.routers[src]
-        q = r.fifo(MSG, "C")
-        q.append((head, self.cycle + 1))
-        self.injected[MSG] += 1
-        for v in words:
-            q.append((data(v), self.cycle + 1))
-            self.injected[MSG] += 1
-        if terminated:
-            q.append((reset(), self.cycle + 1))
-            self.injected[MSG] += 1
-        return mid
-
-    def run_message(self, mid: int, limit: int = 100_000) -> Message:
-        msg = self.messages[mid]
-        start = self.cycle
-        while not msg.done:
-            self.step()
-            if self.cycle - start > limit:
-                raise DeadlockError("message not delivered", self.deadlock_report())
-        return msg
-
     # --- results -------------------------------------------------------------
 
     def result(self, tainted=frozenset()) -> RefResult:
@@ -406,8 +294,3 @@ class Machine:
             },
         }
 
-
-def simulate(vm, cfg: SimConfig | None = None, tainted=frozenset()) -> RefResult:
-    m = Machine(vm, cfg)
-    m.run()
-    return m.result(tainted)

@@ -12,48 +12,14 @@ import numpy as np
 
 from ..diagnostics import SimFault
 from ..frontend.syntax import DType
-from ..memwords import decode_words, encode_words
+from ..memwords import CMPS, alu, decode_words, encode_words, np_dtype
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
-from .router import ADVANCE, DATA, RESET, Wavelet, advance, data, reset
-
-DT = {"f32": DType.F32, "i16": DType.I16}
-
-CMPS = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+from .router import DATA, RESET, Wavelet, advance, data, reset
 
 # shift ring state per (dx, dy): E, S, W, N
 SHIFT_STATE = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-
-
-def alu(op: str, a, b, dt: DType):
-    """The 16-bit ALU both backends share: i16 wraps, division truncates
-    toward zero with x/0 defined as 0."""
-    nd = np.float32 if dt is DType.F32 else np.int16
-    a = np.asarray(a, dtype=nd)
-    if op in ("copy", "fill"):
-        return a
-    b = np.asarray(b, dtype=nd)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        assert op == "div", op
-        if dt is DType.F32:
-            return a / b
-        q = np.where(b == 0, np.int64(0),
-                     np.trunc(a.astype(np.int64) / np.where(b == 0, 1, b)))
-        return q.astype(np.int16)
 
 
 def _i16(word: int) -> int:
@@ -234,16 +200,16 @@ class ExecCpu(MemCpu):
             return True
         if op == "recv":
             self.recv_addr = ins.dst
-            self.recv_dt = DT[ins.dtype]
+            self.recv_dt = DType(ins.dtype)
             self.recv_buf = []
             self.state = "recv"
             self.pc += 1
             return True
-        dt = DT[ins.dtype]
+        dt = DType(ins.dtype)
         if op == "mov":
             self.write_value(ins.dst, self.operand(ins.a, dt), dt)
         elif op == "bin":
-            val = alu(ins.binop, self.operand(ins.a, dt), self.operand(ins.b, dt), dt)
+            val = alu(ins.binop, dt, self.operand(ins.a, dt), self.operand(ins.b, dt))
             self.write_value(ins.dst, val, dt)
         elif op == "load_ga":
             tag, v = ins.a
@@ -616,7 +582,7 @@ class WorkerCpu(MemCpu):
 
     def dispatch(self) -> bool:
         rd, words = self.rd, self.args
-        self.op_dt = DT[rd.dtype]
+        self.op_dt = DType(rd.dtype)
         if rd.kind == "reduce_bcast":
             self.dst_addr = words[0]
             self.buf = []
@@ -638,8 +604,7 @@ class WorkerCpu(MemCpu):
                 self.left = self.m.cfg.rpc_setup_cycles
                 self.state = "setup"
             else:
-                zero = np.zeros((), dtype=np.float32 if self.op_dt is DType.F32
-                                else np.int16)
+                zero = np.zeros((), dtype=np_dtype(self.op_dt))
                 self.queue_partial(zero)
             return True
         if not mask:
@@ -701,7 +666,7 @@ class WorkerCpu(MemCpu):
         dt = self.op_dt
         if rd.kind == "map":
             vals = [self.fetch(p, dt, self.n) for p in self.map_srcs]
-            res = alu(rd.op, vals[0], vals[1] if len(vals) > 1 else None, dt)
+            res = alu(rd.op, dt, *vals)
             res = np.broadcast_to(np.asarray(res), (self.n,))
             kind, v = self.map_dst
             if kind == "vec":
@@ -955,7 +920,7 @@ class ReduceCpu(Cpu):
         rd = self.rd
         if rd.kind != "reduce_send":
             return "ctrl"
-        self.dt = DT[rd.dtype]
+        self.dt = DType(rd.dtype)
         self.acc = (np.float32(0.0) if self.dt is DType.F32 else 0)
         self.buf = []
         return "col"

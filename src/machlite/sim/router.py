@@ -10,7 +10,6 @@ sets.  Control wavelets steer the rings in-band:
   reset    routed exactly like data, and steps the ring of every router it
            traverses through a fabric port; delivered to a processor it acts
            as an end-of-stream marker
-  header   opens a point-to-point wormhole, routed x-first by coordinates
 
 A router moves at most one wavelet per (color, input port) per cycle.  A move
 requires every destination queue to have room; multicast is all-or-nothing.
@@ -19,7 +18,7 @@ Output ports are arbitrated in C, L, R, U, D priority order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PORTS = ("C", "L", "R", "U", "D")
 OPPOSITE = {"L": "R", "R": "L", "U": "D", "D": "U"}
@@ -28,17 +27,12 @@ DELTA = {"L": (-1, 0), "R": (1, 0), "U": (0, -1), "D": (0, 1)}
 DATA = "data"
 ADVANCE = "advance"
 RESET = "reset"
-HEADER = "header"
 
 
 @dataclass(slots=True)
 class Wavelet:
     kind: str
     word: int = 0
-    dst: tuple | None = None    # header: destination tile
-    length: int | None = None   # header: payload words, None = reset-terminated
-    mid: int = -1               # header: message id
-    hops: int = 0
 
 
 def data(word: int) -> Wavelet:
@@ -64,8 +58,6 @@ class Router:
         self.ring_idx = {c: 0 for c in self.rings}
         self.fifos: dict[tuple, deque] = {}
         self.outbox: dict[int, deque] = {}
-        # wormhole locks: (color, out_port) -> [in_port, words_left | None]
-        self.locks: dict[tuple, list] = {}
 
     def fifo(self, color: int, port: str) -> deque:
         q = self.fifos.get((color, port))
@@ -98,27 +90,6 @@ class Router:
                 out.append((color, PORTS.index(port), port))
         out.sort()
         return [(c, p) for c, _i, p in out]
-
-    def lock_for(self, color: int, port: str):
-        for (c, out), ent in self.locks.items():
-            if c == color and ent[0] == port:
-                return out, ent
-        return None, None
-
-    def out_locked(self, color: int, out: str) -> bool:
-        return (color, out) in self.locks
-
-    def header_out(self, w: Wavelet) -> str:
-        dx, dy = w.dst
-        if self.x < dx:
-            return "R"
-        if self.x > dx:
-            return "L"
-        if self.y < dy:
-            return "D"
-        if self.y > dy:
-            return "U"
-        return "C"
 
     def occupancy(self) -> int:
         n = sum(len(q) for q in self.fifos.values())
