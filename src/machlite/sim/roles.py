@@ -6,6 +6,7 @@ simulator exercises the broadcast encoding end to end.
 """
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 import numpy as np
@@ -30,7 +31,10 @@ class Cpu:
     role = "?"
 
     def __init__(self, m, xy):
-        self.m = m
+        # the machine owns its processors; a strong back-reference would
+        # keep a finished machine's memory images alive until the cyclic
+        # collector runs
+        self.m = weakref.proxy(m)
         self.xy = xy
         self.router = m.routers[xy]
 

@@ -11,7 +11,9 @@ and deselected by default; run it with `pytest -m slow`.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,16 @@ def test_fuzz_campaign(variant):
             if mis:
                 failures[seed] = mis
     assert failures == {}
+
+
+def test_finished_machine_is_freed_without_the_cycle_collector():
+    b = program(PROGRAMS[0])
+    gc.disable()
+    try:
+        m = Machine(b.vm, SimConfig(trace=False))
+        m.run()
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
