@@ -252,9 +252,7 @@ class Analyzer:
                 if init is not None:
                     self.sink.error(f"'{d.name}' has both an inline and a host init", d.loc)
                 init = host_inits.pop(d.name)
-            reported = len(self.sink.items)
-            self.check_shape(d)
-            if len(self.sink.items) > reported:
+            if not self.check_shape(d):
                 # uses of the name are skipped instead of indexing its shape
                 self.rejected.add(d.name)
                 continue
@@ -265,7 +263,9 @@ class Analyzer:
         for name in host_inits:
             self.sink.error(f"host init for undeclared variable '{name}'")
 
-    def check_shape(self, d: TensorDecl) -> None:
+    def check_shape(self, d: TensorDecl) -> bool:
+        """Report what is wrong with the declared shape; True if nothing is."""
+        reported = len(self.sink.items)
         if d.kind in (VarKind.GS, VarKind.LS, VarKind.ULS):
             if d.shape:
                 self.sink.error(f"{d.kind.value} '{d.name}' must be scalar-shaped", d.loc)
@@ -284,6 +284,7 @@ class Analyzer:
                         f"{self.grid.nx}x{self.grid.ny} worker grid", d.loc)
                 if any(x < 1 for x in d.shape):
                     self.sink.error(f"la '{d.name}' has a non-positive extent", d.loc)
+        return len(self.sink.items) == reported
 
     def check_init(self, d: TensorDecl, init: InitSpec) -> None:
         if d.kind is VarKind.ULS and init.form in ("rand", "randint"):
