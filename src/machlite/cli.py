@@ -22,7 +22,7 @@ from .fuzz import FuzzLimits, gen_source
 from .irg import ordered_walk
 from .lowering.emit import emit_paint, emit_text
 from .memplan import CapacityError
-from .pipeline import compile_source, run_reference
+from .pipeline import check, compile_source, run_reference
 from .refinterp import diff_results
 from .sim import DeadlockError, Machine, SimConfig
 
@@ -171,7 +171,7 @@ def cmd_run(a) -> int:
 def cmd_diff(a) -> int:
     b = _compile_file(a.file, a.grid, a.seed)
     ref = run_reference(b)
-    m = Machine(b.vm, SimConfig(trace=False))
+    m = Machine(b.vm)
     m.run()
     got = m.result(tainted=ref.tainted)
     mis = diff_results(b.graph, ref, got, rel=a.tol)
@@ -193,10 +193,7 @@ def cmd_fuzz(a) -> int:
             b = compile_source(src, seed=seed)
             if sum(1 for _ in ordered_walk(b.graph)) > a.max_nodes:
                 continue
-            ref = run_reference(b)
-            m = Machine(b.vm, SimConfig(trace=False))
-            m.run()
-            mis = diff_results(b.graph, ref, m.result(tainted=ref.tainted))
+            mis = check(b)
         except Exception as e:
             print(_paint(f"seed {seed}: {type(e).__name__}: {e}", "31"),
                   file=sys.stderr)

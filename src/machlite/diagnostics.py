@@ -53,7 +53,3 @@ class DiagnosticSink:
     @property
     def has_errors(self) -> bool:
         return any(d.severity == "error" for d in self.items)
-
-    def raise_if_errors(self) -> None:
-        if self.has_errors:
-            raise CompileError([d for d in self.items if d.severity == "error"])

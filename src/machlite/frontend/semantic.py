@@ -73,10 +73,6 @@ class Access:
                 return ax.dyn
         return None
 
-    def pe_coords(self) -> list[tuple[int, int]]:
-        (xs, xe, xst), (ys, ye, yst) = self.pe
-        return [(x, y) for x in range(xs, xe, xst) for y in range(ys, ye, yst)]
-
 
 # typed expression nodes ----------------------------------------------------
 
@@ -289,6 +285,11 @@ class Analyzer:
     def check_init(self, d: TensorDecl, init: InitSpec) -> None:
         if d.kind is VarKind.ULS and init.form in ("rand", "randint"):
             self.sink.error(f"uls '{d.name}' requires a uniform init", d.loc)
+        if d.kind is VarKind.LA and d.shape[:2] != (self.grid.nx, self.grid.ny):
+            # the initializer fills every worker's block
+            self.sink.error(
+                f"initialized la '{d.name}' grid dims {d.shape[:2]} must equal "
+                f"the {self.grid.nx}x{self.grid.ny} worker grid", d.loc)
         if init.form == "literal":
             need = 1
             for x in d.shape:

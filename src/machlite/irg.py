@@ -47,6 +47,14 @@ class MemLoc:
     mem_shape: tuple[int, ...] = ()
 
 
+def full_shape(g: IRGraph, ml: MemLoc) -> tuple[int, ...]:
+    """Shape of the memloc's logical array: its declared shape on the
+    controller, one `mem_shape` block per worker otherwise."""
+    if ml.placement == "controller":
+        return ml.shape
+    return g.grid + ml.mem_shape
+
+
 @dataclass(frozen=True)
 class MemArg:
     mlid: int

@@ -8,9 +8,8 @@ emit_text     deterministic textual listings (see emit)
 
 from __future__ import annotations
 
-from ..irg import IRGraph, node_placement, ordered_walk
+from ..irg import IRGraph, full_shape, node_placement, ordered_walk
 from ..memplan import MemPlan, lifespans
-from ..refinterp import full_shape
 from .distribute import RespChunk, assign_sections, chunk_sizes, resp_words, split_even
 from .layout import COLOR_IDS, COLOR_NAMES, FabricLayout, build_layout
 from .masks import MaskEntry, MaskTable, mask_bit, region_members
@@ -73,7 +72,7 @@ def lower(g: IRGraph, plan: MemPlan, *, n_resp: int = 4,
             mlid=mlid, name=ml.name, space=e.space,
             address=plan.address_words(mlid), size_words=e.size_words,
             dtype=ml.dtype, kind=ml.kind, var_kind=ml.var_kind,
-            shape=tuple(full_shape(g, ml)), mem_shape=tuple(ml.mem_shape)))
+            shape=full_shape(g, ml), mem_shape=tuple(ml.mem_shape)))
     loop_ids = [n.id for n in ordered_walk(g) if n.op_name == "loop"]
 
     prog = VMachineProgram(

@@ -81,10 +81,6 @@ class FabricLayout:
     def merge_xy(self):
         return (self.xm, self.yc)
 
-    @property
-    def exec_xy(self):
-        return (self.xe, self.yc)
-
     def fabric_of(self, wx: int, wy: int):
         """Fabric coordinates of worker (wx, wy)."""
         fy = wy if wy < self.ny // 2 else wy + 3

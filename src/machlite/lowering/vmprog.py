@@ -15,7 +15,7 @@ import numpy as np
 from ..diagnostics import CompileError, Diagnostic
 from ..frontend.syntax import DType, VarKind
 from ..memplan import WORKER_WORDS
-from ..memwords import encode_words, np_dtype
+from ..memwords import initial_array, store_words
 from .distribute import resp_words
 from .layout import FabricLayout
 from .masks import MaskTable, region_members
@@ -143,32 +143,18 @@ class VMachineProgram:
     def build_images(self):
         """Initial (worker, controller) memory images, one 24,576-word span each.
 
-        Worker image is (nx, ny, words); every persistent init and every mask
-        word is in place before cycle 0.
+        Worker image is (nx, ny, words); every persistent init (laid out by
+        `memwords.store_words`, as the reference store lays it out) and every
+        mask word is in place before cycle 0.
         """
         worker = np.zeros((self.nx, self.ny, WORKER_WORDS), dtype=np.uint16)
         ctrl = np.zeros(WORKER_WORDS, dtype=np.uint16)
         for sym in self.symbols:
             init = self.inits.get(sym.mlid)
-            if init is None:
-                continue
-            if sym.space == "controller":
-                arr = np.asarray(init, dtype=np_dtype(sym.dtype)).reshape(sym.shape)
-                ctrl[sym.address:sym.address + sym.size_words] = \
-                    encode_words(arr, sym.dtype)
-                continue
-            vals = np.zeros((self.nx, self.ny) + sym.mem_shape,
-                            dtype=np_dtype(sym.dtype))
-            if sym.var_kind is VarKind.ULS:
-                vals[...] = init
-            else:
-                vals[...] = np.asarray(init, dtype=vals.dtype).reshape(vals.shape)
-            for x in range(self.nx):
-                for y in range(self.ny):
-                    worker[x, y, sym.address:sym.address + sym.size_words] = \
-                        encode_words(vals[x, y], sym.dtype)
+            if init is not None:
+                image = ctrl if sym.space == "controller" else worker
+                store_words(image, sym.address, sym.size_words,
+                            initial_array(init, sym.dtype, sym.shape), sym.dtype)
         for addr, bits in self.masks.image_bits(self.nx, self.ny).items():
-            for x in range(self.nx):
-                for y in range(self.ny):
-                    worker[x, y, addr] = bits[x][y]
+            worker[:, :, addr] = bits
         return worker, ctrl

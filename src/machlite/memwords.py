@@ -1,10 +1,18 @@
 """Word semantics shared by the loader, the reference interpreter and the
 simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
 16-bit ALU (`alu`) and compare ops (`CMPS`) both backends evaluate with,
-16-bit word codecs, and window addressing.
+16-bit word codecs, and the data mapping of a logical array into word
+images.
 
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.
+
+The data mapping: a worker variable's logical array has shape
+`(nx, ny, *mem_shape)` and tile (x, y) holds `arr[x, y]` in C order at its
+planned word address; a controller variable's array sits at its address in
+the one controller image.  `store_words` and `load_words` are the only code
+that applies this rule; the reference store, the initial image builder and
+the simulator readout all go through them.
 """
 from __future__ import annotations
 
@@ -63,25 +71,24 @@ def decode_words(words: np.ndarray, dtype: DType, shape=()) -> np.ndarray:
     return w.view("<i2").reshape(shape)
 
 
-def element_offsets(mem_shape: tuple[int, ...], mem_axes, words_per_elem: int,
-                    dyn_stop: int | None = None) -> list[int]:
-    """Word offsets of each window element within a per-PE block.
+def store_words(image: np.ndarray, addr: int, size: int, arr, dt: DType) -> None:
+    """Write a logical array into `image[..., addr:addr + size]`.
 
-    mem_axes are (start, stop) pairs; a None stop takes dyn_stop (the last
-    axis only).  Offsets follow C-order enumeration of the window.
+    The leading axes of `image` index tiles (none for the controller image,
+    `(nx, ny)` for worker images); each tile gets its block of `arr`.
     """
-    strides = []
-    acc = words_per_elem
-    for extent in reversed(mem_shape):
-        strides.append(acc)
-        acc *= extent
-    strides.reverse()
-    ranges = []
-    for i, (start, stop) in enumerate(mem_axes):
-        if stop is None:
-            stop = dyn_stop
-        ranges.append(range(start, stop))
-    out = [0]
-    for r, s in zip(ranges, strides):
-        out = [base + j * s for base in out for j in r]
-    return out
+    image[..., addr:addr + size] = \
+        encode_words(arr, dt).reshape(image.shape[:-1] + (size,))
+
+
+def load_words(image: np.ndarray, addr: int, size: int, dt: DType,
+               shape) -> np.ndarray:
+    """The logical array stored at `addr`, as a fresh copy of the words:
+    callers mutate what they load and write it back."""
+    return decode_words(image[..., addr:addr + size].copy(), dt, shape)
+
+
+def initial_array(init, dt: DType, shape) -> np.ndarray:
+    """A declared initializer at the variable's stored shape; a scalar
+    (`uls`) spreads to every worker."""
+    return np.broadcast_to(np.asarray(init, dtype=np_dtype(dt)), shape).copy()

@@ -4,9 +4,10 @@ Walks nodes in id order over dense numpy arrays.  Two storage modes:
 
 * symbolic: one array per memloc, keyed by id.
 * planned: every access goes through the addresses a MemPlan assigned, over
-  a flat word image per worker and one for the controller.  A planner bug
-  that overlaps live allocations shows up as corrupted values against the
-  symbolic run.
+  a flat word image per worker and one for the controller, laid out by
+  `memwords.store_words`/`load_words` exactly as the simulator's images
+  are.  A planner bug that overlaps live allocations shows up as corrupted
+  values against the symbolic run.
 
 f32 reductions accumulate sequentially in float32, workers in C-order over
 (x, y) and elements in memory order; that ordering is the definition other
@@ -26,10 +27,12 @@ from machlite.irg import (
     ImmArg,
     MemArg,
     MemLoc,
+    full_shape,
     ordered_walk,
 )
 from machlite.memplan import MemPlan, WORKER_WORDS, lifespans
-from machlite.memwords import CMPS, alu, decode_words, encode_words, np_dtype
+from machlite.memwords import (
+    CMPS, alu, initial_array, load_words, np_dtype, store_words)
 
 
 @dataclass
@@ -42,32 +45,16 @@ class RefResult:
         return self.values[g.by_name[name]]
 
 
-def full_shape(g: IRGraph, ml: MemLoc) -> tuple[int, ...]:
-    nx, ny = g.grid
-    if ml.placement == "controller":
-        if ml.var_kind is VarKind.GA:
-            return (ml.shape[0],)
-        return ()
-    if ml.var_kind is VarKind.LA:
-        return (nx, ny) + tuple(ml.mem_shape)
-    if ml.mem_shape:  # worker vector temp
-        return (nx, ny) + tuple(ml.mem_shape)
-    return (nx, ny)
-
-
 class SymbolicStore:
     def __init__(self, g: IRGraph):
         self.g = g
         self.arrays: dict[int, np.ndarray] = {}
         for mlid, ml in g.memlocs.items():
-            arr = np.zeros(full_shape(g, ml), dtype=np_dtype(ml.dtype))
+            shape = full_shape(g, ml)
             init = g.inits.get(mlid)
-            if init is not None:
-                if ml.var_kind is VarKind.ULS:
-                    arr[...] = init
-                else:
-                    arr[...] = np.asarray(init, dtype=arr.dtype).reshape(arr.shape)
-            self.arrays[mlid] = arr
+            self.arrays[mlid] = (np.zeros(shape, dtype=np_dtype(ml.dtype))
+                                 if init is None
+                                 else initial_array(init, ml.dtype, shape))
 
     def read(self, mlid: int) -> np.ndarray:
         return self.arrays[mlid]
@@ -77,7 +64,8 @@ class SymbolicStore:
 
 
 class PlannedStore:
-    """Backs every variable with the word addresses the plan assigned."""
+    """Backs every variable with the word addresses the plan assigned, in
+    the same worker and controller images the simulator starts from."""
 
     def __init__(self, g: IRGraph, plan: MemPlan):
         self.g = g
@@ -88,46 +76,22 @@ class PlannedStore:
         self.controller = np.zeros(ctrl_budget, dtype=np.uint16)
         for mlid, ml in g.memlocs.items():
             init = g.inits.get(mlid)
-            if init is None:
-                continue
-            arr = np.zeros(full_shape(g, ml), dtype=np_dtype(ml.dtype))
-            if ml.var_kind is VarKind.ULS:
-                arr[...] = init
-            else:
-                arr[...] = np.asarray(init, dtype=arr.dtype).reshape(arr.shape)
-            self.write(mlid, arr)
+            if init is not None:
+                self.write(mlid, initial_array(init, ml.dtype, full_shape(g, ml)))
 
-    def _entry(self, mlid: int):
-        return self.plan.entries[mlid]
+    def _place(self, mlid: int):
+        ml = self.g.memlocs[mlid]
+        image = self.controller if ml.placement == "controller" else self.worker
+        return image, self.plan.entries[mlid], ml
 
     def read(self, mlid: int) -> np.ndarray:
-        ml = self.g.memlocs[mlid]
-        e = self._entry(mlid)
-        shape = full_shape(self.g, ml)
-        if ml.placement == "controller":
-            words = self.controller[e.offset:e.offset + e.size_words]
-            return decode_words(words, ml.dtype, shape).copy()
-        nx, ny = self.g.grid
-        per_pe = shape[2:] if len(shape) > 2 else ()
-        out = np.empty(shape, dtype=np_dtype(ml.dtype))
-        for x in range(nx):
-            for y in range(ny):
-                words = self.worker[x, y, e.offset:e.offset + e.size_words]
-                out[x, y] = decode_words(words, ml.dtype, per_pe)
-        return out
+        image, e, ml = self._place(mlid)
+        return load_words(image, e.offset, e.size_words, ml.dtype,
+                          full_shape(self.g, ml))
 
     def write(self, mlid: int, arr: np.ndarray) -> None:
-        ml = self.g.memlocs[mlid]
-        e = self._entry(mlid)
-        if ml.placement == "controller":
-            self.controller[e.offset:e.offset + e.size_words] = \
-                encode_words(arr, ml.dtype)
-            return
-        nx, ny = self.g.grid
-        for x in range(nx):
-            for y in range(ny):
-                self.worker[x, y, e.offset:e.offset + e.size_words] = \
-                    encode_words(arr[x, y], ml.dtype)
+        image, e, ml = self._place(mlid)
+        store_words(image, e.offset, e.size_words, arr, ml.dtype)
 
 
 class _Break(Exception):

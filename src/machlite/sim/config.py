@@ -14,7 +14,7 @@ class SimConfig:
     fifo_depth: int = 4
     deadlock_window: int = 10_000
     max_cycles: int = 20_000_000
-    trace: bool = True
+    trace: bool = False       # record Machine.trace events (run --trace)
 
     def validate(self) -> None:
         errs = []

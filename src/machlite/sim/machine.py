@@ -12,12 +12,10 @@ progress raises DeadlockError with a dump of the blocked channels.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..lowering.layout import (
     ARGS_BCAST, COLOR_NAMES, EXEC, MERGE, RED_BCAST, RED_COL, RED_CTRL,
     RED_ROW, RED_UP_E, RED_UP_S, REDUCE, RESP, WORKER)
-from ..memwords import decode_words, np_dtype
+from ..memwords import load_words
 from ..refinterp import RefResult
 from .config import SimConfig
 from .roles import ExecCpu, MergeCpu, ReduceCpu, RespCpu, WorkerCpu
@@ -254,21 +252,11 @@ class Machine:
     # --- results -------------------------------------------------------------
 
     def result(self, tainted=frozenset()) -> RefResult:
-        vm = self.vm
         values = {}
-        for mlid in vm.observables:
-            s = vm.symbol(mlid)
-            if s.space == "controller":
-                words = self.ctrl_image[s.address:s.address + s.size_words]
-                values[mlid] = decode_words(words, s.dtype, s.shape).copy()
-                continue
-            arr = np.empty(s.shape, dtype=np_dtype(s.dtype))
-            for wx in range(vm.nx):
-                for wy in range(vm.ny):
-                    words = self.worker_image[
-                        wx, wy, s.address:s.address + s.size_words]
-                    arr[wx, wy] = decode_words(words, s.dtype, s.mem_shape)
-            values[mlid] = arr
+        for mlid in self.vm.observables:
+            s = self.vm.symbol(mlid)
+            image = self.ctrl_image if s.space == "controller" else self.worker_image
+            values[mlid] = load_words(image, s.address, s.size_words, s.dtype, s.shape)
         return RefResult(values=values, loop_trips=dict(self.loop_trips),
                          tainted=set(tainted))
 

@@ -244,18 +244,12 @@ class MergeCpu(Cpu):
 
     def __init__(self, m, xy):
         super().__init__(m, xy)
-        self.markers = {CTRL_DRAIN: 0, ARGS_DRAIN: 0}
         self.chunks_done = {CTRL_DRAIN: 0, ARGS_DRAIN: 0}
         self.seq = 0
 
     @property
     def idle(self) -> bool:
-        return (self.markers[CTRL_DRAIN] == 0 and self.markers[ARGS_DRAIN] == 0
-                and self.chunks_done[CTRL_DRAIN] == 0
-                and self.chunks_done[ARGS_DRAIN] == 0)
-
-    def countdown(self):
-        return None if self.idle else 0
+        return self.chunks_done[CTRL_DRAIN] == 0 and self.chunks_done[ARGS_DRAIN] == 0
 
     def tick(self) -> bool:
         m = self.m
@@ -280,17 +274,15 @@ class MergeCpu(Cpu):
                 prog = True
             else:                          # chunk-end marker
                 self.pop(color)
-                self.markers[color] += 1
                 self.chunks_done[color] += 1
                 m.trace_event("merge_chunk_end", seq=self.seq, color=color,
                               side=side, index=self.chunks_done[color] - 1)
                 prog = True
         n = m.vm.n_resp
-        if (self.markers[CTRL_DRAIN] == n and self.markers[ARGS_DRAIN] == n
+        if (self.chunks_done[CTRL_DRAIN] == n and self.chunks_done[ARGS_DRAIN] == n
                 and not self.router.fifo(CTRL_BCAST, "C")
                 and not self.router.fifo(ARGS_BCAST, "C")):
             if self.push(ACK, data(self.seq)):
-                self.markers = {CTRL_DRAIN: 0, ARGS_DRAIN: 0}
                 self.chunks_done = {CTRL_DRAIN: 0, ARGS_DRAIN: 0}
                 self.seq += 1
                 prog = True
@@ -419,10 +411,57 @@ class RespCpu(Cpu):
         return prog
 
 
+# --- field tiles -------------------------------------------------------------
+
+
+class FieldCpu(Cpu):
+    """The front end every field tile shares: broadcast words stream into
+    the task and argument queues even while an earlier task is running;
+    the task table bound is what finally backpressures."""
+
+    def __init__(self, m, xy):
+        super().__init__(m, xy)
+        self.state = "ctrl"
+        self.rd = None
+        self.task_q: deque = deque()
+        self.arg_q: deque = deque()
+        self.table = m.vm.task_table_size
+
+    @property
+    def idle(self) -> bool:
+        return self.state == "ctrl" and not self.task_q and not self.arg_q
+
+    def queued_arity(self) -> int:
+        defs = self.m.vm.rpcs.defs
+        return sum(defs[r].arity for r in self.task_q)
+
+    def ingest(self) -> bool:
+        prog = False
+        busy = 0 if self.state == "ctrl" else 1
+        if len(self.task_q) + busy < self.table:
+            w = self.pop(CTRL_BCAST)
+            if w is not None:
+                self.task_q.append(w.word)
+                prog = True
+        if len(self.arg_q) < self.queued_arity():
+            w = self.pop(ARGS_BCAST)
+            if w is not None:
+                self.arg_q.append(w.word)
+                prog = True
+        return prog
+
+    def tick(self) -> bool:
+        fed = self.ingest()
+        return self.advance_state() or fed
+
+    def advance_state(self) -> bool:
+        raise NotImplementedError
+
+
 # --- worker ------------------------------------------------------------------
 
 
-class WorkerCpu(MemCpu):
+class WorkerCpu(FieldCpu, MemCpu):
     role = "worker"
 
     def __init__(self, m, xy, params, image):
@@ -433,20 +472,9 @@ class WorkerCpu(MemCpu):
         self.recv_color = SHIFT_B if params["phase"] == 0 else SHIFT_A
         self.ring_mirror = {SHIFT_A: 0, SHIFT_B: 0}
         self.image = image
-        self.state = "ctrl"
-        self.rd = None
         self.args: list = []
         self.occ = 0
         self.left = 0
-        # broadcast words stream into these queues even while an earlier
-        # task is computing; the table bound is what finally backpressures
-        self.task_q: deque = deque()
-        self.arg_q: deque = deque()
-        self.table = m.vm.task_table_size
-
-    @property
-    def idle(self) -> bool:
-        return self.state == "ctrl" and not self.task_q and not self.arg_q
 
     def countdown(self):
         if self.state == "ctrl":
@@ -507,29 +535,6 @@ class WorkerCpu(MemCpu):
         return [next(it) for _ in range(spec.words)]
 
     # --- dispatch ------------------------------------------------------------
-
-    def queued_arity(self) -> int:
-        defs = self.m.vm.rpcs.defs
-        return sum(defs[r].arity for r in self.task_q)
-
-    def ingest(self) -> bool:
-        prog = False
-        busy = 0 if self.state == "ctrl" else 1
-        if len(self.task_q) + busy < self.table:
-            w = self.pop(CTRL_BCAST)
-            if w is not None:
-                self.task_q.append(w.word)
-                prog = True
-        if len(self.arg_q) < self.queued_arity():
-            w = self.pop(ARGS_BCAST)
-            if w is not None:
-                self.arg_q.append(w.word)
-                prog = True
-        return prog
-
-    def tick(self) -> bool:
-        fed = self.ingest()
-        return self.advance_state() or fed
 
     def advance_state(self) -> bool:
         st = self.state
@@ -834,7 +839,7 @@ class WorkerCpu(MemCpu):
 # --- reduction-row tiles -----------------------------------------------------
 
 
-class ReduceCpu(Cpu):
+class ReduceCpu(FieldCpu):
     """Consumes the broadcast streams like any field tile; for reduction
     sends it runs the staged accumulation of its row position."""
 
@@ -843,44 +848,9 @@ class ReduceCpu(Cpu):
     def __init__(self, m, xy, params):
         super().__init__(m, xy)
         self.p = params
-        self.state = "ctrl"
-        self.rd = None
         self.acc = None
         self.buf: list = []
         self.stream: deque = deque()
-        self.task_q: deque = deque()
-        self.arg_q: deque = deque()
-        self.table = m.vm.task_table_size
-
-    @property
-    def idle(self) -> bool:
-        return self.state == "ctrl" and not self.task_q and not self.arg_q
-
-    def countdown(self):
-        return None if self.idle else 0
-
-    def queued_arity(self) -> int:
-        defs = self.m.vm.rpcs.defs
-        return sum(defs[r].arity for r in self.task_q)
-
-    def ingest(self) -> bool:
-        prog = False
-        busy = 0 if self.state == "ctrl" else 1
-        if len(self.task_q) + busy < self.table:
-            w = self.pop(CTRL_BCAST)
-            if w is not None:
-                self.task_q.append(w.word)
-                prog = True
-        if len(self.arg_q) < self.queued_arity():
-            w = self.pop(ARGS_BCAST)
-            if w is not None:
-                self.arg_q.append(w.word)
-                prog = True
-        return prog
-
-    def tick(self) -> bool:
-        fed = self.ingest()
-        return self.advance_state() or fed
 
     def advance_state(self) -> bool:
         st = self.state

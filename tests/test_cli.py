@@ -13,10 +13,11 @@ from machlite.frontend.lexer import tokenize
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
 
-def compile_exit(tmp_path, text: str, capsys) -> tuple[int, str]:
+def cli_exit(tmp_path, capsys, text: str, *argv: str) -> tuple[int, str]:
+    """Exit code and stderr of `machlite argv[0] FILE argv[1:]` on `text`."""
     src = tmp_path / "prog.mach"
     src.write_text(text)
-    code = cli.main(["compile", str(src)])
+    code = cli.main([argv[0], str(src), *argv[1:]])
     return code, capsys.readouterr().err
 
 
@@ -35,9 +36,36 @@ SHAPELESS = {
 @pytest.mark.parametrize("name", sorted(SHAPELESS))
 def test_shapeless_declaration_is_a_located_error(tmp_path, capsys, name):
     text, diag = SHAPELESS[name]
-    code, err = compile_exit(tmp_path, text, capsys)
+    code, err = cli_exit(tmp_path, capsys, text, "compile")
     assert code == 1
     assert err.splitlines() == [diag]
+
+
+SMALL_LA = "la a[2,2,4] f32{init}\nla b[4,4,4] f32 = rand\n"
+RUNS = [("compile",), ("run", "--backend", "ref"), ("run", "--backend", "sim"), ("diff",)]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=lambda a: "-".join(a))
+def test_initialized_la_smaller_than_grid_is_a_located_error(tmp_path, capsys, argv):
+    text = SMALL_LA.format(init=" = rand") + "b += 1.0\n"
+    code, err = cli_exit(tmp_path, capsys, text, *argv, "--grid", "4x4")
+    assert code == 1
+    assert err.splitlines() == [
+        "1:4: error: initialized la 'a' grid dims (2, 2) must equal the 4x4 worker grid"]
+
+
+def test_uninitialized_la_smaller_than_grid_runs(tmp_path, capsys):
+    text = SMALL_LA.format(init="") + "a[0:2, 0:2, :] = b[0:2, 0:2, :]\n"
+    assert cli_exit(tmp_path, capsys, text, "diff", "--grid", "4x4") == (0, "")
+
+
+def test_run_trace_writes_events(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    code, _ = cli_exit(tmp_path, capsys, PROGRAMS[0].read_text(),
+                       "run", "--backend", "sim", "--trace", str(trace))
+    assert code == 0
+    kinds = {line.split()[1] for line in trace.read_text().splitlines()}
+    assert "section_broadcast" in kinds
 
 
 def mutate(tokens: list[str], vocab: list[str], rng: random.Random) -> list[str]:
@@ -79,7 +107,7 @@ def test_token_mutations_never_exit_2(tmp_path, capsys, seed):
     crashes = []
     for _ in range(100):
         text = render(mutate(rng.choice(progs), vocab, rng))
-        code, err = compile_exit(tmp_path, text, capsys)
+        code, err = cli_exit(tmp_path, capsys, text, "compile")
         if code == 2:
             crashes.append(text + err.splitlines()[-2])
     assert crashes == []

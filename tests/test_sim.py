@@ -134,3 +134,9 @@ def test_finished_machine_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_trace_is_off_by_default():
+    m = Machine(program(PROGRAMS[0]).vm)
+    m.run()
+    assert m.cycle > 0 and m.trace == []
