@@ -3,8 +3,10 @@
 Every example program and a range of fuzz programs must agree between the
 two backends, also under non-default `SimConfig` timings.  Per-program
 goldens pin the default-config cycle count and the sha256 of the
-`machlite compile --emit asm` listing, so a change that claims to leave
-behaviour alone can show that it did.
+`machlite compile --emit asm` listing, and per-run goldens pin the cycle
+count, `stats()` and the output arrays under the default config and every
+variant, so a change that claims to leave behaviour alone can show that
+it did.
 
 The long campaign (fuzz seeds 0-299 under every variant) is marked `slow`
 and deselected by default; run it with `pytest -m slow`.
@@ -51,6 +53,66 @@ VARIANTS = {
     "rpc200": dict(rpc_setup_cycles=200),
 }
 
+# (program, config) -> (cycles, stats digest, outputs digest); see run_digest
+RUN_GOLDEN = {
+    ("dynwin", "default"): (280, "e47f0cf44ac46fda", "354b3d4445473f78"),
+    ("dynwin", "fifo1"): (292, "18ed83c88d23b097", "354b3d4445473f78"),
+    ("dynwin", "fifo2"): (280, "e47f0cf44ac46fda", "354b3d4445473f78"),
+    ("dynwin", "hop2"): (285, "41d1bd4470f61075", "354b3d4445473f78"),
+    ("dynwin", "hop3"): (292, "12d99e8fa6f7250e", "354b3d4445473f78"),
+    ("dynwin", "rpc1"): (74, "1a9c662614adf976", "354b3d4445473f78"),
+    ("dynwin", "rpc200"): (860, "d15c98d93b1bb4ac", "354b3d4445473f78"),
+    ("elementwise", "default"): (419, "ca232a706ccb75b6", "ab29bee8b390e074"),
+    ("elementwise", "fifo1"): (424, "5c1204cbaec15280", "ab29bee8b390e074"),
+    ("elementwise", "fifo2"): (419, "ca232a706ccb75b6", "ab29bee8b390e074"),
+    ("elementwise", "hop2"): (424, "9be05affe188ea91", "ab29bee8b390e074"),
+    ("elementwise", "hop3"): (431, "d00f2519fb0333dc", "ab29bee8b390e074"),
+    ("elementwise", "rpc1"): (95, "8ec576f6735abbca", "ab29bee8b390e074"),
+    ("elementwise", "rpc200"): (1289, "32ff01c56726981e", "ab29bee8b390e074"),
+    ("indirection", "default"): (329, "fed7e1be1c563c28", "6c4f3cdf503fff64"),
+    ("indirection", "fifo1"): (336, "90c2b786d548b03c", "6c4f3cdf503fff64"),
+    ("indirection", "fifo2"): (329, "fed7e1be1c563c28", "6c4f3cdf503fff64"),
+    ("indirection", "hop2"): (334, "992fcdff17b71f9c", "6c4f3cdf503fff64"),
+    ("indirection", "hop3"): (341, "dfc43c85e258b8e3", "6c4f3cdf503fff64"),
+    ("indirection", "rpc1"): (113, "3e070e85258cb1ea", "6c4f3cdf503fff64"),
+    ("indirection", "rpc200"): (909, "1bb67a6ce875ec8d", "6c4f3cdf503fff64"),
+    ("listing1", "default"): (718, "d48ee96cee2eaf75", "537c13e86a21e12c"),
+    ("listing1", "fifo1"): (746, "d601986ba7de3053", "537c13e86a21e12c"),
+    ("listing1", "fifo2"): (718, "d48ee96cee2eaf75", "537c13e86a21e12c"),
+    ("listing1", "hop2"): (741, "ac4e43161e6d6ecf", "537c13e86a21e12c"),
+    ("listing1", "hop3"): (766, "a0e2be89c884f5b8", "537c13e86a21e12c"),
+    ("listing1", "rpc1"): (349, "687301a5c4d6405b", "537c13e86a21e12c"),
+    ("listing1", "rpc200"): (2313, "25fb5707b5be9dfd", "537c13e86a21e12c"),
+    ("loops", "default"): (545, "cca1439eeeb0fb89", "6344890d74a6a172"),
+    ("loops", "fifo1"): (551, "a33cb2cecff73828", "6344890d74a6a172"),
+    ("loops", "fifo2"): (545, "cca1439eeeb0fb89", "6344890d74a6a172"),
+    ("loops", "hop2"): (550, "89e99dfce040110d", "6344890d74a6a172"),
+    ("loops", "hop3"): (557, "d4098439f1f19c28", "6344890d74a6a172"),
+    ("loops", "rpc1"): (190, "6bed7903deeab2c0", "6344890d74a6a172"),
+    ("loops", "rpc200"): (1705, "25a2d5974a6ae142", "6344890d74a6a172"),
+    ("mixed", "default"): (762, "552ebbdae52f1ea1", "2f5b3c9852d19def"),
+    ("mixed", "fifo1"): (788, "0667839424c8463a", "2f5b3c9852d19def"),
+    ("mixed", "fifo2"): (762, "552ebbdae52f1ea1", "2f5b3c9852d19def"),
+    ("mixed", "hop2"): (781, "9e9e4f1165db319c", "2f5b3c9852d19def"),
+    ("mixed", "hop3"): (802, "f75b6d11d3001a68", "2f5b3c9852d19def"),
+    ("mixed", "rpc1"): (236, "e335d4f0a5aed907", "2f5b3c9852d19def"),
+    ("mixed", "rpc200"): (2212, "1d93fcf8fea9e7b3", "2f5b3c9852d19def"),
+    ("reductions", "default"): (504, "ab1d4d288106d1ab", "df8c3327d0ffcbb1"),
+    ("reductions", "fifo1"): (523, "60eae7374c4feb4b", "df8c3327d0ffcbb1"),
+    ("reductions", "fifo2"): (504, "ab1d4d288106d1ab", "df8c3327d0ffcbb1"),
+    ("reductions", "hop2"): (540, "df85995d1f12bc76", "df8c3327d0ffcbb1"),
+    ("reductions", "hop3"): (582, "e96befcefc304ada", "df8c3327d0ffcbb1"),
+    ("reductions", "rpc1"): (187, "f903013b94c20348", "df8c3327d0ffcbb1"),
+    ("reductions", "rpc200"): (1374, "20ed74a23874abef", "df8c3327d0ffcbb1"),
+    ("stencil", "default"): (734, "d8fc2478d72627b9", "c37eb241396a1ec6"),
+    ("stencil", "fifo1"): (784, "a74dbc7fa0ce5ed9", "c37eb241396a1ec6"),
+    ("stencil", "fifo2"): (734, "d8fc2478d72627b9", "c37eb241396a1ec6"),
+    ("stencil", "hop2"): (748, "a3c6e8c9aba7b7ff", "c37eb241396a1ec6"),
+    ("stencil", "hop3"): (764, "8ddb5411c263d1ff", "c37eb241396a1ec6"),
+    ("stencil", "rpc1"): (194, "67cc5c42570efa27", "c37eb241396a1ec6"),
+    ("stencil", "rpc200"): (2184, "a8503245481c4a45", "c37eb241396a1ec6"),
+}
+
 _bundles: dict = {}
 
 
@@ -73,6 +135,19 @@ def asm_digest(vm) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
+def run_digest(vm, cfg: SimConfig) -> tuple[int, str, str]:
+    """Cycles and the sha256 (first 16 hex digits) of `repr(stats())` and
+    of the output arrays of one run."""
+    m = Machine(vm, cfg)
+    m.run()
+    out = hashlib.sha256()
+    for mlid, arr in sorted(m.result().values.items()):
+        out.update(f"{mlid}:{arr.dtype}:{arr.shape}".encode())
+        out.update(arr.tobytes())
+    stats = hashlib.sha256(repr(m.stats()).encode())
+    return m.cycle, stats.hexdigest()[:16], out.hexdigest()[:16]
+
+
 def test_every_program_has_a_golden():
     assert sorted(p.stem for p in PROGRAMS) == sorted(GOLDEN)
 
@@ -84,6 +159,13 @@ def test_program_agrees_and_matches_golden(path):
     m = Machine(b.vm, SimConfig(trace=False))
     m.run()
     assert (m.cycle, asm_digest(b.vm)) == GOLDEN[path.stem]
+
+
+@pytest.mark.parametrize("variant", ["default"] + sorted(VARIANTS))
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_program_run_matches_golden(path, variant):
+    cfg = SimConfig(trace=False, **VARIANTS.get(variant, {}))
+    assert run_digest(program(path).vm, cfg) == RUN_GOLDEN[path.stem, variant]
 
 
 @pytest.mark.parametrize("seed", range(60))
