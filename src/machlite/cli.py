@@ -23,7 +23,6 @@ from .irg import ordered_walk
 from .lowering.emit import emit_paint, emit_text
 from .memplan import CapacityError
 from .pipeline import check, compile_source, run_reference
-from .refinterp import diff_results
 from .sim import DeadlockError, Machine, SimConfig
 
 
@@ -61,7 +60,7 @@ def _grid(spec: str | None):
         w, h = spec.lower().split("x")
         return int(w), int(h)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad grid {spec!r}, expected WxH")
+        raise ValueError(f"bad grid {spec!r}, expected WxH") from None
 
 
 def _compile_file(path: str, grid: str | None, seed: int):
@@ -170,11 +169,7 @@ def cmd_run(a) -> int:
 
 def cmd_diff(a) -> int:
     b = _compile_file(a.file, a.grid, a.seed)
-    ref = run_reference(b)
-    m = Machine(b.vm)
-    m.run()
-    got = m.result(tainted=ref.tainted)
-    mis = diff_results(b.graph, ref, got, rel=a.tol)
+    mis = check(b, rel=a.tol)
     if mis:
         for line in mis:
             print(_paint(line, "31"), file=sys.stderr)

@@ -77,10 +77,12 @@ def run_machine(b: Bundle, cfg: SimConfig | None = None):
     return m, m.result()
 
 
-def check(b: Bundle, cfg: SimConfig | None = None) -> list[str]:
-    """Run both backends and return the mismatch report (empty = agree)."""
+def check(b: Bundle, cfg: SimConfig | None = None, *,
+          rel: float = 1e-5) -> list[str]:
+    """Run both backends and return the mismatch report (empty = agree);
+    `rel` is the relative tolerance of f32 reduction results."""
     ref = run_reference(b)
     m = Machine(b.vm, cfg)
     m.run()
     got = m.result(tainted=ref.tainted)
-    return refinterp.diff_results(b.graph, ref, got)
+    return refinterp.diff_results(b.graph, ref, got, rel=rel)

@@ -6,6 +6,15 @@ C, L, R, U, D) and then a processor phase (one tick per tile processor).
 Words a processor pushes become movable the next cycle; a fabric hop costs
 hop_latency_cycles before the word can move on.
 
+A cycle visits only the tiles that can act.  The router phase visits, in
+tile order, the routers that held a wavelet in an input FIFO when it began;
+a wavelet landing during the phase cannot move before the next cycle, so
+its router joins the set for then.  The processor phase ticks, in processor
+order, every processor except those that are idle with empty delivery
+queues, for which a tick does nothing.  A delivery into a tile's queue (the
+C port) wakes its processor.  A running count of the wavelets in FIFOs and
+delivery queues answers whether the fabric is empty.
+
 The machine is done when the executive has halted, every queue is empty and
 every processor is idle.  A window with no router movement and no processor
 progress raises DeadlockError with a dump of the blocked channels.
@@ -19,7 +28,7 @@ from ..memwords import load_words
 from ..refinterp import RefResult
 from .config import SimConfig
 from .roles import ExecCpu, MergeCpu, ReduceCpu, RespCpu, WorkerCpu
-from .router import ADVANCE, OPPOSITE, RESET, Router
+from .router import ADVANCE, DELTA, OPPOSITE, RESET, Router
 
 
 class DeadlockError(RuntimeError):
@@ -39,8 +48,12 @@ class Machine:
         self.routers = {}
         for x in range(lay.gw):
             for y in range(lay.gh):
-                self.routers[(x, y)] = Router(
-                    x, y, lay.routes.get((x, y), {}), self.cfg.fifo_depth)
+                self.routers[(x, y)] = Router(x, y, lay.routes.get((x, y), {}))
+        self.tiles = [self.routers[xy] for xy in sorted(self.routers)]
+        for i, r in enumerate(self.tiles):
+            r.index = i
+            r.links = {o: self.routers.get((r.x + dx, r.y + dy))
+                       for o, (dx, dy) in DELTA.items()}
         self.worker_image, self.ctrl_image = vm.build_images()
         self.injected = {c: 0 for c in COLOR_NAMES}
         self.delivered = {c: 0 for c in COLOR_NAMES}
@@ -76,7 +89,13 @@ class Machine:
             else:
                 continue
             self.cpus.append(cpu)
-        self.tile_order = sorted(self.routers)
+        # wavelets in all FIFOs and delivery queues; tile indices of the
+        # routers with a nonempty input FIFO; indices into cpus of the
+        # processors to tick (all but the idle ones with nothing delivered)
+        self.in_flight = 0
+        self.live_routers: set[int] = set()
+        self.live_cpus = set(range(len(self.cpus)))
+        self.tile_cpu = {cpu.router.index: i for i, cpu in enumerate(self.cpus)}
 
     # --- tracing and stats ---------------------------------------------------
 
@@ -93,20 +112,17 @@ class Machine:
 
     # --- router phase --------------------------------------------------------
 
-    def neighbor(self, r: Router, out: str):
-        dx, dy = {"L": (-1, 0), "R": (1, 0), "U": (0, -1), "D": (0, 1)}[out]
-        return self.routers.get((r.x + dx, r.y + dy))
-
     def router_phase(self) -> bool:
         moved = False
-        for xy in self.tile_order:
-            r = self.routers[xy]
-            if not r.fifos:
-                continue
+        live = self.live_routers
+        for i in sorted(live):
+            r = self.tiles[i]
             used: dict = {}
             for color, port in r.busy_channels():
                 if self.try_move(r, color, port, used):
                     moved = True
+            if not any(r.fifos.values()):
+                live.discard(i)
         return moved
 
     def try_move(self, r: Router, color: int, port: str, used: dict) -> bool:
@@ -118,6 +134,7 @@ class Machine:
             q.popleft()
             r.step_ring(color)
             self.absorbed[color] += 1
+            self.in_flight -= 1
             return True
         outs = r.state(color).get(port)
         if outs is None:
@@ -136,21 +153,23 @@ class Machine:
         targets = []
         for o in outs:
             if o == "C":
-                dq = r.delivery(color)
-                if len(dq) >= depth:
-                    return False
-                targets.append((dq, self.cycle))
+                nb, dq, rdy = None, r.delivery(color), self.cycle
             else:
-                nb = self.neighbor(r, o)
+                nb = r.links[o]
                 assert nb is not None, (r.x, r.y, COLOR_NAMES.get(color), o)
-                dq = nb.fifo(color, OPPOSITE[o])
-                if len(dq) >= depth:
-                    return False
-                targets.append((dq, self.cycle + h))
+                dq, rdy = nb.fifo(color, OPPOSITE[o]), self.cycle + h
+            if len(dq) >= depth:
+                return False
+            targets.append((nb, dq, rdy))
         q.popleft()
         u.update(outs)
-        for dq, rdy in targets:
+        self.in_flight += len(targets) - 1
+        for nb, dq, rdy in targets:
             dq.append((w, rdy))
+            if nb is not None:
+                self.live_routers.add(nb.index)
+            elif r.index in self.tile_cpu:
+                self.live_cpus.add(self.tile_cpu[r.index])
         if (self.pending_depart is not None and color == ARGS_BCAST
                 and port == "C" and (r.x, r.y) == self.layout.merge_xy):
             seq, sec, g = self.pending_depart
@@ -164,9 +183,13 @@ class Machine:
 
     def cpu_phase(self) -> bool:
         prog = False
-        for cpu in self.cpus:
+        live = self.live_cpus
+        for i in sorted(live):
+            cpu = self.cpus[i]
             if cpu.tick():
                 prog = True
+            if cpu.idle and not any(cpu.router.outbox.values()):
+                live.discard(i)
         return prog
 
     # --- stepping ------------------------------------------------------------
@@ -186,16 +209,16 @@ class Machine:
     def done(self) -> bool:
         if self.exec_cpu is not None and not self.exec_cpu.halted:
             return False
-        if any(r.occupancy() for r in self.routers.values()):
+        if self.in_flight:
             return False
-        return all(c.idle for c in self.cpus)
+        return all(self.cpus[i].idle for i in self.live_cpus)
 
     def _skippable(self) -> int:
-        if any(r.occupancy() for r in self.routers.values()):
+        if self.in_flight:
             return 0
         leaps = []
-        for c in self.cpus:
-            d = c.countdown()
+        for i in self.live_cpus:
+            d = self.cpus[i].countdown()
             if d is None:
                 continue
             if d < 2:
@@ -210,7 +233,8 @@ class Machine:
             if n > 0:
                 self.cycle += n
                 self._last_progress = self.cycle
-                for c in self.cpus:
+                for i in self.live_cpus:
+                    c = self.cpus[i]
                     if c.countdown() not in (None, 0):
                         c.leap(n)
             self.step()
@@ -230,8 +254,8 @@ class Machine:
 
     def deadlock_report(self) -> str:
         lines = []
-        for xy in self.tile_order:
-            r = self.routers[xy]
+        for r in self.tiles:
+            xy = (r.x, r.y)
             for (c, p), q in sorted(r.fifos.items()):
                 if q:
                     w, ready = q[0]

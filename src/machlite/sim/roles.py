@@ -39,22 +39,27 @@ class Cpu:
         self.router = m.routers[xy]
 
     def push(self, color: int, w: Wavelet) -> bool:
+        m = self.m
         q = self.router.fifo(color, "C")
-        if len(q) >= self.m.cfg.fifo_depth:
+        if len(q) >= m.cfg.fifo_depth:
             return False
-        q.append((w, self.m.cycle + 1))
-        self.m.injected[color] += 1
+        q.append((w, m.cycle + 1))
+        m.injected[color] += 1
+        m.in_flight += 1
+        m.live_routers.add(self.router.index)
         return True
 
     def pop(self, color: int):
+        m = self.m
         q = self.router.outbox.get(color)
         if not q:
             return None
         w, ready = q[0]
-        if ready > self.m.cycle:
+        if ready > m.cycle:
             return None
         q.popleft()
-        self.m.delivered[color] += 1
+        m.delivered[color] += 1
+        m.in_flight -= 1
         return w
 
     def tick(self) -> bool:
@@ -423,17 +428,16 @@ class FieldCpu(Cpu):
         super().__init__(m, xy)
         self.state = "ctrl"
         self.rd = None
+        self.args: list = []
         self.task_q: deque = deque()
         self.arg_q: deque = deque()
+        self.queued_arity = 0          # argument words the queued tasks take
+        self.defs = m.vm.rpcs.defs
         self.table = m.vm.task_table_size
 
     @property
     def idle(self) -> bool:
         return self.state == "ctrl" and not self.task_q and not self.arg_q
-
-    def queued_arity(self) -> int:
-        defs = self.m.vm.rpcs.defs
-        return sum(defs[r].arity for r in self.task_q)
 
     def ingest(self) -> bool:
         prog = False
@@ -442,13 +446,28 @@ class FieldCpu(Cpu):
             w = self.pop(CTRL_BCAST)
             if w is not None:
                 self.task_q.append(w.word)
+                self.queued_arity += self.defs[w.word].arity
                 prog = True
-        if len(self.arg_q) < self.queued_arity():
+        if len(self.arg_q) < self.queued_arity:
             w = self.pop(ARGS_BCAST)
             if w is not None:
                 self.arg_q.append(w.word)
                 prog = True
         return prog
+
+    def take_task(self) -> bool:
+        """Dequeue the next task into rd and its argument words into args,
+        once they have all arrived."""
+        if not self.task_q:
+            return False
+        rd = self.defs[self.task_q[0]]
+        if len(self.arg_q) < rd.arity:
+            return False
+        self.task_q.popleft()
+        self.queued_arity -= rd.arity
+        self.rd = rd
+        self.args = [self.arg_q.popleft() for _ in range(rd.arity)]
+        return True
 
     def tick(self) -> bool:
         fed = self.ingest()
@@ -472,7 +491,6 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.recv_color = SHIFT_B if params["phase"] == 0 else SHIFT_A
         self.ring_mirror = {SHIFT_A: 0, SHIFT_B: 0}
         self.image = image
-        self.args: list = []
         self.occ = 0
         self.left = 0
 
@@ -539,14 +557,8 @@ class WorkerCpu(FieldCpu, MemCpu):
     def advance_state(self) -> bool:
         st = self.state
         if st == "ctrl":
-            if not self.task_q:
+            if not self.take_task():
                 return False
-            rd = self.m.vm.rpcs.defs[self.task_q[0]]
-            if len(self.arg_q) < rd.arity:
-                return False
-            self.task_q.popleft()
-            self.rd = rd
-            self.args = [self.arg_q.popleft() for _ in range(rd.arity)]
             self.occ = 0
             return self.dispatch()
         if st == "setup":
@@ -855,15 +867,8 @@ class ReduceCpu(FieldCpu):
     def advance_state(self) -> bool:
         st = self.state
         if st == "ctrl":
-            if not self.task_q:
+            if not self.take_task():     # the argument words go unused
                 return False
-            rd = self.m.vm.rpcs.defs[self.task_q[0]]
-            if len(self.arg_q) < rd.arity:
-                return False
-            self.task_q.popleft()
-            self.rd = rd
-            for _ in range(rd.arity):    # the stub only needs the count
-                self.arg_q.popleft()
             self.state = self.after_args()
             return True
         if st == "col":

@@ -50,9 +50,11 @@ def reset() -> Wavelet:
 class Router:
     """Per-tile switch state; movement is driven by the machine."""
 
-    def __init__(self, x: int, y: int, rings: dict, depth: int):
+    def __init__(self, x: int, y: int, rings: dict):
         self.x, self.y = x, y
-        self.depth = depth
+        # set by the machine: position in tile order, neighbour per output port
+        self.index = 0
+        self.links: dict[str, Router | None] = {}
         # color -> list of state dicts {in_port: (out, ...)}
         self.rings = {c: [dict(st) for st in rr] for c, rr in rings.items()}
         self.ring_idx = {c: 0 for c in self.rings}

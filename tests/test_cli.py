@@ -59,6 +59,14 @@ def test_uninitialized_la_smaller_than_grid_runs(tmp_path, capsys):
     assert cli_exit(tmp_path, capsys, text, "diff", "--grid", "4x4") == (0, "")
 
 
+@pytest.mark.parametrize("grid", ["abc", "2x2x2"])
+def test_malformed_grid_is_a_user_error(tmp_path, capsys, grid):
+    code, err = cli_exit(tmp_path, capsys, PROGRAMS[0].read_text(),
+                         "compile", "--grid", grid)
+    assert code == 1
+    assert err.splitlines() == [f"error: bad grid {grid!r}, expected WxH"]
+
+
 def test_run_trace_writes_events(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     code, _ = cli_exit(tmp_path, capsys, PROGRAMS[0].read_text(),

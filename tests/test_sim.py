@@ -205,6 +205,25 @@ def test_fuzz_campaign(variant):
     assert failures == {}
 
 
+@pytest.mark.parametrize("variant", ["default", "fifo1", "hop3"])
+@pytest.mark.parametrize("name", ["listing1", "stencil"])
+def test_live_sets_track_the_fabric_every_cycle(name, variant):
+    path = next(p for p in PROGRAMS if p.stem == name)
+    m = Machine(program(path).vm, SimConfig(trace=False, **VARIANTS.get(variant, {})))
+    while not m.done:
+        m.step()
+        assert m.in_flight == sum(r.occupancy() for r in m.routers.values())
+        for r in m.tiles:
+            if r.index not in m.live_routers:
+                assert not any(r.fifos.values()), (m.cycle, r.x, r.y)
+        for i, cpu in enumerate(m.cpus):
+            if i not in m.live_cpus:
+                assert cpu.idle, (m.cycle, cpu.xy)
+                assert not any(cpu.router.outbox.values()), (m.cycle, cpu.xy)
+    m.assert_quiescent()
+    assert m.cycle == RUN_GOLDEN[name, variant][0]
+
+
 def test_finished_machine_is_freed_without_the_cycle_collector():
     b = program(PROGRAMS[0])
     gc.disable()
