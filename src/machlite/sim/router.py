@@ -52,9 +52,7 @@ class Router:
 
     def __init__(self, x: int, y: int, rings: dict):
         self.x, self.y = x, y
-        # set by the machine: position in tile order, neighbour per output port
-        self.index = 0
-        self.links: dict[str, Router | None] = {}
+        self.index = 0          # position in the machine's tile order
         # color -> list of state dicts {in_port: (out, ...)}
         self.rings = {c: [dict(st) for st in rr] for c, rr in rings.items()}
         self.ring_idx = {c: 0 for c in self.rings}

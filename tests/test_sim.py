@@ -230,9 +230,9 @@ def test_finished_machine_is_freed_without_the_cycle_collector():
     try:
         m = Machine(b.vm, SimConfig(trace=False))
         m.run()
-        ref = weakref.ref(m)
+        refs = [weakref.ref(m), weakref.ref(m.tiles[0]), weakref.ref(m.cpus[0])]
         del m
-        assert ref() is None
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
 
