@@ -52,11 +52,11 @@ class Machine:
         self.tiles = [self.routers[xy] for xy in sorted(self.routers)]
         for i, r in enumerate(self.tiles):
             r.index = i
-        # per tile, the neighbour router behind each output port (None at
-        # the edge); kept here, not in the routers, so that they form no
+        # per output port, the neighbour router of each tile (None at the
+        # edge); kept here, not in the routers, so that they form no
         # reference cycle and are freed with the machine
-        self.links = [{o: self.routers.get((r.x + dx, r.y + dy))
-                       for o, (dx, dy) in DELTA.items()} for r in self.tiles]
+        self.links = {o: [self.routers.get((r.x + dx, r.y + dy)) for r in self.tiles]
+                      for o, (dx, dy) in DELTA.items()}
         self.worker_image, self.ctrl_image = vm.build_images()
         self.injected = {c: 0 for c in COLOR_NAMES}
         self.delivered = {c: 0 for c in COLOR_NAMES}
@@ -158,7 +158,7 @@ class Machine:
             if o == "C":
                 nb, dq, rdy = None, r.delivery(color), self.cycle
             else:
-                nb = self.links[r.index][o]
+                nb = self.links[o][r.index]
                 assert nb is not None, (r.x, r.y, COLOR_NAMES.get(color), o)
                 dq, rdy = nb.fifo(color, OPPOSITE[o]), self.cycle + h
             if len(dq) >= depth:
