@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from .diagnostics import CompileError, SimFault
-from .fuzz import FuzzLimits, gen_source
+from .fuzz import gen_source
 from .irg import ordered_walk
 from .lowering.emit import emit_paint, emit_text
 from .memplan import CapacityError
-from .pipeline import check, compile_source, run_reference
+from .pipeline import check, compile_source, run_machine, run_reference
 from .sim import DeadlockError, Machine, SimConfig
 
 
@@ -46,8 +46,7 @@ def _fail(msg: str) -> int:
 
 def _report_diags(err: CompileError) -> int:
     for d in err.diagnostics:
-        print(_paint(str(d), "31" if d.severity == "error" else "33"),
-              file=sys.stderr)
+        print(_paint(str(d), "31"), file=sys.stderr)
     if not err.diagnostics:
         print(_paint("error:", "31") + " " + str(err), file=sys.stderr)
     return 1
@@ -156,9 +155,8 @@ def cmd_run(a) -> int:
         res = run_reference(b)
         sys.stdout.write(dump_result(b.graph, res))
         return 0
-    m = Machine(b.vm, SimConfig(trace=bool(a.trace)))
-    m.run()
-    sys.stdout.write(dump_result(b.graph, m.result()))
+    m, res = run_machine(b, SimConfig(trace=bool(a.trace)))
+    sys.stdout.write(dump_result(b.graph, res))
     if a.trace:
         write_trace(m, a.trace)
     if a.stats:
@@ -179,11 +177,10 @@ def cmd_diff(a) -> int:
 
 
 def cmd_fuzz(a) -> int:
-    lim = FuzzLimits()
     failures = 0
     ran = 0
     for seed in range(a.seed, a.seed + a.programs):
-        src = gen_source(seed, lim)
+        src = gen_source(seed)
         try:
             b = compile_source(src, seed=seed)
             if sum(1 for _ in ordered_walk(b.graph)) > a.max_nodes:
@@ -245,8 +242,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
-        return _fail(f"cannot read {e.filename}")
+    except OSError as e:
+        if e.filename is None:
+            return _fail(str(e))
+        return _fail(f"cannot open {e.filename}: {e.strerror}")
     except CompileError as e:
         return _report_diags(e)
     except CapacityError as e:

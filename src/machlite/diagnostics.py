@@ -15,13 +15,12 @@ class Loc:
 
 @dataclass
 class Diagnostic:
-    severity: str  # "error" | "warning"
     message: str
     loc: Loc | None = None
 
     def __str__(self) -> str:
         where = f"{self.loc}: " if self.loc else ""
-        return f"{where}{self.severity}: {self.message}"
+        return f"{where}error: {self.message}"
 
 
 class CompileError(Exception):
@@ -45,11 +44,8 @@ class DiagnosticSink:
     items: list[Diagnostic] = field(default_factory=list)
 
     def error(self, message: str, loc: Loc | None = None) -> None:
-        self.items.append(Diagnostic("error", message, loc))
-
-    def warning(self, message: str, loc: Loc | None = None) -> None:
-        self.items.append(Diagnostic("warning", message, loc))
+        self.items.append(Diagnostic(message, loc))
 
     @property
     def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.items)
+        return bool(self.items)

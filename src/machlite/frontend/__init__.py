@@ -19,7 +19,6 @@ from machlite.frontend.syntax import (
     TensorDecl,
     VarKind,
     DType,
-    pretty,
 )
 from machlite.frontend.parser import parse
 from machlite.frontend.semantic import GridConfig, TypedProgram, analyze
@@ -50,5 +49,4 @@ __all__ = [
     "analyze",
     "lower_to_il",
     "parse",
-    "pretty",
 ]

@@ -504,16 +504,6 @@ class Analyzer:
     def expr_klass(t) -> str:
         return t.klass
 
-    def expr_pe_region(self, t):
-        """The PE region of the first field-carrying operand, if any."""
-        if isinstance(t, TRef) and t.access.pe is not None:
-            return t.access.pe
-        if isinstance(t, (TTake, TGatherMul)):
-            return t.src.pe
-        if isinstance(t, TBin):
-            return self.expr_pe_region(t.lhs) or self.expr_pe_region(t.rhs)
-        return None
-
     def check_regions_match(self, region, t, loc: Loc) -> bool:
         ok = True
         if isinstance(t, TRef) and t.access.pe is not None and t.access.pe != region:

@@ -1,7 +1,7 @@
-"""Syntax tree for mach-lite programs, plus the canonical pretty printer.
+"""Syntax tree for mach-lite programs.
 
-Locations never participate in equality so a pretty-printed program reparses
-to a structurally identical tree.
+Locations never participate in equality, so two parses of the same program
+text laid out differently give structurally identical trees.
 """
 from __future__ import annotations
 
@@ -182,111 +182,3 @@ class SourceProgram:
     stmts: tuple
     pragmas: tuple[Pragma, ...] = ()
 
-
-# ---------------------------------------------------------------------------
-# pretty printer
-
-
-def _fmt_num(v: float, is_int: bool) -> str:
-    if is_int:
-        return str(int(v))
-    return repr(float(v))
-
-
-def _fmt_axis(ax: AxisSlice) -> str:
-    if ax.index is not None:
-        return str(ax.index)
-    parts = ["" if ax.start is None else str(ax.start), ""]
-    parts[1] = "" if ax.stop is None else str(ax.stop)
-    s = ":".join(parts)
-    if ax.step is not None:
-        s += f":{ax.step}"
-    return s
-
-
-def _fmt_ref(r: Ref) -> str:
-    if r.axes is None:
-        return r.name
-    return f"{r.name}[{', '.join(_fmt_axis(a) for a in r.axes)}]"
-
-
-def _fmt_expr(e, parent_prec: int = 0) -> str:
-    prec = {"+": 1, "-": 1, "*": 2, "/": 2}
-    if isinstance(e, Lit):
-        return _fmt_num(e.value, e.is_int)
-    if isinstance(e, Ref):
-        return _fmt_ref(e)
-    if isinstance(e, Take):
-        return f"take({_fmt_ref(e.src)}, {_fmt_ref(e.idx)})"
-    if isinstance(e, GatherMul):
-        return f"gather_mul({_fmt_ref(e.src)}, {_fmt_ref(e.idx)}, {_fmt_ref(e.other)})"
-    assert isinstance(e, BinOp)
-    p = prec[e.op]
-    s = f"{_fmt_expr(e.lhs, p)} {e.op} {_fmt_expr(e.rhs, p + 1)}"
-    if p < parent_prec:
-        s = f"({s})"
-    return s
-
-
-def _fmt_init(init: InitSpec) -> str:
-    if init.form == "zeros":
-        return "zeros"
-    if init.form == "constant":
-        return _fmt_num(init.value, init.is_int)
-    if init.form == "rand":
-        return "rand"
-    if init.form == "randint":
-        return f"randint({init.lo}, {init.hi})"
-    return "[" + ", ".join(repr(float(v)) for v in init.values) + "]"
-
-
-def _fmt_stmt(s, indent: str, out: list[str]) -> None:
-    if isinstance(s, Assign):
-        out.append(f"{indent}{_fmt_ref(s.dst)} {s.op} {_fmt_expr(s.expr)}")
-    elif isinstance(s, DeviceFor):
-        out.append(f"{indent}for {s.var} in {_fmt_ref(s.iterable)} {{")
-        for b in s.body:
-            _fmt_stmt(b, indent + "    ", out)
-        out.append(f"{indent}}}")
-    elif isinstance(s, RangeFor):
-        out.append(f"{indent}for {s.var} in range({s.extent}) {{")
-        for b in s.body:
-            _fmt_stmt(b, indent + "    ", out)
-        out.append(f"{indent}}}")
-    elif isinstance(s, ExitIf):
-        out.append(f"{indent}exit_if {_fmt_expr(s.lhs)} {s.cmp} {_fmt_expr(s.rhs)}")
-    elif isinstance(s, Reduce):
-        out.append(f"{indent}reduce({_fmt_ref(s.src)}, {s.target})")
-    elif isinstance(s, Shift):
-        sign = "+" if s.offset > 0 else "-"
-        out.append(f"{indent}shift({_fmt_ref(s.dst)}, {_fmt_ref(s.src)}, {s.axis}, {sign}1)")
-    elif isinstance(s, Put):
-        out.append(f"{indent}put({_fmt_ref(s.dst)}, {_fmt_ref(s.idx)}, {_fmt_ref(s.src)})")
-    else:
-        raise TypeError(f"unknown statement {s!r}")
-
-
-def pretty(program: SourceProgram) -> str:
-    """Render a program as canonical source text that reparses identically."""
-    out: list[str] = []
-    for d in program.decls:
-        shape = "" if not d.shape else "[" + ", ".join(str(x) for x in d.shape) + "]"
-        marker = "" if d.output else "tmp "
-        line = f"{marker}{d.kind.value} {d.name}{shape} {d.dtype.value}"
-        if d.init is not None:
-            line += f" = {_fmt_init(d.init)}"
-        out.append(line)
-    for p in program.pragmas:
-        if p.kind == "ignore":
-            out.append("@ignore {")
-            for b in p.body:
-                _fmt_stmt(b, "    ", out)
-            out.append("}")
-        else:
-            out.append("@host {")
-            for name, init in p.host_inits:
-                out.append(f"    {name} = {_fmt_init(init)}")
-            out.append("}")
-    for s in program.stmts:
-        _fmt_stmt(s, "", out)
-    return "\n".join(out) + "\n"

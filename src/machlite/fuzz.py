@@ -21,6 +21,13 @@ import math
 import random
 from dataclasses import dataclass
 
+MAX_STMTS = 10
+MAX_LOOP_BODY = 4
+MAX_ARRAYS = 5
+MAX_LOOPS = 2
+GRIDS = ((2, 2), (4, 2), (4, 4), (2, 6), (6, 4), (6, 6), (8, 4))
+MAG_CAP = 25.0          # log10 bound before another multiply is refused
+
 
 @dataclass
 class _Arr:
@@ -40,21 +47,10 @@ class _Scalar:
     tainted: bool = False   # carries a reduction result
 
 
-@dataclass
-class FuzzLimits:
-    max_stmts: int = 10
-    max_loop_body: int = 4
-    max_arrays: int = 5
-    max_loops: int = 2
-    grids: tuple = ((2, 2), (4, 2), (4, 4), (2, 6), (6, 4), (6, 6), (8, 4))
-    mag_cap: float = 25.0   # log10 bound before another multiply is refused
-
-
 class _Gen:
-    def __init__(self, seed: int, lim: FuzzLimits):
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.lim = lim
-        self.nx, self.ny = self.rng.choice(lim.grids)
+        self.nx, self.ny = self.rng.choice(GRIDS)
         self.arrays: list[_Arr] = []
         self.scalars: list[_Scalar] = []
         self.gathers: list[tuple] = []   # (src, idx, dst) triples
@@ -69,7 +65,7 @@ class _Gen:
     def declare(self) -> None:
         rng = self.rng
         dtype = rng.choice(("f32", "f32", "i16"))
-        n_arr = rng.randint(2, self.lim.max_arrays)
+        n_arr = rng.randint(2, MAX_ARRAYS)
         mem = (rng.randint(2, 10),)
         if rng.random() < 0.25:
             mem = (rng.randint(2, 4), rng.randint(2, 5))
@@ -128,7 +124,7 @@ class _Gen:
         mags = [v.mag for v in vals if v is not None]
         if dtype == "i16":
             return self.rng.choice("+-*")
-        if sum(mags) < self.lim.mag_cap and self.rng.random() < 0.4:
+        if sum(mags) < MAG_CAP and self.rng.random() < 0.4:
             return "*"
         return "+"
 
@@ -206,7 +202,7 @@ class _Gen:
         if kind == 1:
             src.mag = max(src.mag, dst.mag)
             return f"put({src.name}[{reg}, :], {idx.name}[{reg}, :], {dst.name}[{reg}, :])"
-        if src.mag + dst.mag >= self.lim.mag_cap:
+        if src.mag + dst.mag >= MAG_CAP:
             dst.mag = src.mag
             return f"{dst.name}[{reg}, :] = take({src.name}[{reg}, :], {idx.name}[{reg}, :])"
         dst.mag += src.mag + 0.1
@@ -236,7 +232,7 @@ class _Gen:
         self.decls.append(f"ga {ga}[{n}] f32 = rand")
         lines = [f"for e{self.loops_used} in {ga} {{"]
         ev = _Scalar(f"e{self.loops_used}", "gs", "f32", mag=0.0)
-        body_n = rng.randint(1, self.lim.max_loop_body)
+        body_n = rng.randint(1, MAX_LOOP_BODY)
         accum = [s for s in self.scalars
                  if s.kind == "gs" and s.dtype == "f32" and not s.tainted]
         acc = rng.choice(accum) if accum else None
@@ -276,20 +272,20 @@ class _Gen:
             picks.append(self.st_reduce)
         if min(self.nx, self.ny) >= 2:
             picks.append(self.st_shift)
-        if self.loops_used < self.lim.max_loops:
+        if self.loops_used < MAX_LOOPS:
             picks.append(self.st_loop)
         out = rng.choice(picks)()
         return out if isinstance(out, list) else [out]
 
     def generate(self) -> str:
         self.declare()
-        n = self.rng.randint(3, self.lim.max_stmts)
+        n = self.rng.randint(3, MAX_STMTS)
         while len(self.body) < n:
             self.body.extend(self.statement())
         return "\n".join(self.decls + [""] + self.body) + "\n"
 
 
-def gen_source(seed: int, limits: FuzzLimits | None = None) -> str:
+def gen_source(seed: int) -> str:
     """Deterministic random program for one fuzz seed."""
-    return _Gen(seed, limits or FuzzLimits()).generate()
+    return _Gen(seed).generate()
 

@@ -1,7 +1,6 @@
 """Lowering: turn a planned graph into per-role virtual machine programs.
 
 partition     graph -> broadcast sections + executive instruction list
-build_masks   participation-filter table for every distinct worker slicing
 lower         the whole pipeline, returning a validated VMachineProgram
 emit_text     deterministic textual listings (see emit)
 """
@@ -21,26 +20,16 @@ __all__ = [
     "COLOR_IDS", "COLOR_NAMES", "FabricLayout", "GraphLowerer", "Instr",
     "MaskEntry", "MaskTable", "MemSym", "RespChunk", "RpcDef", "RpcTable",
     "Section", "VMachineProgram", "WORKER_WORDS", "assign_sections",
-    "build_layout", "build_masks", "chunk_sizes", "lower",
+    "build_layout", "chunk_sizes", "lower",
     "mask_bit", "partition", "region_members", "resp_words", "split_even",
 ]
 
 
-def partition(g: IRGraph, plan: MemPlan, mask_table: MaskTable | None = None):
+def partition(g: IRGraph, plan: MemPlan):
     """Sections plus the executive skeleton; returns (sections, instrs, rpcs, masks)."""
-    low = GraphLowerer(g, plan, mask_table if mask_table is not None else MaskTable())
+    low = GraphLowerer(g, plan)
     sections, instrs, rpcs = low.lower()
     return sections, instrs, rpcs, low.masks
-
-
-def build_masks(g: IRGraph, plan: MemPlan) -> MaskTable:
-    """Intern every distinct worker slicing of the graph, in execution order."""
-    table = MaskTable()
-    for n in ordered_walk(g):
-        region = n.attrs.get("region")
-        if region is not None and node_placement(g, n) == "worker":
-            table.intern(region, plan)
-    return table
 
 
 def worker_nodes(g: IRGraph) -> set[int]:
@@ -52,8 +41,7 @@ def worker_nodes(g: IRGraph) -> set[int]:
 def lower(g: IRGraph, plan: MemPlan, *, n_resp: int = 4,
           resp_capacity: int = 3000, task_table_size: int = 16) -> VMachineProgram:
     nx, ny = g.grid
-    masks = MaskTable()
-    sections, instrs, rpcs, masks = partition(g, plan, masks)
+    sections, instrs, rpcs, masks = partition(g, plan)
     while True:
         chunks = assign_sections(sections, n_resp)
         if max(resp_words(per) for per in chunks) <= resp_capacity:

@@ -1,26 +1,20 @@
-"""Deterministic textual listings for a lowered program, with a loader.
+"""Deterministic textual listings for a lowered program.
 
 emit_text produces one pseudo-assembly file per role plus a layout file.
-The exec file is the single source of truth for program state (instructions,
-sections, symbols, init data, masks); the worker file carries the RPC table.
-The other files are derived views: the loader rebuilds them from the same
-state, which is what makes re-emission byte-identical.
+The exec file lists the program state (instructions, sections, symbols, init
+data, masks); the worker file carries the RPC table. The other files are
+derived views of the same state.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from ..frontend.syntax import DType, VarKind
-from ..memwords import decode_words, encode_words
-from .distribute import assign_sections
-from .layout import COLOR_NAMES, build_layout
-from .masks import MaskEntry, MaskTable
-from .rpc import MASKED_KINDS, OperandSpec, RpcDef, RpcTable
-from .sections import Instr, Section
-from .vmprog import MemSym, VMachineProgram
+from ..memwords import encode_words
+from .layout import COLOR_NAMES
+from .rpc import MASKED_KINDS, RpcDef
+from .sections import Instr
+from .vmprog import VMachineProgram
 
 ROLE_FILES = ("exec.asm", "worker.asm", "reduce.asm", "resp.asm", "merge.asm",
               "paint.txt")
@@ -38,14 +32,6 @@ def _operand(o: tuple) -> str:
     if o[0] == "a":
         return f"@{o[1]}"
     return "#" + ":".join(str(int(w) & 0xFFFF) for w in o[1])
-
-
-def _parse_operand(tok: str) -> tuple:
-    if tok == "-":
-        return ()
-    if tok.startswith("@"):
-        return ("a", int(tok[1:]))
-    return ("i", tuple(int(w) for w in tok[1:].split(":")))
 
 
 def _instr_line(i: int, ins: Instr) -> str:
@@ -72,67 +58,12 @@ def _instr_line(i: int, ins: Instr) -> str:
     raise ValueError(ins.op)
 
 
-_BIN_OPS = ("add", "sub", "mul", "div")
-
-
-def _parse_instr(line: str) -> Instr:
-    head, _, rest = line.partition(": ")
-    del head
-    m = re.match(r"(\w+)(?:\.(\w+))?\s*(.*)$", rest)
-    op, dt, body = m.group(1), m.group(2) or "", m.group(3)
-    if op == "mov":
-        d, a = body.split(", ")
-        return Instr("mov", dtype=dt, dst=int(d[1:]), a=_parse_operand(a))
-    if op in _BIN_OPS:
-        d, a, b = body.split(", ")
-        return Instr("bin", dtype=dt, binop=op, dst=int(d[1:]),
-                     a=_parse_operand(a), b=_parse_operand(b))
-    if op == "cmp_br":
-        m = re.match(r"(\S+) (\S+), (\S+) -> (\d+)$", body)
-        return Instr("cmp_br", dtype=dt, cmp=m.group(1),
-                     a=_parse_operand(m.group(2)), b=_parse_operand(m.group(3)),
-                     target=int(m.group(4)))
-    if op == "load_ga":
-        m = re.match(r"@(\d+), @(\d+)\[(\S+)\]\*(\d+)$", body)
-        return Instr("load_ga", dtype=dt, dst=int(m.group(1)), base=int(m.group(2)),
-                     a=_parse_operand(m.group(3)), width=int(m.group(4)))
-    if op == "jump":
-        return Instr("jump", target=int(body))
-    if op == "trip":
-        return Instr("trip", loop_id=int(body))
-    if op == "bcast":
-        return Instr("bcast", section=int(body))
-    if op == "recv":
-        return Instr("recv", dtype=dt, dst=int(body[1:]))
-    if op == "halt":
-        return Instr("halt")
-    raise ValueError(line)
-
-
 def _rpc_line(d: RpcDef) -> str:
     srcs = ",".join(f"{s.token}/{s.words}" for s in d.srcs) or "-"
     dst = f"{d.dst.token}/{d.dst.words}" if d.dst else "-"
     tail = f" target={d.target}" if d.target else ""
     return (f"{d.rid} {d.name} kind={d.kind} op={d.op or '-'} dt={d.dtype} "
             f"srcs={srcs} dst={dst} arity={d.arity}{tail}")
-
-
-def _parse_specs(tok: str):
-    if tok == "-":
-        return ()
-    return tuple(OperandSpec(t, int(w))
-                 for t, w in (p.split("/") for p in tok.split(",")))
-
-
-def _parse_rpc(line: str) -> RpcDef:
-    parts = line.split()
-    rid, name = int(parts[0]), parts[1]
-    kv = dict(p.split("=", 1) for p in parts[2:])
-    srcs = _parse_specs(kv["srcs"])
-    dst = _parse_specs(kv["dst"])
-    return RpcDef(name, rid, kv["kind"], "" if kv["op"] == "-" else kv["op"],
-                  kv["dt"], srcs, dst[0] if dst else None,
-                  kv.get("target", ""), int(kv["arity"]))
 
 
 def _ring_str(rr) -> str:
@@ -300,114 +231,3 @@ def emit_text(vm: VMachineProgram) -> dict[str, str]:
         "paint.txt": emit_paint(vm),
     }
 
-
-# --- loading ----------------------------------------------------------------
-
-def _sections_of(lines) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    current = None
-    for raw in lines:
-        line = raw.rstrip()
-        if not line or line.startswith(";"):
-            continue
-        m = re.match(r"\[(\w+)\]", line)
-        if m:
-            current = m.group(1)
-            out[current] = []
-            rest = line[m.end():].strip()
-            if rest:
-                out[current].append(rest)
-            continue
-        out[current].append(line)
-    return out
-
-
-_VK = {k.value: k for k in VarKind} | {"-": None}
-
-
-def load_text(files: dict[str, str]) -> VMachineProgram:
-    """Rebuild a VMachineProgram from emitted listings (exec + worker files)."""
-    ex = _sections_of(files["exec.asm"].splitlines())
-    wk = _sections_of(files["worker.asm"].splitlines())
-
-    meta = dict(line.split(None, 1) for line in ex["meta"])
-    nx, ny = (int(v) for v in meta["grid"].split())
-    n_resp = int(meta["resp"])
-
-    instrs = [_parse_instr(line) for line in ex["exec"]]
-
-    rpcs = RpcTable()
-    for line in wk["rpcs"]:
-        if line.startswith(" ") or not line[0].isdigit():
-            continue
-        d = _parse_rpc(line)
-        rpcs.by_name[d.name] = d
-        rpcs.defs.append(d)
-
-    sections: list[Section] = []
-    for line in ex.get("sections", []):
-        if line.startswith("section "):
-            m = re.match(r"section (\d+) nodes=(\S*)", line)
-            nodes = [int(v) for v in m.group(2).split(",") if v]
-            sections.append(Section(index=int(m.group(1)), node_ids=nodes))
-        elif line.lstrip().startswith("ctrl:"):
-            body = line.split(":", 1)[1].split()
-            sections[-1].ctrl_vector = [int(v) for v in body]
-        elif line.lstrip().startswith("args:"):
-            body = line.split(":", 1)[1].split()
-            sections[-1].args_vector = [int(v, 16) for v in body]
-        else:
-            kv = dict(p.split("=") for p in line.split()[1:])
-            sections[-1].splices.append(
-                (int(kv["pos"]), int(kv["width"]), int(kv["addr"])))
-
-    symbols, observables = [], []
-    for line in ex["symbols"]:
-        parts = line.split()
-        mlid, name, space = int(parts[0]), parts[1], parts[2]
-        addr = int(parts[3][1:])
-        size = int(parts[4].split("=")[1])
-        dt, vk, kind = DType(parts[5]), _VK[parts[6]], parts[7]
-        shp = parts[8].split("=")[1]
-        shape = tuple(int(v) for v in shp.split(",")) if shp != "-" else ()
-        mm = parts[9].split("=")[1]
-        mem = tuple(int(v) for v in mm.split(",")) if mm != "-" else ()
-        symbols.append(MemSym(mlid, name, space, addr, size, dt, kind, vk,
-                              shape, mem))
-        if parts[-1] == "obs":
-            observables.append(mlid)
-
-    by_mlid = {s.mlid: s for s in symbols}
-    inits = {}
-    for line in ex.get("data", []):
-        head, _, body = line.partition(": ")
-        mlid = int(head)
-        words = np.array([int(v, 16) for v in body.split()], dtype=np.uint16)
-        s = by_mlid[mlid]
-        shape = () if s.var_kind is VarKind.ULS else s.shape
-        arr = decode_words(words, s.dtype, shape)
-        arr.setflags(write=False)
-        inits[mlid] = arr
-
-    masks = MaskTable()
-    for line in ex.get("masks", []):
-        parts = line.split()
-        addr = int(parts[1][1:])
-        sig = tuple(tuple(int(v) for v in ax.strip("()").split(","))
-                    for ax in parts[2].split("x"))
-        masks.entries[sig] = MaskEntry(sig, int(parts[0]), addr)
-
-    layout = build_layout(nx, ny, n_resp)
-    chunks = assign_sections(sections, n_resp)
-    worker_ids = set()
-    for sec in sections:
-        worker_ids.update(sec.node_ids)
-    loop_ids = sorted({i.loop_id for i in instrs if i.op == "trip"})
-
-    return VMachineProgram(
-        nx=nx, ny=ny, n_resp=n_resp, layout=layout, instrs=instrs,
-        sections=sections, chunks=chunks, rpcs=rpcs, masks=masks,
-        symbols=symbols, inits=inits, observables=observables,
-        worker_node_ids=worker_ids, loop_ids=loop_ids,
-        task_table_size=int(meta["task_table"]),
-        resp_capacity=int(meta["resp_capacity"]))

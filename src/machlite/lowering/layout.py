@@ -86,16 +86,6 @@ class FabricLayout:
         fy = wy if wy < self.ny // 2 else wy + 3
         return (wx + 2, fy)
 
-    def worker_of(self, x: int, y: int):
-        """Worker coordinates of a fabric tile, or None."""
-        if not 2 <= x < self.nx + 2:
-            return None
-        if y < self.ny // 2:
-            return (x - 2, y)
-        if self.yrl < y < self.gh:
-            return (x - 2, y - 3)
-        return None
-
     def phase(self, wx: int, wy: int) -> int:
         return (wx + wy) % 2
 
@@ -111,9 +101,9 @@ def _add(routes, xy, color, rr):
 
 def build_layout(nx: int, ny: int, n_resp: int = 4) -> FabricLayout:
     if nx < 2 or ny < 2 or nx % 2 or ny % 2:
-        raise CompileError([Diagnostic("error", f"worker grid {nx}x{ny} must be even and at least 2x2")])
+        raise CompileError([Diagnostic(f"worker grid {nx}x{ny} must be even and at least 2x2")])
     if n_resp < 2 or n_resp % 2:
-        raise CompileError([Diagnostic("error", f"response tile count {n_resp} must be even and at least 2")])
+        raise CompileError([Diagnostic(f"response tile count {n_resp} must be even and at least 2")])
     lay = FabricLayout(nx=nx, ny=ny, n_resp=n_resp)
     lay.gw, lay.gh = nx + 4, ny + 3
     half = ny // 2
@@ -123,7 +113,6 @@ def build_layout(nx: int, ny: int, n_resp: int = 4) -> FabricLayout:
     per_side = n_resp // 2
     if lay.xm - per_side < 0 or lay.xe + per_side >= lay.gw:
         raise CompileError([Diagnostic(
-            "error",
             f"{n_resp} response tiles do not fit the control row of a {nx}x{ny} field")])
 
     roles, routes, params = lay.roles, lay.routes, lay.role_params

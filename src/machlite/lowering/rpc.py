@@ -42,10 +42,6 @@ class OperandSpec:
     def dyn(self) -> bool:
         return self.token in ("ad1", "ad2")
 
-    @property
-    def vector(self) -> bool:
-        return self.token in ("ar", "aw1", "aw2", "ad1", "ad2")
-
 
 @dataclass(frozen=True)
 class RpcDef:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from ..frontend.syntax import DType
 from ..irg import IRGraph, IRNode, ImmArg, MemArg, node_placement
 from . import rpc as rpcmod
+from .masks import MaskTable
 from .rpc import OperandSpec, RpcTable, operand_spec, operand_words
 
 
@@ -51,10 +52,10 @@ MAP_OPS = {"add", "sub", "mul", "div", "copy", "fill"}
 
 
 class GraphLowerer:
-    def __init__(self, g: IRGraph, plan, mask_table):
+    def __init__(self, g: IRGraph, plan):
         self.g = g
         self.plan = plan
-        self.masks = mask_table
+        self.masks = MaskTable()
         self.rpcs = RpcTable()
         self.sections: list[Section] = []
         self.instrs: list[Instr] = []

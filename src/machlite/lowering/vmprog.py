@@ -2,8 +2,8 @@
 
 A VMachineProgram is self-contained: symbols carry absolute word addresses,
 inits carry frozen logical arrays, and build_images materializes the byte
-state every tile starts from.  Nothing here refers back to the source graph,
-which is what makes the textual round trip possible.
+state every tile starts from.  Nothing here refers back to the source graph:
+the simulator and the listings need only this object.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class VMachineProgram:
                 errs.append(f"response position {pos} holds {words} words, "
                             f"capacity {self.resp_capacity}")
         if errs:
-            raise CompileError([Diagnostic("error", e) for e in errs])
+            raise CompileError([Diagnostic(e) for e in errs])
 
     def _check_distribution(self, errs) -> None:
         """Concatenating chunks in drain order must rebuild every section."""

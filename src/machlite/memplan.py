@@ -154,9 +154,6 @@ class MemPlan:
         e = self.entries[mlid]
         return self.base_words[e.space] + e.offset
 
-    def address_bytes(self, mlid: int) -> int:
-        return 2 * self.address_words(mlid)
-
     def reserve(self, space: str, label: str, size: int, align: int = 1) -> PlanEntry:
         """Statically allocate post-plan storage (participation masks)."""
         try:

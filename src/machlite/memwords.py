@@ -1,5 +1,5 @@
-"""Word semantics shared by the loader, the reference interpreter and the
-simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
+"""Word semantics shared by the image builder, the reference interpreter and
+the simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
 16-bit ALU (`alu`) and compare ops (`CMPS`) both backends evaluate with,
 16-bit word codecs, and the data mapping of a logical array into word
 images.

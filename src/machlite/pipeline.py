@@ -30,8 +30,8 @@ class Bundle:
 
 def infer_grid(text: str) -> tuple[int, int] | None:
     prog, diags = parse(text)
-    if any(d.severity == "error" for d in diags):
-        raise CompileError([d for d in diags if d.severity == "error"])
+    if diags:
+        raise CompileError(diags)
     for d in prog.decls:
         if d.kind is VarKind.LA and len(d.shape) >= 2:
             return d.shape[0], d.shape[1]
@@ -44,17 +44,15 @@ def compile_source(text: str, nx: int | None = None, ny: int | None = None, *,
         grid = infer_grid(text)
         if grid is None:
             raise CompileError([Diagnostic(
-                "error", "no distributed array to infer the grid from; "
+                "no distributed array to infer the grid from; "
                 "pass nx and ny explicitly")])
         nx, ny = grid
     prog, diags = parse(text)
-    errs = [d for d in diags if d.severity == "error"]
-    if errs:
-        raise CompileError(errs)
+    if diags:
+        raise CompileError(diags)
     typed, diags = analyze(prog, GridConfig(nx, ny))
-    errs = [d for d in diags if d.severity == "error"]
-    if typed is None or errs:
-        raise CompileError(errs)
+    if typed is None or diags:
+        raise CompileError(diags)
     il = lower_to_il(typed, seed=seed)
     g = irg.build(il)
     bad = irg.validate(g)

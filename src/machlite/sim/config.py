@@ -22,11 +22,10 @@ class SimConfig:
                      "rpc_setup_cycles", "fifo_depth", "deadlock_window",
                      "max_cycles"):
             if getattr(self, name) < 1:
-                errs.append(Diagnostic("error", f"{name} must be positive"))
+                errs.append(Diagnostic(f"{name} must be positive"))
         floor = 3 * self.hop_latency_cycles + 3
         if self.control_path_latency < floor:
             errs.append(Diagnostic(
-                "error",
                 f"control_path_latency {self.control_path_latency} is below the "
                 f"physical floor {floor} for hop latency {self.hop_latency_cycles}"))
         if errs:

@@ -76,6 +76,21 @@ def test_run_trace_writes_events(tmp_path, capsys):
     assert "section_broadcast" in kinds
 
 
+def test_directory_as_source_is_a_user_error(tmp_path, capsys):
+    code = cli.main(["compile", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot open {tmp_path}: Is a directory"]
+
+
+def test_unwritable_trace_path_is_a_user_error(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.txt"
+    code, err = cli_exit(tmp_path, capsys, PROGRAMS[0].read_text(),
+                         "run", "--backend", "sim", "--trace", str(trace))
+    assert code == 1
+    assert err.splitlines() == [f"error: cannot open {trace}: No such file or directory"]
+
+
 def mutate(tokens: list[str], vocab: list[str], rng: random.Random) -> list[str]:
     out = list(tokens)
     i = rng.randrange(len(out))

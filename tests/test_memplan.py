@@ -37,7 +37,7 @@ def test_listing1_offsets_and_base_address():
     assert mp.entries[names["%t1"]].offset == 24      # f32 needs an even word
     assert mp.footprint == {"worker": 22, "controller": 26}
     # the first controller entry lands at byte address 0x5fe0
-    assert mp.address_bytes(names["myGA"]) == 0x5FE0
+    assert 2 * mp.address_words(names["myGA"]) == 0x5FE0
     assert mp.address_words(names["myLA"]) == 0
 
 

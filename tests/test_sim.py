@@ -176,6 +176,30 @@ def test_fuzz_seed_agrees(seed):
     assert check(b, SimConfig(trace=False)) == []
 
 
+# DSL forms that neither programs/ nor the fuzzer produce
+FORMS = {
+    "take_in_expression": (
+        "la a[4,4,8] i16 = randint(0, 8)\nla b[4,4,8] i16 = randint(0, 9)\n"
+        "la c[4,4,8] i16 = randint(0, 9)\nc = take(b, a) + c\n"),
+    "nested_temporaries": (
+        "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\nla c[4,4,8] f32 = rand\n"
+        "c = (a + b) * a - c\n"),
+    "ga_element_load": (
+        "la a[4,4,8] f32 = rand\nga g[3] f32 = rand\ngs s f32 = 0.0\n"
+        "s = g[1]\na *= g[2]\n"),
+    "per_worker_scalar": (
+        "la a[4,4,8] f32 = rand\nls p f32 = rand\nls q f32 = rand\nq = p * p + q\n"),
+    "fill_and_copy": (
+        "la a[4,4,8] f32 = rand\nuls u f32 = 2.5\nls q f32 = rand\nq = u\na = 3.0\n"),
+    "range_loop": "la a[4,4,8] f32 = rand\nfor i in range(3) {\n    a += 1.0\n}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_dsl_form_agrees(name):
+    assert check(compile_source(FORMS[name]), SimConfig(trace=False)) == []
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
 def test_program_agrees_under_variant(path, variant):
