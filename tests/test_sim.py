@@ -25,6 +25,8 @@ from machlite.irg import ordered_walk
 from machlite.lowering.emit import emit_text
 from machlite.pipeline import check, compile_source
 from machlite.sim import Machine, SimConfig
+from machlite.sim.machine import DeadlockError
+from machlite.sim.roles import WorkerCpu
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
@@ -168,6 +170,22 @@ def test_program_run_matches_golden(path, variant):
     assert run_digest(program(path).vm, cfg) == RUN_GOLDEN[path.stem, variant]
 
 
+# sha256 of repr((seed, cycles, stats())) over the fuzz seeds 0-59 that
+# `machlite fuzz` runs, in seed order, under the default config
+FUZZ_SCHEDULE_GOLDEN = "1c80682e61ef1d4236457a138990796a30fa0b41a01a87e05b0c3babf0a3bc60"
+
+
+def test_fuzz_scheduling_matches_golden():
+    h = hashlib.sha256()
+    for seed in range(60):
+        b = fuzz_bundle(seed)
+        if b is not None:
+            m = Machine(b.vm, SimConfig(trace=False))
+            m.run()
+            h.update(repr((seed, m.cycle, m.stats())).encode())
+    assert h.hexdigest() == FUZZ_SCHEDULE_GOLDEN
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_fuzz_seed_agrees(seed):
     b = fuzz_bundle(seed)
@@ -254,11 +272,24 @@ def test_finished_machine_is_freed_without_the_cycle_collector():
     try:
         m = Machine(b.vm, SimConfig(trace=False))
         m.run()
-        refs = [weakref.ref(m), weakref.ref(m.tiles[0]), weakref.ref(m.cpus[0])]
+        refs = [weakref.ref(o) for o in [m, *m.tiles, *m.cpus]]
         del m
-        assert [r() for r in refs] == [None, None, None]
+        assert [r for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+def test_stuck_worker_deadlocks():
+    """A worker that waits for argument words no one sends keeps the
+    machine from finishing: the run raises DeadlockError naming it."""
+    b = compile_source("la a[2,2,4] f32 = rand\na += a\n")
+    m = Machine(b.vm, SimConfig(trace=False, deadlock_window=200))
+    cpu = next(c for c in m.cpus if isinstance(c, WorkerCpu))
+    cpu.task_q.append(0)
+    cpu.queued_arity += b.vm.rpcs.defs[0].arity
+    with pytest.raises(DeadlockError) as err:
+        m.run()
+    assert f"{cpu.xy} worker state=ctrl" in err.value.report
 
 
 def test_trace_is_off_by_default():
