@@ -50,6 +50,7 @@ class VMachineProgram:
     symbols: list[MemSym]
     inits: dict             # mlid -> frozen logical ndarray
     observables: list[int]
+    worker_words: int       # per-tile image size: the plan's worker footprint
     worker_node_ids: set = field(default_factory=set)
     loop_ids: list = field(default_factory=list)
     task_table_size: int = 16
@@ -76,6 +77,7 @@ class VMachineProgram:
                             f"but args vector has {len(sec.args_vector)} words")
         self._check_distribution(errs)
         self._check_masks(errs)
+        self._check_footprint(errs)
         covered = set()
         for sec in self.sections:
             covered.update(sec.node_ids)
@@ -138,16 +140,27 @@ class VMachineProgram:
             if got != region_members(e.sig, self.nx, self.ny):
                 errs.append(f"mask {e.sig} bits disagree with slice enumeration")
 
+    def _check_footprint(self, errs) -> None:
+        for s in self.symbols:
+            if s.space == "worker" and s.address + s.size_words > self.worker_words:
+                errs.append(f"symbol {s.name} ends at word {s.address + s.size_words}, "
+                            f"past the {self.worker_words}-word worker footprint")
+        for e in self.masks.ordered():
+            if e.address >= self.worker_words:
+                errs.append(f"mask {e.sig} at word {e.address} is past the "
+                            f"{self.worker_words}-word worker footprint")
+
     # --- initial memory state ----------------------------------------------
 
     def build_images(self):
-        """Initial (worker, controller) memory images, one 24,576-word span each.
+        """Initial (worker, controller) memory images.
 
-        Worker image is (nx, ny, words); every persistent init (laid out by
+        Worker image is (nx, ny, worker_words); the controller image spans
+        WORKER_WORDS.  Every persistent init (laid out by
         `memwords.store_words`, as the reference store lays it out) and every
         mask word is in place before cycle 0.
         """
-        worker = np.zeros((self.nx, self.ny, WORKER_WORDS), dtype=np.uint16)
+        worker = np.zeros((self.nx, self.ny, self.worker_words), dtype=np.uint16)
         ctrl = np.zeros(WORKER_WORDS, dtype=np.uint16)
         for sym in self.symbols:
             init = self.inits.get(sym.mlid)

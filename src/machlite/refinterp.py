@@ -30,7 +30,7 @@ from machlite.irg import (
     full_shape,
     ordered_walk,
 )
-from machlite.memplan import MemPlan, WORKER_WORDS, lifespans
+from machlite.memplan import MemPlan, lifespans
 from machlite.memwords import (
     CMPS, alu, initial_array, load_words, np_dtype, store_words)
 
@@ -71,7 +71,7 @@ class PlannedStore:
         self.g = g
         self.plan = plan
         nx, ny = g.grid
-        self.worker = np.zeros((nx, ny, WORKER_WORDS), dtype=np.uint16)
+        self.worker = np.zeros((nx, ny, plan.footprint["worker"]), dtype=np.uint16)
         ctrl_budget = plan._free["controller"].budget
         self.controller = np.zeros(ctrl_budget, dtype=np.uint16)
         for mlid, ml in g.memlocs.items():

@@ -1,12 +1,15 @@
 """Lowering: sections, distribution, masks, the RPC table, layout, emission."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import graph_of, LISTING1
 from oracles import expected_section_layout
 from machlite import irg, memplan, refinterp
+from machlite.diagnostics import CompileError
 from machlite.lowering import (
     assign_sections,
     build_layout,
@@ -383,7 +386,6 @@ def test_control_strip_between_halves():
 
 
 def test_layout_rejects_bad_grids():
-    from machlite.diagnostics import CompileError
     with pytest.raises(CompileError):
         build_layout(3, 4, 4)
     with pytest.raises(CompileError):
@@ -441,6 +443,12 @@ def test_empty_program_emits_layout_only():
     assert "[exec]\n0: halt\n[sections]\n" in files["exec.asm"]
 
 
+def test_footprint_must_hold_every_worker_word():
+    _g, _plan, vm = lowered(STRAIGHT5)
+    with pytest.raises(CompileError, match="past the .*-word worker footprint"):
+        dataclasses.replace(vm, worker_words=vm.worker_words - 1).validate()
+
+
 def test_initial_images_match_planned_store():
     src = """\
 la A[4,4,6] f32 = rand
@@ -456,6 +464,11 @@ A += A
     vm = lower(g, plan)
     worker, ctrl = vm.build_images()
     store = refinterp.PlannedStore(g, plan)
+    # both worker images span the plan's footprint, masks included
+    assert vm.worker_words == plan.footprint["worker"] == max(
+        e.offset + e.size_words for e in [*plan.entries.values(), *plan.reserved.values()]
+        if e.space == "worker")
+    assert worker.shape == store.worker.shape == (4, 4, vm.worker_words)
     for sym in vm.symbols:
         if vm.inits.get(sym.mlid) is None:
             continue
