@@ -4,16 +4,26 @@ Every cycle runs a router phase (at most one wavelet moved per color and
 input port of each tile, multicast all-or-nothing, outputs arbitrated
 C, L, R, U, D) and then a processor phase (one tick per tile processor).
 Words a processor pushes become movable the next cycle; a fabric hop costs
-hop_latency_cycles before the word can move on.
+hop_latency_cycles before the word can move on; a word delivered to a
+processor can be consumed in the same cycle's processor phase.
 
 A cycle visits only the tiles that can act.  The router phase visits, in
 tile order, the routers that held a wavelet in an input FIFO when it began;
 a wavelet landing during the phase cannot move before the next cycle, so
-its router joins the set for then.  The processor phase ticks, in processor
-order, every processor except those that are idle with empty delivery
-queues, for which a tick does nothing.  A delivery into a tile's queue (the
-C port) wakes its processor.  A running count of the wavelets in FIFOs and
-delivery queues answers whether the fabric is empty.
+its router joins the set for then.  A router serves its input channels in
+a fixed (color, port) order and resolves where an input port of a color
+goes once per ring state, on first use.
+
+The processor phase ticks, in processor order, the live processors.  A
+tick that makes no progress changes nothing, and it reads only the
+processor's own state, its delivery queues and the lengths of its tile's
+C input FIFOs.  So a processor whose tick makes no progress sleeps until
+a wavelet is delivered to its tile or leaves its tile's C input FIFO (by a
+move or an absorbed advance, which frees push capacity); either event
+wakes it.  A sleeping processor that is not idle, or has words delivered,
+is blocked: the machine is not done and does not leap while one is.  A
+running count of the wavelets in FIFOs and delivery queues answers whether
+the fabric is empty.
 
 The machine is done when the executive has halted, every queue is empty and
 every processor is idle.  A window with no router movement and no processor
@@ -94,11 +104,14 @@ class Machine:
             self.cpus.append(cpu)
         # wavelets in all FIFOs and delivery queues; tile indices of the
         # routers with a nonempty input FIFO; indices into cpus of the
-        # processors to tick (all but the idle ones with nothing delivered)
+        # processors to tick, and of the blocked ones (asleep with work
+        # left)
         self.in_flight = 0
         self.live_routers: set[int] = set()
         self.live_cpus = set(range(len(self.cpus)))
-        self.tile_cpu = {cpu.router.index: i for i, cpu in enumerate(self.cpus)}
+        self.blocked: set[int] = set()
+        for i, cpu in enumerate(self.cpus):
+            cpu.router.cpu = i
 
     # --- tracing and stats ---------------------------------------------------
 
@@ -118,13 +131,17 @@ class Machine:
     def router_phase(self) -> bool:
         moved = False
         live = self.live_routers
+        try_move = self.try_move
         for i in sorted(live):
             r = self.tiles[i]
             used: dict = {}
-            for color, port in r.busy_channels():
-                if self.try_move(r, color, port, used):
-                    moved = True
-            if not any(r.fifos.values()):
+            busy = False
+            for color, _pi, port, q in r.chans:
+                if q:
+                    if try_move(r, color, port, used):
+                        moved = True
+                    busy = busy or bool(q)
+            if not busy:
                 live.discard(i)
         return moved
 
@@ -138,41 +155,41 @@ class Machine:
             r.step_ring(color)
             self.absorbed[color] += 1
             self.in_flight -= 1
+            self.wake_blocked(r.cpu)
             return True
-        outs = r.state(color).get(port)
+        key = (color, r.ring_idx.get(color, 0), port)
+        route = r.routes.get(key)
+        if route is None:
+            route = r.routes[key] = self.resolve(r, color, port)
+        outs, targets = route
         if outs is None:
             return False
-        ok = self.commit(r, color, port, q, w, outs, used)
-        if ok and w.kind == RESET and port != "C":
-            r.step_ring(color)
-        return ok
-
-    def commit(self, r, color, port, q, w, outs, used) -> bool:
-        u = used.setdefault(color, set())
-        if any(o in u for o in outs):
+        u = used.get(color)
+        if u is None:
+            u = used[color] = set()
+        elif not u.isdisjoint(outs):
             return False
         depth = self.cfg.fifo_depth
-        h = self.cfg.hop_latency_cycles
-        targets = []
-        for o in outs:
-            if o == "C":
-                nb, dq, rdy = None, r.delivery(color), self.cycle
-            else:
-                nb = self.links[o][r.index]
-                assert nb is not None, (r.x, r.y, COLOR_NAMES.get(color), o)
-                dq, rdy = nb.fifo(color, OPPOSITE[o]), self.cycle + h
+        for dq, _nb in targets:
             if len(dq) >= depth:
                 return False
-            targets.append((nb, dq, rdy))
         q.popleft()
         u.update(outs)
         self.in_flight += len(targets) - 1
-        for nb, dq, rdy in targets:
-            dq.append((w, rdy))
-            if nb is not None:
-                self.live_routers.add(nb.index)
-            elif r.index in self.tile_cpu:
-                self.live_cpus.add(self.tile_cpu[r.index])
+        rdy = self.cycle + self.cfg.hop_latency_cycles
+        for dq, nb in targets:
+            if nb is None:
+                dq.append(w)
+                if r.cpu is not None:
+                    self.live_cpus.add(r.cpu)
+                    self.blocked.discard(r.cpu)
+            else:
+                dq.append((w, rdy))
+                self.live_routers.add(nb)
+        if port == "C":
+            self.wake_blocked(r.cpu)
+        elif w.kind == RESET:
+            r.step_ring(color)
         if (self.pending_depart is not None and color == ARGS_BCAST
                 and port == "C" and (r.x, r.y) == self.layout.merge_xy):
             seq, sec, g = self.pending_depart
@@ -181,6 +198,30 @@ class Machine:
                             latency=self.cycle - g)
             self.pending_depart = None
         return True
+
+    def resolve(self, r: Router, color: int, port: str) -> tuple:
+        """(outs, targets) of input `port` in the current ring state of
+        `color`, or (None, ()) when that state does not route it.  A target
+        is (queue, neighbour tile index), with None for the delivery queue."""
+        outs = r.state(color).get(port)
+        if outs is None:
+            return None, ()
+        targets = []
+        for o in outs:
+            if o == "C":
+                targets.append((r.delivery(color), None))
+            else:
+                nb = self.links[o][r.index]
+                assert nb is not None, (r.x, r.y, COLOR_NAMES.get(color), o)
+                targets.append((nb.fifo(color, OPPOSITE[o]), nb.index))
+        return outs, targets
+
+    def wake_blocked(self, cpu: int | None) -> None:
+        """A wavelet left the C input FIFO of the tile of processor `cpu`,
+        which may now push again."""
+        if cpu in self.blocked:
+            self.blocked.remove(cpu)
+            self.live_cpus.add(cpu)
 
     # --- processor phase -----------------------------------------------------
 
@@ -191,8 +232,12 @@ class Machine:
             cpu = self.cpus[i]
             if cpu.tick():
                 prog = True
-            if cpu.idle and not any(cpu.router.outbox.values()):
+                if cpu.idle and not any(cpu.router.outbox.values()):
+                    live.discard(i)
+            else:
                 live.discard(i)
+                if not cpu.idle or any(cpu.router.outbox.values()):
+                    self.blocked.add(i)
         return prog
 
     # --- stepping ------------------------------------------------------------
@@ -212,12 +257,12 @@ class Machine:
     def done(self) -> bool:
         if self.exec_cpu is not None and not self.exec_cpu.halted:
             return False
-        if self.in_flight:
+        if self.in_flight or self.blocked:
             return False
         return all(self.cpus[i].idle for i in self.live_cpus)
 
     def _skippable(self) -> int:
-        if self.in_flight:
+        if self.in_flight or self.blocked:
             return 0
         leaps = []
         for i in self.live_cpus:
@@ -269,7 +314,7 @@ class Machine:
             for c, q in sorted(r.outbox.items()):
                 if q:
                     lines.append(f"  {xy} {COLOR_NAMES.get(c, c)} delivery "
-                                 f"depth={len(q)} head={q[0][0].kind}")
+                                 f"depth={len(q)} head={q[0].kind}")
         for cpu in self.cpus:
             if not cpu.idle:
                 lines.append(f"  {cpu.xy} {cpu.role} state="

@@ -54,10 +54,7 @@ class Cpu:
         q = self.router.outbox.get(color)
         if not q:
             return None
-        w, ready = q[0]
-        if ready > m.cycle:
-            return None
-        q.popleft()
+        w = q.popleft()
         m.delivered[color] += 1
         m.in_flight -= 1
         return w
@@ -263,9 +260,9 @@ class MergeCpu(Cpu):
             prog = True
         for color in (CTRL_DRAIN, ARGS_DRAIN):
             q = self.router.outbox.get(color)
-            if not q or q[0][1] > m.cycle:
+            if not q:
                 continue
-            w = q[0][0]
+            w = q[0]
             side = "left" if self.chunks_done[color] % 2 == 0 else "right"
             if w.kind == DATA:
                 out = self.RECOLOR[color]

@@ -13,7 +13,8 @@ sets.  Control wavelets steer the rings in-band:
 
 A router moves at most one wavelet per (color, input port) per cycle.  A move
 requires every destination queue to have room; multicast is all-or-nothing.
-Output ports are arbitrated in C, L, R, U, D priority order.
+Input channels are served, and output ports arbitrated, in color order and
+then C, L, R, U, D port order.
 """
 from __future__ import annotations
 
@@ -53,16 +54,25 @@ class Router:
     def __init__(self, x: int, y: int, rings: dict):
         self.x, self.y = x, y
         self.index = 0          # position in the machine's tile order
+        self.cpu = None         # index of this tile's processor, if any
         # color -> list of state dicts {in_port: (out, ...)}
         self.rings = {c: [dict(st) for st in rr] for c, rr in rings.items()}
         self.ring_idx = {c: 0 for c in self.rings}
         self.fifos: dict[tuple, deque] = {}
+        # (color, port index, port, fifo) of every input channel, in
+        # service order
+        self.chans: list[tuple] = []
+        # (color, ring index, input port) -> (outs, targets) or (None, ());
+        # filled by the machine on first use, see Machine.resolve
+        self.routes: dict[tuple, tuple] = {}
         self.outbox: dict[int, deque] = {}
 
     def fifo(self, color: int, port: str) -> deque:
         q = self.fifos.get((color, port))
         if q is None:
             q = self.fifos[(color, port)] = deque()
+            self.chans.append((color, PORTS.index(port), port, q))
+            self.chans.sort(key=lambda ch: ch[:2])
         return q
 
     def delivery(self, color: int) -> deque:

@@ -250,6 +250,10 @@ def test_fuzz_campaign(variant):
 @pytest.mark.parametrize("variant", ["default", "fifo1", "hop3"])
 @pytest.mark.parametrize("name", ["listing1", "stencil"])
 def test_live_sets_track_the_fabric_every_cycle(name, variant):
+    """Stepped without leaps, after every cycle: the in-flight count is the
+    number of wavelets in the fabric, a router outside the live set holds
+    none, and a processor outside the live set is idle with nothing
+    delivered or is blocked, and a tick of it would make no progress."""
     path = next(p for p in PROGRAMS if p.stem == name)
     m = Machine(program(path).vm, SimConfig(trace=False, **VARIANTS.get(variant, {})))
     while not m.done:
@@ -258,10 +262,14 @@ def test_live_sets_track_the_fabric_every_cycle(name, variant):
         for r in m.tiles:
             if r.index not in m.live_routers:
                 assert not any(r.fifos.values()), (m.cycle, r.x, r.y)
+        assert not m.blocked & m.live_cpus
         for i, cpu in enumerate(m.cpus):
-            if i not in m.live_cpus:
+            if i in m.live_cpus:
+                continue
+            if i not in m.blocked:
                 assert cpu.idle, (m.cycle, cpu.xy)
                 assert not any(cpu.router.outbox.values()), (m.cycle, cpu.xy)
+            assert not cpu.tick(), (m.cycle, cpu.xy, i in m.blocked)
     m.assert_quiescent()
     assert m.cycle == RUN_GOLDEN[name, variant][0]
 
