@@ -136,7 +136,7 @@ class Machine:
             r = self.tiles[i]
             used: dict = {}
             busy = False
-            for color, _pi, port, q in r.chans:
+            for color, port, q in r.chans:
                 if q:
                     if try_move(r, color, port, used):
                         moved = True

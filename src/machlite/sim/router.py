@@ -59,8 +59,7 @@ class Router:
         self.rings = {c: [dict(st) for st in rr] for c, rr in rings.items()}
         self.ring_idx = {c: 0 for c in self.rings}
         self.fifos: dict[tuple, deque] = {}
-        # (color, port index, port, fifo) of every input channel, in
-        # service order
+        # (color, port, fifo) of every input channel, in service order
         self.chans: list[tuple] = []
         # (color, ring index, input port) -> (outs, targets) or (None, ());
         # filled by the machine on first use, see Machine.resolve
@@ -71,8 +70,8 @@ class Router:
         q = self.fifos.get((color, port))
         if q is None:
             q = self.fifos[(color, port)] = deque()
-            self.chans.append((color, PORTS.index(port), port, q))
-            self.chans.sort(key=lambda ch: ch[:2])
+            self.chans.append((color, port, q))
+            self.chans.sort(key=lambda ch: (ch[0], PORTS.index(ch[1])))
         return q
 
     def delivery(self, color: int) -> deque:
