@@ -8,8 +8,9 @@ count, `stats()` and the output arrays under the default config and every
 variant, so a change that claims to leave behaviour alone can show that
 it did.
 
-The long campaign (fuzz seeds 0-299 under every variant) is marked `slow`
-and deselected by default; run it with `pytest -m slow`.
+The long campaign (fuzz seeds 0-299 under every variant, each variant's
+cycles, `stats()` and outputs pinned by one sha256) is marked `slow` and
+deselected by default; run it with `pytest -m slow`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ import pytest
 from machlite.fuzz import gen_source
 from machlite.irg import ordered_walk
 from machlite.lowering.emit import emit_text
-from machlite.pipeline import check, compile_source
+from machlite.pipeline import check, compile_source, run_reference
+from machlite.refinterp import diff_results
 from machlite.sim import Machine, SimConfig
 from machlite.sim.machine import DeadlockError
 from machlite.sim.roles import WorkerCpu
@@ -137,15 +139,20 @@ def asm_digest(vm) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
+def fold_outputs(h, result) -> None:
+    """Feed the output arrays of `result` into the sha256 `h`."""
+    for mlid, arr in sorted(result.values.items()):
+        h.update(f"{mlid}:{arr.dtype}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+
+
 def run_digest(vm, cfg: SimConfig) -> tuple[int, str, str]:
     """Cycles and the sha256 (first 16 hex digits) of `repr(stats())` and
     of the output arrays of one run."""
     m = Machine(vm, cfg)
     m.run()
     out = hashlib.sha256()
-    for mlid, arr in sorted(m.result().values.items()):
-        out.update(f"{mlid}:{arr.dtype}:{arr.shape}".encode())
-        out.update(arr.tobytes())
+    fold_outputs(out, m.result())
     stats = hashlib.sha256(repr(m.stats()).encode())
     return m.cycle, stats.hexdigest()[:16], out.hexdigest()[:16]
 
@@ -233,18 +240,51 @@ def test_fuzz_seed_2516_back_to_back_shifts():
     assert check(b, SimConfig(trace=False)) == []
 
 
+# per config: sha256 of repr((seed, cycles, stats())) and the output arrays
+# of every fuzz seed 0-299 that `machlite fuzz` runs, in seed order
+CAMPAIGN_GOLDEN = {
+    "default": "6cec8d4a3b18da87dec0bda00ffc39e079e82212fe35d20ee81621a249a94e07",
+    "fifo1": "18ac51ffe10faf123a486cf9c8ef7b692743d57fd9a6224d46f919e8176355b2",
+    "fifo2": "dbb3b89e37ae3a62bc889e24c8eb3c6ae80bb0f84d0e777a281974b97e6ef880",
+    "hop2": "b8ba428ec157a831657cdc0e7055d87345f942d3a2f92d6f25b91a58243eae8f",
+    "hop3": "541f185376abfa10cb1b304e1a12bd1d65678a76b366f9619c2eed5bd576ff62",
+    "rpc1": "b99684ddd956cff482adc3fbd2ec03178d8c29aef1d44cf81d81d00e37b86c4d",
+    "rpc200": "26d3be334995a5450ce1e532a0040d39d71a33acccee5a65ba5780f5c7468ece",
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("variant", ["default"] + sorted(VARIANTS))
 def test_fuzz_campaign(variant):
     cfg = SimConfig(trace=False, **VARIANTS.get(variant, {}))
     failures = {}
+    h = hashlib.sha256()
     for seed in range(300):
         b = fuzz_bundle(seed)
-        if b is not None:
-            mis = check(b, cfg)
-            if mis:
-                failures[seed] = mis
+        if b is None:
+            continue
+        ref = run_reference(b)
+        m = Machine(b.vm, cfg)
+        m.run()
+        got = m.result(tainted=ref.tainted)
+        mis = diff_results(b.graph, ref, got)
+        if mis:
+            failures[seed] = mis
+        h.update(repr((seed, m.cycle, m.stats())).encode())
+        fold_outputs(h, got)
     assert failures == {}
+    assert h.hexdigest() == CAMPAIGN_GOLDEN[variant]
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_setup_longer_than_the_deadlock_window_is_no_deadlock(path):
+    """A worker waiting out a 200-cycle RPC setup is busy, not stuck: a
+    10-cycle deadlock window must not fire, and the cycle count is the
+    one of the default window."""
+    m = Machine(program(path).vm,
+                SimConfig(trace=False, rpc_setup_cycles=200, deadlock_window=10))
+    m.run()
+    assert m.cycle == RUN_GOLDEN[path.stem, "rpc200"][0]
 
 
 @pytest.mark.parametrize("variant", ["default", "fifo1", "hop3"])
