@@ -16,20 +16,26 @@ goes once per ring state, on first use.
 
 The processor phase ticks, in processor order, the live processors.  A
 tick that makes no progress changes nothing, and it reads only the
-processor's own state, its delivery queues and the lengths of its tile's
-C input FIFOs.  So a processor whose tick makes no progress sleeps until
-a wavelet is delivered to its tile or leaves its tile's C input FIFO (by a
-move or an absorbed advance, which frees push capacity); either event
-wakes it.  A sleeping processor that is not idle, or has words delivered,
-is blocked: the machine is not done and does not leap while one is.  A
-running count of the wavelets in FIFOs and delivery queues answers whether
-the fabric is empty.
+processor's own state, the cycle, its delivery queues and the lengths of
+its tile's C input FIFOs.  So a processor whose tick makes no progress
+sleeps until one of three events wakes it: a wavelet is delivered to its
+tile, a wavelet leaves its tile's C input FIFO (by a move or an absorbed
+advance, which frees push capacity), or the cycle of a timer it set comes
+(a processor busy for n cycles, in RPC setup, compute or the control-path
+pad, sets one for the cycle its wait ends).  A sleeping processor that is
+not idle, or has words delivered, is blocked: the machine is not done
+while one is.  When no router and no processor is live, the machine jumps
+to the earliest timer.  A running count of the wavelets in FIFOs and
+delivery queues answers whether the fabric is empty.
 
 The machine is done when the executive has halted, every queue is empty and
-every processor is idle.  A window with no router movement and no processor
-progress raises DeadlockError with a dump of the blocked channels.
+every processor is idle.  A window with no router movement, no processor
+progress and no timer pending raises DeadlockError with a dump of the
+blocked channels.
 """
 from __future__ import annotations
+
+import heapq
 
 from ..lowering.layout import (
     ARGS_BCAST, COLOR_NAMES, EXEC, MERGE, RED_BCAST, RED_COL, RED_CTRL,
@@ -105,11 +111,12 @@ class Machine:
         # wavelets in all FIFOs and delivery queues; tile indices of the
         # routers with a nonempty input FIFO; indices into cpus of the
         # processors to tick, and of the blocked ones (asleep with work
-        # left)
+        # left); (cycle, index into cpus) of the pending timers
         self.in_flight = 0
         self.live_routers: set[int] = set()
         self.live_cpus = set(range(len(self.cpus)))
         self.blocked: set[int] = set()
+        self.timers: list[tuple[int, int]] = []
         for i, cpu in enumerate(self.cpus):
             cpu.router.cpu = i
 
@@ -203,7 +210,8 @@ class Machine:
         """(outs, targets) of input `port` in the current ring state of
         `color`, or (None, ()) when that state does not route it.  A target
         is (queue, neighbour tile index), with None for the delivery queue."""
-        outs = r.state(color).get(port)
+        ring = r.rings.get(color)
+        outs = dict(ring[r.ring_idx[color]]).get(port) if ring else None
         if outs is None:
             return None, ()
         targets = []
@@ -228,6 +236,11 @@ class Machine:
     def cpu_phase(self) -> bool:
         prog = False
         live = self.live_cpus
+        timers = self.timers
+        while timers and timers[0][0] <= self.cycle:
+            i = heapq.heappop(timers)[1]
+            live.add(i)
+            self.blocked.discard(i)
         for i in sorted(live):
             cpu = self.cpus[i]
             if cpu.tick():
@@ -248,7 +261,8 @@ class Machine:
         prog = self.cpu_phase()
         if moved or prog:
             self._last_progress = self.cycle
-        elif self.cycle - self._last_progress >= self.cfg.deadlock_window:
+        elif (not self.timers
+              and self.cycle - self._last_progress >= self.cfg.deadlock_window):
             raise DeadlockError(
                 f"no progress for {self.cfg.deadlock_window} cycles",
                 self.deadlock_report())
@@ -261,30 +275,11 @@ class Machine:
             return False
         return all(self.cpus[i].idle for i in self.live_cpus)
 
-    def _skippable(self) -> int:
-        if self.in_flight or self.blocked:
-            return 0
-        leaps = []
-        for i in self.live_cpus:
-            d = self.cpus[i].countdown()
-            if d is None:
-                continue
-            if d < 2:
-                return 0
-            leaps.append(d)
-        return min(leaps) - 1 if leaps else 0
-
     def run(self, max_cycles: int | None = None) -> None:
         cap = max_cycles or self.cfg.max_cycles
         while not self.done:
-            n = self._skippable()
-            if n > 0:
-                self.cycle += n
-                self._last_progress = self.cycle
-                for i in self.live_cpus:
-                    c = self.cpus[i]
-                    if c.countdown() not in (None, 0):
-                        c.leap(n)
+            if self.timers and not self.live_routers and not self.live_cpus:
+                self.cycle = self.timers[0][0] - 1
             self.step()
             if self.cycle > cap:
                 raise DeadlockError(

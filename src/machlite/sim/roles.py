@@ -6,6 +6,7 @@ simulator exercises the broadcast encoding end to end.
 """
 from __future__ import annotations
 
+import heapq
 import weakref
 from collections import deque
 
@@ -37,6 +38,7 @@ class Cpu:
         self.m = weakref.proxy(m)
         self.xy = xy
         self.router = m.routers[xy]
+        self.until = 0          # the cycle a wait started by sleep ends
 
     def push(self, color: int, w: Wavelet) -> bool:
         m = self.m
@@ -59,15 +61,14 @@ class Cpu:
         m.in_flight -= 1
         return w
 
+    def sleep(self, n: int) -> None:
+        """Wait n cycles; a timer wakes the processor when they are over."""
+        m = self.m
+        self.until = m.cycle + n
+        heapq.heappush(m.timers, (self.until, self.router.cpu))
+
     def tick(self) -> bool:
         raise NotImplementedError
-
-    def countdown(self):
-        """None when idle, 0 when active, n when burning n known-quiet cycles."""
-        return 0 if not self.idle else None
-
-    def leap(self, n: int) -> None:
-        pass
 
     @property
     def idle(self) -> bool:
@@ -130,9 +131,6 @@ class ExecCpu(MemCpu):
     @property
     def idle(self) -> bool:
         return self.halted
-
-    def countdown(self):
-        return None if self.halted else 0
 
     def operand(self, ref, dt: DType):
         tag, v = ref
@@ -321,7 +319,6 @@ class RespCpu(Cpu):
         self.section = -1
         self.n = 0
         self.j = 0
-        self.wait = 0
         self.args_scratch: list = []
         self.ctrl_stream: deque = deque()
         self.args_stream: deque = deque()
@@ -329,17 +326,6 @@ class RespCpu(Cpu):
     @property
     def idle(self) -> bool:
         return self.state == "hdr"
-
-    def countdown(self):
-        if self.state == "hdr":
-            return None
-        if self.state == "pad":
-            return self.wait
-        return 0
-
-    def leap(self, n: int) -> None:
-        if self.state == "pad":
-            self.wait -= n
 
     def tick(self) -> bool:
         st = self.state
@@ -380,17 +366,17 @@ class RespCpu(Cpu):
             self.ctrl_stream = self._stream(ch.ctrl)
             self.args_stream = self._stream(self.args_scratch)
             if self.pad:
-                self.wait = self.pad
+                self.sleep(self.pad)
                 self.state = "pad"
                 return True
             self.state = "drain"
             self.drain()
             return True
         if st == "pad":
-            self.wait -= 1
-            if self.wait == 0:
-                self.state = "drain"
-                self.drain()
+            if self.m.cycle < self.until:
+                return False
+            self.state = "drain"
+            self.drain()
             return True
         return self.drain()
 
@@ -489,19 +475,10 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.ring_mirror = {SHIFT_A: 0, SHIFT_B: 0}
         self.image = image
         self.occ = 0
-        self.left = 0
 
-    def countdown(self):
-        if self.state == "ctrl":
-            return None if not self.task_q else 0
-        if self.state in ("setup", "compute"):
-            return self.left
-        return 0
-
-    def leap(self, n: int) -> None:
-        if self.state in ("setup", "compute"):
-            self.left -= n
-            self.occ += n
+    def sleep(self, n: int) -> None:
+        self.occ += n
+        super().sleep(n)
 
     # --- operand decoding ----------------------------------------------------
 
@@ -558,16 +535,12 @@ class WorkerCpu(FieldCpu, MemCpu):
                 return False
             self.occ = 0
             return self.dispatch()
-        if st == "setup":
-            self.left -= 1
-            self.occ += 1
-            if self.left == 0:
+        if st in ("setup", "compute"):
+            if self.m.cycle < self.until:
+                return False
+            if st == "setup":
                 self.begin()
-            return True
-        if st == "compute":
-            self.left -= 1
-            self.occ += 1
-            if self.left == 0:
+            else:
                 self.finish_compute()
             return True
         if st == "gloop":
@@ -619,7 +592,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         if rd.kind == "reduce_send":
             if mask:
                 self.red_parsed = self.operand(rd.srcs[0], srcs[0], self.op_dt, 0)
-                self.left = self.m.cfg.rpc_setup_cycles
+                self.sleep(self.m.cfg.rpc_setup_cycles)
                 self.state = "setup"
             else:
                 zero = np.zeros((), dtype=np_dtype(self.op_dt))
@@ -635,7 +608,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.map_srcs = [self.operand(s, wv, dt, self.n)
                              for s, wv in zip(rd.srcs, srcs)]
             self.map_dst = dparsed
-            self.left = self.m.cfg.rpc_setup_cycles
+            self.sleep(self.m.cfg.rpc_setup_cycles)
             self.state = "setup"
             return True
         # gather family
@@ -654,19 +627,19 @@ class WorkerCpu(FieldCpu, MemCpu):
                                       dt, self.n)
                            if rd.kind == "gather_mul" else None)
         self.idx_vals = [int(v) for v in self.fetch(self.g_idx, idx_dt, self.n)]
-        self.left = self.m.cfg.rpc_setup_cycles
+        self.sleep(self.m.cfg.rpc_setup_cycles)
         self.state = "setup"
         return True
 
     def begin(self) -> None:
         rd = self.rd
         if rd.kind == "map":
-            self.left = max(self.n, 1)
+            self.sleep(max(self.n, 1))
             self.state = "compute"
         elif rd.kind == "reduce_send":
             kind, v = self.red_parsed
             self.red_n = 1 if kind == "scalar" else len(v)
-            self.left = max(self.red_n, 1)
+            self.sleep(max(self.red_n, 1))
             self.state = "compute"
         elif rd.kind == "shift":
             self.shift_begin()
@@ -789,7 +762,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.sh_si = 0
         dstp = self.operand(rd.dst, dw, dt, n)
         self.sh_dst = dstp[1] if dstp[0] == "vec" else [dw[0]]
-        self.left = self.m.cfg.rpc_setup_cycles
+        self.sleep(self.m.cfg.rpc_setup_cycles)
         self.state = "setup"
         return True
 

@@ -55,8 +55,8 @@ class Router:
         self.x, self.y = x, y
         self.index = 0          # position in the machine's tile order
         self.cpu = None         # index of this tile's processor, if any
-        # color -> list of state dicts {in_port: (out, ...)}
-        self.rings = {c: [dict(st) for st in rr] for c, rr in rings.items()}
+        # color -> ring of states ((in_port, (out, ...)), ...), as laid out
+        self.rings = rings
         self.ring_idx = {c: 0 for c in self.rings}
         self.fifos: dict[tuple, deque] = {}
         # (color, port, fifo) of every input channel, in service order
@@ -79,12 +79,6 @@ class Router:
         if q is None:
             q = self.outbox[color] = deque()
         return q
-
-    def state(self, color: int) -> dict:
-        ring = self.rings.get(color)
-        if not ring:
-            return {}
-        return ring[self.ring_idx[color]]
 
     def step_ring(self, color: int) -> None:
         ring = self.rings.get(color)

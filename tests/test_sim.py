@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import weakref
 from pathlib import Path
 
@@ -290,10 +291,11 @@ def test_setup_longer_than_the_deadlock_window_is_no_deadlock(path):
 @pytest.mark.parametrize("variant", ["default", "fifo1", "hop3"])
 @pytest.mark.parametrize("name", ["listing1", "stencil"])
 def test_live_sets_track_the_fabric_every_cycle(name, variant):
-    """Stepped without leaps, after every cycle: the in-flight count is the
-    number of wavelets in the fabric, a router outside the live set holds
-    none, and a processor outside the live set is idle with nothing
-    delivered or is blocked, and a tick of it would make no progress."""
+    """Stepped cycle by cycle, with no jump to a timer; after every cycle
+    the in-flight count is the number of wavelets in the fabric, a router
+    outside the live set holds none, and a processor outside the live set
+    is idle with nothing delivered or is blocked, and a tick of it would
+    make no progress."""
     path = next(p for p in PROGRAMS if p.stem == name)
     m = Machine(program(path).vm, SimConfig(trace=False, **VARIANTS.get(variant, {})))
     while not m.done:
@@ -344,3 +346,94 @@ def test_trace_is_off_by_default():
     m = Machine(program(PROGRAMS[0]).vm)
     m.run()
     assert m.cycle > 0 and m.trace == []
+
+
+# --- stall oracle ------------------------------------------------------------
+
+
+class StallMachine(Machine):
+    """A legal timing that the plain machine never produces: each processor
+    gets its own stall rate, drawn from `rates`, and each of its ticks is
+    withheld at that rate while the routers keep moving.  A withheld tick
+    counts as progress, so the processor stays awake.  On a fabric whose
+    tasks start when their data arrives, stalls may change cycles but never
+    outputs."""
+
+    def __init__(self, vm, cfg, seed: int, rates=(0, 0.5, 0.95)):
+        super().__init__(vm, cfg)
+        rng = random.Random(seed)
+        for cpu in self.cpus:
+            cpu.tick = self.stalled(cpu.tick, rng.choice(rates), rng)
+
+    @staticmethod
+    def stalled(tick, rate, rng):
+        return lambda: rng.random() < rate or tick()
+
+
+def stall_check(b, seed: int) -> list[str]:
+    """`pipeline.check` with the simulator run on a StallMachine."""
+    ref = run_reference(b)
+    m = StallMachine(b.vm, SimConfig(trace=False), seed)
+    m.run()
+    return diff_results(b.graph, ref, m.result(tainted=ref.tainted))
+
+
+TWO_SHIFTS = (
+    "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\nla c[4,4,8] f32 = rand\n"
+    "shift(b[:, :, :], a[:, :, :], col, 1)\n"
+    "shift(c[:, :, :], b[:, :, :], row, 1)\n")
+STALL_CASES = [p.stem for p in PROGRAMS] + ["two_shifts"]
+
+
+def stall_bundle(name: str):
+    if name == "two_shifts":
+        return compile_source(TWO_SHIFTS)
+    return program(next(p for p in PROGRAMS if p.stem == name))
+
+
+def test_stall_machine_without_stalls_is_the_plain_machine():
+    for name in ("listing1", "mixed", "stencil"):
+        m = StallMachine(stall_bundle(name).vm, SimConfig(trace=False), 0, rates=(0,))
+        m.run()
+        stats = hashlib.sha256(repr(m.stats()).encode()).hexdigest()[:16]
+        assert (m.cycle, stats) == RUN_GOLDEN[name, "default"][:2]
+
+
+# (case, seed) pairs whose stalled run ends with wrong outputs
+STALL_XFAIL = {("stencil", 0), ("stencil", 1), ("two_shifts", 1)}
+SHIFT_DEFECT = (
+    "open-ring shift defect, as in fuzz seed 2516: a worker's SHIFT_A/SHIFT_B "
+    "receive ring rests open, so a neighbour that has moved on to the next "
+    "shift delivers into a receiver that has not entered it yet")
+
+
+def _xfail_if(bad: bool, *args):
+    marks = [pytest.mark.xfail(strict=True, reason=SHIFT_DEFECT)] if bad else []
+    return pytest.param(*args, marks=marks)
+
+
+@pytest.mark.parametrize("name,seed", [_xfail_if((n, s) in STALL_XFAIL, n, s)
+                                       for n in STALL_CASES for s in range(3)])
+def test_stalled_run_agrees(name, seed):
+    assert stall_check(stall_bundle(name), seed) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [_xfail_if(n in ("stencil", "two_shifts"), n)
+                                  for n in STALL_CASES])
+def test_stall_campaign(name):
+    b = stall_bundle(name)
+    failures = {seed: mis for seed in range(15) if (mis := stall_check(b, seed))}
+    assert failures == {}
+
+
+@pytest.mark.slow
+def test_stall_fuzz_campaign():
+    failures = {}
+    for seed in range(300):
+        b = fuzz_bundle(seed)
+        if b is not None:
+            mis = stall_check(b, seed)
+            if mis:
+                failures[seed] = mis
+    assert failures == {}
