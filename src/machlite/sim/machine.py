@@ -231,6 +231,10 @@ class Machine:
             self.blocked.remove(cpu)
             self.live_cpus.add(cpu)
 
+    def wake_at(self, cycle: int, cpu: int) -> None:
+        """Wake processor `cpu` in the processor phase of `cycle`."""
+        heapq.heappush(self.timers, (cycle, cpu))
+
     # --- processor phase -----------------------------------------------------
 
     def cpu_phase(self) -> bool:

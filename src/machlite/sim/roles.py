@@ -1,4 +1,4 @@
-"""Per-role processor models driven one tick per cycle by the machine.
+"""Per-role processor models, ticked by the machine at most once per cycle.
 
 Worker kernels decode their argument words directly: element addresses are
 computed from base/start/length words, never from the source graph, so the
@@ -6,7 +6,6 @@ simulator exercises the broadcast encoding end to end.
 """
 from __future__ import annotations
 
-import heapq
 import weakref
 from collections import deque
 
@@ -63,9 +62,8 @@ class Cpu:
 
     def sleep(self, n: int) -> None:
         """Wait n cycles; a timer wakes the processor when they are over."""
-        m = self.m
-        self.until = m.cycle + n
-        heapq.heappush(m.timers, (self.until, self.router.cpu))
+        self.until = self.m.cycle + n
+        self.m.wake_at(self.until, self.router.cpu)
 
     def tick(self) -> bool:
         raise NotImplementedError
