@@ -148,6 +148,15 @@ def fold_outputs(h, result) -> None:
         h.update(arr.tobytes())
 
 
+def checked_run(b, m: Machine):
+    """Run `m` on the program of bundle `b`: (result, report of its
+    mismatches against the reference interpreter)."""
+    ref = run_reference(b)
+    m.run()
+    got = m.result(tainted=ref.tainted)
+    return got, diff_results(b.graph, ref, got)
+
+
 def run_digest(vm, cfg: SimConfig) -> tuple[int, str, str]:
     """Cycles and the sha256 (first 16 hex digits) of `repr(stats())` and
     of the output arrays of one run."""
@@ -265,11 +274,8 @@ def test_fuzz_campaign(variant):
         b = fuzz_bundle(seed)
         if b is None:
             continue
-        ref = run_reference(b)
         m = Machine(b.vm, cfg)
-        m.run()
-        got = m.result(tainted=ref.tainted)
-        mis = diff_results(b.graph, ref, got)
+        got, mis = checked_run(b, m)
         if mis:
             failures[seed] = mis
         h.update(repr((seed, m.cycle, m.stats())).encode())
@@ -373,10 +379,7 @@ class StallMachine(Machine):
 
 def stall_check(b, seed: int) -> list[str]:
     """`pipeline.check` with the simulator run on a StallMachine."""
-    ref = run_reference(b)
-    m = StallMachine(b.vm, SimConfig(trace=False), seed)
-    m.run()
-    return diff_results(b.graph, ref, m.result(tainted=ref.tainted))
+    return checked_run(b, StallMachine(b.vm, SimConfig(trace=False), seed))[1]
 
 
 TWO_SHIFTS = (
