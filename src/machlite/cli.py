@@ -114,13 +114,13 @@ def format_mem(plan, g) -> str:
 
 def dump_result(g, res) -> str:
     by_name = sorted((g.memlocs[mlid].name, mlid) for mlid in res.values)
-    np.set_printoptions(precision=8, threshold=64, suppress=False)
     out = []
     for name, mlid in by_name:
         ml = g.memlocs[mlid]
         arr = res.values[mlid]
         out.append(f"{name} {ml.dtype.value} shape={arr.shape}")
-        out.append(np.array2string(arr))
+        with np.printoptions(precision=8, threshold=64, suppress=False):
+            out.append(np.array2string(arr))
     for lid in sorted(res.loop_trips):
         out.append(f"loop {lid} trips={res.loop_trips[lid]}")
     return "\n".join(out) + "\n"
@@ -201,9 +201,17 @@ def cmd_fuzz(a) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every user error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="machlite", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="machlite", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("compile", help="compile and print an artifact")

@@ -22,16 +22,17 @@ sleeps until one of three events wakes it: a wavelet is delivered to its
 tile, a wavelet leaves its tile's C input FIFO (by a move or an absorbed
 advance, which frees push capacity), or the cycle of a timer it set comes
 (a processor busy for n cycles, in RPC setup, compute or the control-path
-pad, sets one for the cycle its wait ends).  A sleeping processor that is
-not idle, or has words delivered, is blocked: the machine is not done
-while one is.  When no router and no processor is live, the machine jumps
-to the earliest timer.  A running count of the wavelets in FIFOs and
-delivery queues answers whether the fabric is empty.
+pad, waits in its one timed state, `asleep`, and sets a timer for the
+cycle that wait ends).  A sleeping processor that is not idle, or has
+words delivered, is blocked: the machine is not done while one is.  When
+no router and no processor is live, the machine jumps to the earliest
+timer.  A running count of the wavelets in FIFOs and delivery queues
+answers whether the fabric is empty.
 
-The machine is done when the executive has halted, every queue is empty and
-every processor is idle.  A window with no router movement, no processor
-progress and no timer pending raises DeadlockError with a dump of the
-blocked channels.
+The machine is done when the executive has stopped after its halt
+instruction, every queue is empty and every processor is idle.  A window
+with no router movement, no processor progress and no timer pending
+raises DeadlockError with a dump of the blocked channels.
 """
 from __future__ import annotations
 
@@ -273,7 +274,7 @@ class Machine:
 
     @property
     def done(self) -> bool:
-        if self.exec_cpu is not None and not self.exec_cpu.halted:
+        if self.exec_cpu is not None and not self.exec_cpu.idle:
             return False
         if self.in_flight or self.blocked:
             return False

@@ -1,8 +1,20 @@
 """Per-role processor models, ticked by the machine at most once per cycle.
 
+Each processor is a state machine, and its `state` is the name of the
+method that its next tick runs; the method returns whether the tick made
+progress.  A field tile first takes in broadcast words and then runs that
+same method.  The state is kept as a name, not as a bound method: a bound
+method stored on its own instance is a reference cycle.
+
+A processor busy for n cycles (RPC setup, compute, the control-path pad)
+calls `sleep(n, then)`: it enters the one timed wait, `asleep`, which makes
+no progress until the cycle `until`, then enters the state `then`, runs it
+once and counts that tick as progress.
+
 Worker kernels decode their argument words directly: element addresses are
 computed from base/start/length words, never from the source graph, so the
-simulator exercises the broadcast encoding end to end.
+simulator exercises the broadcast encoding end to end.  A worker's
+`dispatch` decides once per task which steps the task's RPC kind runs.
 """
 from __future__ import annotations
 
@@ -38,6 +50,7 @@ class Cpu:
         self.xy = xy
         self.router = m.routers[xy]
         self.until = 0          # the cycle a wait started by sleep ends
+        self.then = ""          # the state that follows the wait
 
     def push(self, color: int, w: Wavelet) -> bool:
         m = self.m
@@ -60,13 +73,23 @@ class Cpu:
         m.in_flight -= 1
         return w
 
-    def sleep(self, n: int) -> None:
-        """Wait n cycles; a timer wakes the processor when they are over."""
+    def sleep(self, n: int, then: str) -> None:
+        """Wait n cycles, then run state `then`; a timer wakes the
+        processor when they are over."""
         self.until = self.m.cycle + n
+        self.then = then
+        self.state = "asleep"
         self.m.wake_at(self.until, self.router.cpu)
 
+    def asleep(self) -> bool:
+        if self.m.cycle < self.until:
+            return False
+        self.state = self.then
+        getattr(self, self.then)()
+        return True
+
     def tick(self) -> bool:
-        raise NotImplementedError
+        return getattr(self, self.state)()
 
     @property
     def idle(self) -> bool:
@@ -89,17 +112,18 @@ class MemCpu(Cpu):
     def write_value(self, addr: int, val, dt: DType) -> None:
         self.write_words(addr, encode_words(np.asarray(val), dt))
 
-    def read_vec(self, offs, dt: DType) -> np.ndarray:
-        ww = dt.words
+    @staticmethod
+    def word_index(offs, dt: DType) -> np.ndarray:
+        """The image indices of the words of the elements at `offs`."""
         idx = np.asarray(offs, dtype=np.int64)
-        words = self.image[(idx[:, None] + np.arange(ww)).reshape(-1)]
+        return (idx[:, None] + np.arange(dt.words)).reshape(-1)
+
+    def read_vec(self, offs, dt: DType) -> np.ndarray:
+        words = self.image[self.word_index(offs, dt)]
         return decode_words(words, dt, (len(offs),))
 
     def write_vec(self, offs, arr, dt: DType) -> None:
-        ww = dt.words
-        idx = np.asarray(offs, dtype=np.int64)
-        enc = encode_words(np.asarray(arr), dt).reshape(len(offs), ww)
-        self.image[(idx[:, None] + np.arange(ww)).reshape(-1)] = enc.reshape(-1)
+        self.image[self.word_index(offs, dt)] = encode_words(np.asarray(arr), dt)
 
 
 # --- executive ---------------------------------------------------------------
@@ -107,7 +131,8 @@ class MemCpu(Cpu):
 
 class ExecCpu(MemCpu):
     """Runs the controller program; one instruction per cycle plus the
-    multi-cycle broadcast and receive protocols."""
+    multi-cycle broadcast and receive protocols.  Its last state,
+    `stopped`, follows the halt instruction."""
 
     role = "exec"
 
@@ -117,7 +142,6 @@ class ExecCpu(MemCpu):
         self.instrs = m.vm.instrs
         self.pc = 0
         self.state = "run"
-        self.halted = False
         self.acks = 0
         self.bcast_seq = 0
         self.wake_queue: deque = deque()
@@ -128,7 +152,7 @@ class ExecCpu(MemCpu):
 
     @property
     def idle(self) -> bool:
-        return self.halted
+        return self.state == "stopped"
 
     def operand(self, ref, dt: DType):
         tag, v = ref
@@ -136,42 +160,43 @@ class ExecCpu(MemCpu):
             return decode_words(np.asarray(v, dtype=np.uint16), dt, ())[()]
         return self.read_value(v, dt)
 
-    def tick(self) -> bool:
-        if self.halted:
-            return False
-        st = self.state
-        if st == "wake":
-            if self.wake_queue:
-                if self.push(WAKE, data(self.wake_queue[0])):
-                    self.wake_queue.popleft()
-                    return True
-                return False
-            self.state = "ack"
-            return True
-        if st == "ack":
-            if self.acks >= self.bcast_seq:
-                if self.push(WAKE, reset()):
-                    self.m.note_broadcast(self.go_section, self.bcast_seq)
-                    self.bcast_seq += 1
-                    self.state = "run"
-                    return True
-                return False
-            if self.pop(ACK) is not None:
-                self.acks += 1
+    def wake(self) -> bool:
+        if self.wake_queue:
+            if self.push(WAKE, data(self.wake_queue[0])):
+                self.wake_queue.popleft()
                 return True
             return False
-        if st == "recv":
-            w = self.pop(RED_CTRL)
-            if w is None:
-                return False
-            self.recv_buf.append(w.word)
-            if len(self.recv_buf) == self.recv_dt.words:
-                self.write_words(self.recv_addr, self.recv_buf)
-                self.state = "run"
-            return True
-        return self.exec_one()
+        self.state = "ack"
+        return True
 
-    def exec_one(self) -> bool:
+    def ack(self) -> bool:
+        if self.acks >= self.bcast_seq:
+            if self.push(WAKE, reset()):
+                self.m.note_broadcast(self.go_section, self.bcast_seq)
+                self.bcast_seq += 1
+                self.state = "run"
+                return True
+            return False
+        if self.pop(ACK) is not None:
+            self.acks += 1
+            return True
+        return False
+
+    def recv(self) -> bool:
+        w = self.pop(RED_CTRL)
+        if w is None:
+            return False
+        self.recv_buf.append(w.word)
+        if len(self.recv_buf) == self.recv_dt.words:
+            self.write_words(self.recv_addr, self.recv_buf)
+            self.state = "run"
+        return True
+
+    def stopped(self) -> bool:
+        return False
+
+    def run(self) -> bool:
+        """Execute the instruction at pc."""
         ins = self.instrs[self.pc]
         op = ins.op
         if op == "halt":
@@ -181,7 +206,7 @@ class ExecCpu(MemCpu):
                     self.acks += 1
                     return True
                 return False
-            self.halted = True
+            self.state = "stopped"
             return True
         if op == "jump":
             self.pc = ins.target
@@ -238,6 +263,7 @@ class MergeCpu(Cpu):
     acknowledges each section once it has fully left the tile."""
 
     role = "merge"
+    state = "relay"
     RECOLOR = {CTRL_DRAIN: CTRL_BCAST, ARGS_DRAIN: ARGS_BCAST}
 
     def __init__(self, m, xy):
@@ -249,7 +275,7 @@ class MergeCpu(Cpu):
     def idle(self) -> bool:
         return self.chunks_done[CTRL_DRAIN] == 0 and self.chunks_done[ARGS_DRAIN] == 0
 
-    def tick(self) -> bool:
+    def relay(self) -> bool:
         m = self.m
         prog = False
         if self.pop(WAKE) is not None:     # discard our copy of the wake stream
@@ -325,58 +351,51 @@ class RespCpu(Cpu):
     def idle(self) -> bool:
         return self.state == "hdr"
 
-    def tick(self) -> bool:
-        st = self.state
-        if st == "hdr":
-            w = self.pop(WAKE)
-            if w is None:
-                return False
-            self.section = w.word
-            self.state = "count"
-            return True
-        if st == "count":
-            w = self.pop(WAKE)
-            if w is None:
-                return False
-            self.n, self.j = w.word, 0
-            self.args_scratch = list(self.chunks[self.section].args)
-            self.state = "patch" if self.n else "go"
-            return True
-        if st == "patch":
-            w = self.pop(WAKE)
-            if w is None:
-                return False
-            local = self.patch_map[self.section][self.j]
-            if local is not None:
-                self.args_scratch[local] = w.word
-                self.m.trace_event("splice_patch", position=self.pos,
-                                   section=self.section, index=self.j)
-            self.j += 1
-            if self.j == self.n:
-                self.state = "go"
-            return True
-        if st == "go":
-            w = self.pop(WAKE)
-            if w is None:
-                return False
-            assert w.kind == RESET, "go marker expected"
-            ch = self.chunks[self.section]
-            self.ctrl_stream = self._stream(ch.ctrl)
-            self.args_stream = self._stream(self.args_scratch)
-            if self.pad:
-                self.sleep(self.pad)
-                self.state = "pad"
-                return True
+    def hdr(self) -> bool:
+        w = self.pop(WAKE)
+        if w is None:
+            return False
+        self.section = w.word
+        self.state = "count"
+        return True
+
+    def count(self) -> bool:
+        w = self.pop(WAKE)
+        if w is None:
+            return False
+        self.n, self.j = w.word, 0
+        self.args_scratch = list(self.chunks[self.section].args)
+        self.state = "patch" if self.n else "go"
+        return True
+
+    def patch(self) -> bool:
+        w = self.pop(WAKE)
+        if w is None:
+            return False
+        local = self.patch_map[self.section][self.j]
+        if local is not None:
+            self.args_scratch[local] = w.word
+            self.m.trace_event("splice_patch", position=self.pos,
+                               section=self.section, index=self.j)
+        self.j += 1
+        if self.j == self.n:
+            self.state = "go"
+        return True
+
+    def go(self) -> bool:
+        w = self.pop(WAKE)
+        if w is None:
+            return False
+        assert w.kind == RESET, "go marker expected"
+        ch = self.chunks[self.section]
+        self.ctrl_stream = self._stream(ch.ctrl)
+        self.args_stream = self._stream(self.args_scratch)
+        if self.pad:
+            self.sleep(self.pad, "drain")
+        else:
             self.state = "drain"
             self.drain()
-            return True
-        if st == "pad":
-            if self.m.cycle < self.until:
-                return False
-            self.state = "drain"
-            self.drain()
-            return True
-        return self.drain()
+        return True
 
     def _stream(self, words) -> deque:
         out = deque(data(v) for v in words)
@@ -409,7 +428,6 @@ class FieldCpu(Cpu):
         super().__init__(m, xy)
         self.state = "ctrl"
         self.rd = None
-        self.args: list = []
         self.task_q: deque = deque()
         self.arg_q: deque = deque()
         self.queued_arity = 0          # argument words the queued tasks take
@@ -436,26 +454,41 @@ class FieldCpu(Cpu):
                 prog = True
         return prog
 
-    def take_task(self) -> bool:
-        """Dequeue the next task into rd and its argument words into args,
-        once they have all arrived."""
+    def take_task(self) -> list | None:
+        """Dequeue the next task into rd once its argument words have all
+        arrived, and return them; None while they have not."""
         if not self.task_q:
-            return False
+            return None
         rd = self.defs[self.task_q[0]]
         if len(self.arg_q) < rd.arity:
-            return False
+            return None
         self.task_q.popleft()
         self.queued_arity -= rd.arity
         self.rd = rd
-        self.args = [self.arg_q.popleft() for _ in range(rd.arity)]
-        return True
+        return [self.arg_q.popleft() for _ in range(rd.arity)]
 
     def tick(self) -> bool:
         fed = self.ingest()
-        return self.advance_state() or fed
+        return getattr(self, self.state)() or fed
 
-    def advance_state(self) -> bool:
-        raise NotImplementedError
+    def retire(self) -> None:
+        self.state = "ctrl"
+
+    def stream_out(self, color: int, words, marker=None) -> None:
+        """Enter state `send` with `words`, then `marker`, to push on `color`."""
+        self.push_color = color
+        self.stream = deque(data(w) for w in words)
+        if marker is not None:
+            self.stream.append(marker)
+        self.state = "send"
+
+    def send(self) -> bool:
+        if self.stream and self.push(self.push_color, self.stream[0]):
+            self.stream.popleft()
+            if not self.stream:
+                self.retire()
+            return True
+        return False
 
 
 # --- worker ------------------------------------------------------------------
@@ -474,9 +507,9 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.image = image
         self.occ = 0
 
-    def sleep(self, n: int) -> None:
+    def sleep(self, n: int, then: str) -> None:
         self.occ += n
-        super().sleep(n)
+        super().sleep(n, then)
 
     # --- operand decoding ----------------------------------------------------
 
@@ -526,51 +559,21 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     # --- dispatch ------------------------------------------------------------
 
-    def advance_state(self) -> bool:
-        st = self.state
-        if st == "ctrl":
-            if not self.take_task():
-                return False
-            self.occ = 0
-            return self.dispatch()
-        if st in ("setup", "compute"):
-            if self.m.cycle < self.until:
-                return False
-            if st == "setup":
-                self.begin()
-            else:
-                self.finish_compute()
-            return True
-        if st == "gloop":
-            return self.gloop_tick()
-        if st == "shift_adv":
-            return self.shift_adv_tick()
-        if st == "shift_xfer":
-            return self.shift_xfer_tick()
-        if st == "red_push":
-            if self.stream and self.push(RED_COL, self.stream[0]):
-                self.stream.popleft()
-                if not self.stream:
-                    self.retire()
-                return True
+    def ctrl(self) -> bool:
+        words = self.take_task()
+        if words is None:
             return False
-        if st == "red_recv":
-            w = self.pop(RED_BCAST)
-            if w is None:
-                return False
-            self.buf.append(w.word)
-            if len(self.buf) == self.op_dt.words:
-                self.write_words(self.dst_addr, self.buf)
-                self.retire()
-            return True
-        raise AssertionError(st)
+        self.occ = 0
+        return self.dispatch(words)
 
     def retire(self) -> None:
         self.m.record_occ(self.wx, self.wy, self.rd.rid, self.occ)
         self.state = "ctrl"
 
-    def dispatch(self) -> bool:
-        rd, words = self.rd, self.args
+    def dispatch(self, words: list) -> bool:
+        """Decode the task's argument words and enter the first state of
+        its RPC kind."""
+        rd = self.rd
         self.op_dt = DType(rd.dtype)
         if rd.kind == "reduce_bcast":
             self.dst_addr = words[0]
@@ -578,7 +581,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.state = "red_recv"
             return True
         if rd.kind == "shift":
-            return self.dispatch_shift()
+            return self.dispatch_shift(words)
         it = iter(words)
         srcs = [self._take(it, s) for s in rd.srcs]
         dstw = self._take(it, rd.dst) if rd.dst else None
@@ -587,11 +590,11 @@ class WorkerCpu(FieldCpu, MemCpu):
                                            "scatter") else None
         self.dyn_stop = _i16(self.image[next(it)]) if rd.has_dyn else None
         mask = int(self.image[mask_addr])
+        setup = self.m.cfg.rpc_setup_cycles
         if rd.kind == "reduce_send":
             if mask:
                 self.red_parsed = self.operand(rd.srcs[0], srcs[0], self.op_dt, 0)
-                self.sleep(self.m.cfg.rpc_setup_cycles)
-                self.state = "setup"
+                self.sleep(setup, "begin_reduce")
             else:
                 zero = np.zeros((), dtype=np_dtype(self.op_dt))
                 self.queue_partial(zero)
@@ -606,8 +609,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.map_srcs = [self.operand(s, wv, dt, self.n)
                              for s, wv in zip(rd.srcs, srcs)]
             self.map_dst = dparsed
-            self.sleep(self.m.cfg.rpc_setup_cycles)
-            self.state = "setup"
+            self.sleep(setup, "begin_map")
             return True
         # gather family
         idx_dt = DType.I16
@@ -616,57 +618,43 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.n = len(self.g_idx[1])
             self.g_src = self.operand(rd.srcs[0], srcs[0], dt, self.n)
             self.g_dst = self.operand(rd.dst, dstw, dt, n_static)
+            self.g_move = "scatter_one"
         else:
             self.g_dst = self.operand(rd.dst, dstw, dt, n_static)
             self.n = len(self.g_dst[1]) if self.g_dst[0] == "vec" else 1
             self.g_idx = self.operand(rd.srcs[1], srcs[1], idx_dt, self.n)
             self.g_src = self.operand(rd.srcs[0], srcs[0], dt, n_static)
+            self.g_move = "gather_one"
         self.g_mul_vals = (self.fetch(self.operand(rd.srcs[2], srcs[2], dt, self.n),
                                       dt, self.n)
                            if rd.kind == "gather_mul" else None)
         self.idx_vals = [int(v) for v in self.fetch(self.g_idx, idx_dt, self.n)]
-        self.sleep(self.m.cfg.rpc_setup_cycles)
-        self.state = "setup"
+        self.sleep(setup, "begin_gather")
         return True
 
-    def begin(self) -> None:
-        rd = self.rd
-        if rd.kind == "map":
-            self.sleep(max(self.n, 1))
-            self.state = "compute"
-        elif rd.kind == "reduce_send":
-            kind, v = self.red_parsed
-            self.red_n = 1 if kind == "scalar" else len(v)
-            self.sleep(max(self.red_n, 1))
-            self.state = "compute"
-        elif rd.kind == "shift":
-            self.shift_begin()
-        else:
-            if self.n == 0:
-                self.retire()
-                return
-            self.g_k = 0
-            self.g_wait = False
-            self.g_out = []
-            self.state = "gloop"
+    def begin_map(self) -> None:
+        self.sleep(max(self.n, 1), "finish_map")
 
-    def finish_compute(self) -> None:
-        rd = self.rd
+    def finish_map(self) -> None:
         dt = self.op_dt
-        if rd.kind == "map":
-            vals = [self.fetch(p, dt, self.n) for p in self.map_srcs]
-            res = alu(rd.op, dt, *vals)
-            res = np.broadcast_to(np.asarray(res), (self.n,))
-            kind, v = self.map_dst
-            if kind == "vec":
-                self.write_vec(v, res, dt)
-            else:
-                self.write_value(v, res[0], dt)
-            self.retire()
-            return
-        assert rd.kind == "reduce_send"
-        vals = self.fetch(self.red_parsed, dt, self.red_n)
-        self.queue_partial(self._accumulate(vals, dt))
+        vals = [self.fetch(p, dt, self.n) for p in self.map_srcs]
+        res = alu(self.rd.op, dt, *vals)
+        res = np.broadcast_to(np.asarray(res), (self.n,))
+        kind, v = self.map_dst
+        if kind == "vec":
+            self.write_vec(v, res, dt)
+        else:
+            self.write_value(v, res[0], dt)
+        self.retire()
+
+    def begin_reduce(self) -> None:
+        kind, v = self.red_parsed
+        self.red_n = 1 if kind == "scalar" else len(v)
+        self.sleep(max(self.red_n, 1), "finish_reduce")
+
+    def finish_reduce(self) -> None:
+        vals = self.fetch(self.red_parsed, self.op_dt, self.red_n)
+        self.queue_partial(self._accumulate(vals, self.op_dt))
 
     def _accumulate(self, vals, dt):
         arr = np.atleast_1d(np.asarray(vals))
@@ -679,56 +667,77 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     def queue_partial(self, value) -> None:
         words = [int(w) for w in encode_words(np.asarray(value), self.op_dt)]
-        self.stream = deque(data(w) for w in words)
-        self.stream.append(reset() if self.col_end else advance())
-        self.state = "red_push"
+        self.stream_out(RED_COL, words, reset() if self.col_end else advance())
+
+    def red_recv(self) -> bool:
+        w = self.pop(RED_BCAST)
+        if w is None:
+            return False
+        self.buf.append(w.word)
+        if len(self.buf) == self.op_dt.words:
+            self.write_words(self.dst_addr, self.buf)
+            self.retire()
+        return True
 
     # --- gather family over the loopback channel -----------------------------
 
-    def gloop_tick(self) -> bool:
-        rd = self.rd
-        if not self.g_wait:
-            if self.push(LOOPBACK, data(self.idx_vals[self.g_k] & 0xFFFF)):
-                self.g_wait = True
-                self.occ += 1
-                return True
+    def begin_gather(self) -> None:
+        if self.n == 0:
+            self.retire()
+            return
+        self.g_k = 0
+        self.g_out = []
+        self.state = "index_out"
+
+    def index_out(self) -> bool:
+        """Send index g_k round the loopback channel."""
+        if not self.push(LOOPBACK, data(self.idx_vals[self.g_k] & 0xFFFF)):
             return False
+        self.occ += 1
+        self.state = "index_back"
+        return True
+
+    def index_back(self) -> bool:
+        """Take index g_k back and move element g_k by it with g_move."""
         w = self.pop(LOOPBACK)
         if w is None:
             return False
         self.occ += 1
-        j = _i16(w.word)
-        k = self.g_k
+        getattr(self, self.g_move)(_i16(w.word), self.g_k)
+        self.g_k += 1
+        if self.g_k == self.n:
+            self.retire()
+        else:
+            self.state = "index_out"
+        return True
+
+    def gather_one(self, j: int, k: int) -> None:
         dt = self.op_dt
         s_offs = self.g_src[1]
+        if not 0 <= j < len(s_offs):
+            self.fault(f"gather index {j} outside window of {len(s_offs)} "
+                       f"elements at PE ({self.wx}, {self.wy}), element {k}")
+        v = self.read_vec([s_offs[j]], dt)[0]
+        if self.g_mul_vals is not None:
+            with np.errstate(over="ignore"):
+                v = np.asarray(v * self.g_mul_vals[k], dtype=v.dtype)[()]
+        self.g_out.append(v)
+        if k + 1 == self.n:
+            self.write_vec(self.g_dst[1][:self.n], self.g_out, dt)
+
+    def scatter_one(self, j: int, k: int) -> None:
+        dt = self.op_dt
         d_offs = self.g_dst[1]
-        if rd.kind == "scatter":
-            if not 0 <= j < len(d_offs):
-                self.fault(f"scatter index {j} outside window of {len(d_offs)} "
-                           f"elements at PE ({self.wx}, {self.wy}), element {k}")
-            src_v = self.read_vec([s_offs[k]], dt)[0]
-            self.write_vec([d_offs[j]], [src_v], dt)
-        else:
-            if not 0 <= j < len(s_offs):
-                self.fault(f"gather index {j} outside window of {len(s_offs)} "
-                           f"elements at PE ({self.wx}, {self.wy}), element {k}")
-            v = self.read_vec([s_offs[j]], dt)[0]
-            if rd.kind == "gather_mul":
-                with np.errstate(over="ignore"):
-                    v = np.asarray(v * self.g_mul_vals[k], dtype=v.dtype)[()]
-            self.g_out.append(v)
-        self.g_k += 1
-        self.g_wait = False
-        if self.g_k == self.n:
-            if rd.kind != "scatter":
-                self.write_vec(d_offs[:self.n], self.g_out, dt)
-            self.retire()
-        return True
+        if not 0 <= j < len(d_offs):
+            self.fault(f"scatter index {j} outside window of {len(d_offs)} "
+                       f"elements at PE ({self.wx}, {self.wy}), element {k}")
+        src_v = self.read_vec([self.g_src[1][k]], dt)[0]
+        self.write_vec([d_offs[j]], [src_v], dt)
 
     # --- shift ---------------------------------------------------------------
 
-    def dispatch_shift(self) -> bool:
-        rd, words = self.rd, self.args
+    def dispatch_shift(self, words: list) -> bool:
+        rd = self.rd
         it = iter(words)
         sw = self._take(it, rd.srcs[0])
         dw = self._take(it, rd.dst)
@@ -752,16 +761,13 @@ class WorkerCpu(FieldCpu, MemCpu):
         if sending:
             src = self.operand(rd.srcs[0], sw, dt, n)
             offs = src[1] if src[0] == "vec" else [sw[0]]
-            idx = np.asarray(offs, dtype=np.int64)
-            grid = (idx[:, None] + np.arange(dt.words)).reshape(-1)
-            self.sh_snd = [int(v) for v in self.image[grid]]
+            self.sh_snd = [int(v) for v in self.image[self.word_index(offs, dt)]]
         else:
             self.sh_snd = []
         self.sh_si = 0
         dstp = self.operand(rd.dst, dw, dt, n)
         self.sh_dst = dstp[1] if dstp[0] == "vec" else [dw[0]]
-        self.sleep(self.m.cfg.rpc_setup_cycles)
-        self.state = "setup"
+        self.sleep(self.m.cfg.rpc_setup_cycles, "shift_begin")
         return True
 
     def shift_begin(self) -> None:
@@ -778,7 +784,7 @@ class WorkerCpu(FieldCpu, MemCpu):
                 self.sh_adv[self.recv_color] = d
         self.state = "shift_adv" if self.sh_adv else "shift_xfer"
 
-    def shift_adv_tick(self) -> bool:
+    def shift_adv(self) -> bool:
         prog = False
         for color in list(self.sh_adv):
             if self.push(color, advance()):
@@ -792,7 +798,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.occ += 1
         return prog
 
-    def shift_xfer_tick(self) -> bool:
+    def shift_xfer(self) -> bool:
         prog = False
         if self.sh_si < len(self.sh_snd):
             if self.push(self.send_color, data(self.sh_snd[self.sh_si])):
@@ -807,10 +813,8 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.occ += 1
         if self.sh_si == len(self.sh_snd) and len(self.sh_rcv) == self.sh_need:
             if self.sh_receiving:
-                dt = self.op_dt
-                idx = np.asarray(self.sh_dst, dtype=np.int64)
-                grid = (idx[:, None] + np.arange(dt.words)).reshape(-1)
-                self.image[grid] = np.asarray(self.sh_rcv, dtype=np.uint16)
+                self.image[self.word_index(self.sh_dst, self.op_dt)] = \
+                    np.asarray(self.sh_rcv, dtype=np.uint16)
             self.retire()
             return True
         return prog
@@ -830,47 +834,36 @@ class ReduceCpu(FieldCpu):
         self.p = params
         self.acc = None
         self.buf: list = []
-        self.stream: deque = deque()
 
-    def advance_state(self) -> bool:
-        st = self.state
-        if st == "ctrl":
-            if not self.take_task():     # the argument words go unused
-                return False
-            self.state = self.after_args()
-            return True
-        if st == "col":
-            return self.collect(RED_COL, self.col_done)
-        if st == "seg":
-            return self.collect(RED_ROW, self.seg_done)
-        if st == "fin_e":
-            w = self.pop(RED_UP_E)
-            if w is None:
-                return False
-            self.buf.append(w.word)
-            if len(self.buf) == self.dt.words:
-                self.add_value()
-                self.state = "fin_s"
-            return True
-        if st == "fin_s":
-            return self.collect(RED_UP_S, self.final_done)
-        if st.startswith("push_"):
-            if self.stream and self.push(self.push_color, self.stream[0]):
-                self.stream.popleft()
-                if not self.stream:
-                    self.state = "ctrl"
-                return True
+    def ctrl(self) -> bool:
+        if self.take_task() is None:     # the argument words go unused
             return False
-        raise AssertionError(st)
-
-    def after_args(self) -> str:
         rd = self.rd
-        if rd.kind != "reduce_send":
-            return "ctrl"
-        self.dt = DType(rd.dtype)
-        self.acc = (np.float32(0.0) if self.dt is DType.F32 else 0)
-        self.buf = []
-        return "col"
+        if rd.kind == "reduce_send":
+            self.dt = DType(rd.dtype)
+            self.acc = (np.float32(0.0) if self.dt is DType.F32 else 0)
+            self.buf = []
+            self.state = "col"
+        return True
+
+    def col(self) -> bool:
+        return self.collect(RED_COL, self.col_done)
+
+    def seg(self) -> bool:
+        return self.collect(RED_ROW, self.seg_done)
+
+    def fin_e(self) -> bool:
+        w = self.pop(RED_UP_E)
+        if w is None:
+            return False
+        self.buf.append(w.word)
+        if len(self.buf) == self.dt.words:
+            self.add_value()
+            self.state = "fin_s"
+        return True
+
+    def fin_s(self) -> bool:
+        return self.collect(RED_UP_S, self.final_done)
 
     def add_value(self) -> None:
         v = decode_words(np.asarray(self.buf, dtype=np.uint16), self.dt, ())[()]
@@ -892,24 +885,18 @@ class ReduceCpu(FieldCpu):
             self.add_value()
         return True
 
-    def acc_words(self):
+    def emit(self, color, marker=None) -> None:
+        """Send the accumulator on `color`, then `marker`."""
         if self.dt is DType.F32:
             val = np.asarray(self.acc)
         else:
             val = np.asarray(np.int64(self.acc).astype(np.int16))
-        return [int(w) for w in encode_words(val, self.dt)]
-
-    def emit(self, color, marker=None) -> str:
-        self.push_color = color
-        self.stream = deque(data(w) for w in self.acc_words())
-        if marker is not None:
-            self.stream.append(marker)
-        return "push_" + str(color)
+        self.stream_out(color, [int(w) for w in encode_words(val, self.dt)], marker)
 
     def col_done(self) -> None:
         p = self.p
         if p["seg"] in ("left", "right"):
-            self.state = self.emit(RED_ROW, reset() if p["seg_end"] else advance())
+            self.emit(RED_ROW, reset() if p["seg_end"] else advance())
         elif p["seg_feed"]:
             self.state = "seg"
         else:
@@ -918,17 +905,14 @@ class ReduceCpu(FieldCpu):
     def seg_done(self) -> None:
         corner = self.p["corner"]
         if corner == "ur":
-            self.state = self.emit(RED_UP_E)
+            self.emit(RED_UP_E)
         elif corner == "ll":
-            self.state = self.emit(RED_UP_S, advance())
+            self.emit(RED_UP_S, advance())
         elif corner == "lr":
-            self.state = self.emit(RED_UP_S, reset())
+            self.emit(RED_UP_S, reset())
         else:                              # final: fold in the other corners
             self.buf = []
             self.state = "fin_e"
 
     def final_done(self) -> None:
-        if self.rd.target == "gs":
-            self.state = self.emit(RED_CTRL)
-        else:
-            self.state = self.emit(RED_BCAST)
+        self.emit(RED_CTRL if self.rd.target == "gs" else RED_BCAST)

@@ -1,9 +1,10 @@
-"""Malformed source ends in a located diagnostic and exit code 1, never 2."""
+"""Malformed source and malformed command lines end in exit code 1, never 2."""
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from machlite import cli
@@ -65,6 +66,37 @@ def test_malformed_grid_is_a_user_error(tmp_path, capsys, grid):
                          "compile", "--grid", grid)
     assert code == 1
     assert err.splitlines() == [f"error: bad grid {grid!r}, expected WxH"]
+
+
+USAGE_ERRORS = {
+    "no_subcommand": [],
+    "run_without_backend": ["run", str(PROGRAMS[0])],
+    "unknown_backend": ["run", str(PROGRAMS[0]), "--backend", "foo"],
+    "non_integer_count": ["fuzz", "--programs", "x"],
+    "grid_read_as_an_option": ["compile", str(PROGRAMS[0]), "--grid", "-2x2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_1(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(USAGE_ERRORS[name])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: machlite" in capsys.readouterr().out
+
+
+def test_run_leaves_numpy_print_options_alone(capsys):
+    before = np.get_printoptions()
+    assert cli.main(["run", str(PROGRAMS[0]), "--backend", "ref"]) == 0
+    assert "shape=" in capsys.readouterr().out
+    assert np.get_printoptions() == before
 
 
 def test_run_trace_writes_events(tmp_path, capsys):

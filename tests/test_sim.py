@@ -323,8 +323,9 @@ def test_live_sets_track_the_fabric_every_cycle(name, variant):
     assert m.cycle == RUN_GOLDEN[name, variant][0]
 
 
-def test_finished_machine_is_freed_without_the_cycle_collector():
-    b = program(PROGRAMS[0])
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_finished_machine_is_freed_without_the_cycle_collector(path):
+    b = program(path)
     gc.disable()
     try:
         m = Machine(b.vm, SimConfig(trace=False))
