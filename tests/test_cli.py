@@ -1,6 +1,7 @@
 """Malformed source and malformed command lines end in exit code 1, never 2."""
 from __future__ import annotations
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -38,6 +39,34 @@ SHAPELESS = {
 def test_shapeless_declaration_is_a_located_error(tmp_path, capsys, name):
     text, diag = SHAPELESS[name]
     code, err = cli_exit(tmp_path, capsys, text, "compile")
+    assert code == 1
+    assert err.splitlines() == [diag]
+
+
+TWO_LA = "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\n"
+ANALYZER_RULES = {
+    "take_index_read_before_write": (
+        "la a[4,4,8] f32 = rand\nla i[4,4,8] i16\nout la d[4,4,8] f32\nd = take(a, i)\n",
+        "4:1: error: 'i' is read before any value is written"),
+    "two_dynamic_stops": (
+        TWO_LA + "ls n i16 = 5\nls k i16 = 3\na[:, :, 0:n] = b[:, :, 0:k]\n",
+        "5:1: error: all operands must share a single dynamic stop"),
+    "operand_off_the_dynamic_stop": (
+        TWO_LA + "ls n i16 = 5\na[:, :, 0:n] = b * 2.0\n",
+        "4:1: error: operand 'b' must use the shared dynamic stop 'n'"),
+    "operand_count_mismatch": (
+        TWO_LA + "a = (b + 1.0) + a[:, :, 0:4]\n",
+        "3:15: error: element count mismatch 8 vs 4"),
+    "destination_count_mismatch": (
+        TWO_LA + "la i[4,4,8] i16 = randint(0, 8)\na[:, :, 0:4] = take(b, i)\n",
+        "4:1: error: element count mismatch: destination 4, expression 8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZER_RULES))
+def test_analyzer_rule_is_a_located_error(tmp_path, capsys, name):
+    text, diag = ANALYZER_RULES[name]
+    code, err = cli_exit(tmp_path, capsys, text, "compile", "--grid", "4x4")
     assert code == 1
     assert err.splitlines() == [diag]
 
@@ -154,15 +183,35 @@ def corpus_tokens() -> list[list[str]]:
             for p in PROGRAMS]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_token_mutations_never_exit_2(tmp_path, capsys, seed):
+def mutations(seed: int):
+    """100 single-token mutations of the corpus, seeded."""
     rng = random.Random(seed)
     progs = corpus_tokens()
     vocab = sorted({t for toks in progs for t in toks})
-    crashes = []
     for _ in range(100):
-        text = render(mutate(rng.choice(progs), vocab, rng))
+        yield render(mutate(rng.choice(progs), vocab, rng))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_token_mutations_never_exit_2(tmp_path, capsys, seed):
+    crashes = []
+    for text in mutations(seed):
         code, err = cli_exit(tmp_path, capsys, text, "compile")
         if code == 2:
             crashes.append(text + err.splitlines()[-2])
     assert crashes == []
+
+
+# sha256 over the exit code and stderr of `machlite compile` on the
+# mutations of seeds 0-3: every diagnostic, its order and its location
+MUTATION_DIAGNOSTICS_GOLDEN = "ed46567d7e9c213f0536d55ddc552595a5334519fa76a8b463a0d976eaccfa54"
+
+
+def test_mutation_diagnostics_match_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MACHLITE_COLOR", "0")
+    h = hashlib.sha256()
+    for seed in range(4):
+        for text in mutations(seed):
+            code, err = cli_exit(tmp_path, capsys, text, "compile")
+            h.update(f"{code}\n{err}\0".encode())
+    assert h.hexdigest() == MUTATION_DIAGNOSTICS_GOLDEN

@@ -6,14 +6,19 @@ literals so a simultaneous bug in both walkers cannot slip through.
 """
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 import oracles
 from helpers import LISTING1, graph_of, typed_of
-from machlite import irg
+from machlite import cli, irg
 from machlite.frontend import lower_to_il
+from machlite.fuzz import gen_source
+
+PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
 
 def temp_count(g: irg.IRGraph) -> int:
@@ -127,6 +132,34 @@ A[:, :, 0:n] = B[:, :, 0:n] * 2.0
     assert isinstance(tail, irg.MemArg)
     assert g.memlocs[tail.mlid].name == "n"
     assert tail.klass == "pescalar"
+
+
+def test_dynamic_stop_inside_a_device_loop_is_transferred():
+    src = """\
+la A[4,4,8] f32 = rand
+ga G[3] f32 = rand
+ls n i16 = 5
+for v in G {
+    A[:, :, 0:n] += v
+}
+"""
+    g = graph_of(src)
+    assert {g.memlocs[ml].name for _, _, ml in g.transfers} == {"A", "G", "n"}
+
+
+# sha256 over `machlite compile --emit irg` of every program and fuzz seeds 0-59
+IRG_LISTING_GOLDEN = "42ae8c5dc80490901af2783cb8d8c0a96e122f4b426ee083ae6d0acf7aa832c1"
+
+
+def test_irg_listings_match_golden(tmp_path, capsys):
+    sources = [p.read_text() for p in PROGRAMS] + [gen_source(s) for s in range(60)]
+    path = tmp_path / "prog.mach"
+    h = hashlib.sha256()
+    for text in sources:
+        path.write_text(text)
+        assert cli.main(["compile", str(path), "--emit", "irg"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == IRG_LISTING_GOLDEN
 
 
 def test_scatter_reads_destination():
