@@ -117,6 +117,31 @@ class TGatherMul:
     dtype: DType = DType.F32
 
 
+def expr_accesses(t) -> list[Access]:
+    """The accesses a typed expression reads, left to right; literals and
+    loop variables read none."""
+    if isinstance(t, TBin):
+        return expr_accesses(t.lhs) + expr_accesses(t.rhs)
+    if isinstance(t, TTake):
+        return [t.src, t.idx]
+    if isinstance(t, TGatherMul):
+        return [t.src, t.idx, t.other]
+    if isinstance(t, TRef) and not t.is_loop_var:
+        return [t.access]
+    return []
+
+
+def vec_len(t) -> int:
+    """Element count of a typed expression: 1 unless it yields a vector."""
+    if isinstance(t, TBin):
+        return max(vec_len(t.lhs), vec_len(t.rhs))
+    if isinstance(t, (TTake, TGatherMul)):
+        return t.idx.mem_len
+    if isinstance(t, TRef) and t.klass == "vector":
+        return t.access.mem_len
+    return 1
+
+
 # typed statements ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -474,7 +499,7 @@ class Analyzer:
         hi = max(a, b)
         lo = min(a, b)
         if hi == 3 and lo == 3:
-            la, lb = self.expr_vec_len(lhs), self.expr_vec_len(rhs)
+            la, lb = vec_len(lhs), vec_len(rhs)
             if la != lb:
                 self.sink.error(f"element count mismatch {la} vs {lb}", loc)
                 return None
@@ -488,21 +513,6 @@ class Analyzer:
         if dts:
             return dts.pop()
         return lhs.dtype  # all literals
-
-    def expr_vec_len(self, t) -> int:
-        if isinstance(t, TRef) and t.klass == "vector":
-            return t.access.mem_len
-        if isinstance(t, (TTake, TGatherMul)):
-            return t.idx.mem_len
-        if isinstance(t, TBin):
-            for side in (t.lhs, t.rhs):
-                if self.expr_klass(side) == "vector":
-                    return self.expr_vec_len(side)
-        return 1
-
-    @staticmethod
-    def expr_klass(t) -> str:
-        return t.klass
 
     def check_regions_match(self, region, t, loc: Loc) -> bool:
         ok = True
@@ -522,14 +532,6 @@ class Analyzer:
             ok &= self.check_regions_match(region, t.lhs, loc)
             ok &= self.check_regions_match(region, t.rhs, loc)
         return ok
-
-    def collect_dyns(self, t, out: set) -> None:
-        if isinstance(t, TRef) and t.access.pe is not None:
-            if t.access.dyn:
-                out.add(t.access.dyn)
-        if isinstance(t, TBin):
-            self.collect_dyns(t.lhs, out)
-            self.collect_dyns(t.rhs, out)
 
     def type_take(self, e: Take) -> TTake | None:
         src = self.resolve_ref(e.src)
@@ -624,20 +626,6 @@ class Analyzer:
         if info is not None and not info.written and info.init is None:
             self.sink.error(f"'{name}' is read before any value is written", loc)
 
-    def note_expr_reads(self, t, loc: Loc) -> None:
-        if isinstance(t, TRef) and not t.is_loop_var:
-            self.note_read(t.access.var, loc)
-        elif isinstance(t, TBin):
-            self.note_expr_reads(t.lhs, loc)
-            self.note_expr_reads(t.rhs, loc)
-        elif isinstance(t, TTake):
-            self.note_read(t.src.var, loc)
-            self.note_read(t.idx.var, loc)
-        elif isinstance(t, TGatherMul):
-            self.note_read(t.src.var, loc)
-            self.note_read(t.idx.var, loc)
-            self.note_read(t.other.var, loc)
-
     def check_assign(self, s: Assign) -> TAssign | None:
         dst = self.resolve_ref(s.dst)
         if dst is None:
@@ -650,11 +638,13 @@ class Analyzer:
             return None
         expr = s.expr
         if s.op != "=":
-            expr = BinOp(s.op[0], _ref_of(s.dst), expr, s.loc)
+            expr = BinOp(s.op[0], s.dst, expr, s.loc)
         texpr = self.type_expr(expr, dst.dtype, s.loc)
         if texpr is None:
             return None
-        self.note_expr_reads(texpr, s.loc)
+        reads = expr_accesses(texpr)
+        for acc in reads:
+            self.note_read(acc.var, s.loc)
         if not isinstance(texpr, TLit) and texpr.dtype is not dst.dtype:
             self.sink.error(
                 f"dtype mismatch: '{dst.access.var}' is {dst.dtype.value}, "
@@ -681,7 +671,7 @@ class Analyzer:
                 return None
         else:  # vector destination
             if eklass == "vector":
-                ln = self.expr_vec_len(texpr)
+                ln = vec_len(texpr)
                 if ln != dst.access.mem_len:
                     self.sink.error(
                         f"element count mismatch: destination {dst.access.mem_len}, "
@@ -690,10 +680,7 @@ class Analyzer:
             if eklass in ("vector", "pescalar"):
                 if not self.check_regions_match(dst.access.pe, texpr, s.loc):
                     return None
-            dyns: set[str] = set()
-            if dst.access.dyn:
-                dyns.add(dst.access.dyn)
-            self.collect_dyns(texpr, dyns)
+            dyns = {acc.dyn for acc in reads + [dst.access] if acc.dyn}
             if len(dyns) > 1:
                 self.sink.error("all operands must share a single dynamic stop", s.loc)
                 return None
@@ -706,7 +693,7 @@ class Analyzer:
                 # counts agree on every worker
                 name = dyns.pop()
                 windows = set()
-                for acc in _accesses_of(texpr) + [dst.access]:
+                for acc in reads + [dst.access]:
                     if acc.kind is not VarKind.LA:
                         continue
                     if acc.dyn != name:
@@ -899,22 +886,6 @@ class Analyzer:
         if self.sink.has_errors:
             return None
         return TypedProgram(self.grid, self.vars, tuple(typed), tuple(self.order))
-
-
-def _ref_of(r: Ref) -> Ref:
-    return r
-
-
-def _accesses_of(t) -> list[Access]:
-    if isinstance(t, TRef):
-        return [t.access] if t.access.pe is not None else []
-    if isinstance(t, TBin):
-        return _accesses_of(t.lhs) + _accesses_of(t.rhs)
-    if isinstance(t, TTake):
-        return [t.src, t.idx]
-    if isinstance(t, TGatherMul):
-        return [t.src, t.idx, t.other]
-    return []
 
 
 def analyze(program: SourceProgram, grid: GridConfig) -> tuple[TypedProgram | None, list]:

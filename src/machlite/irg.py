@@ -26,6 +26,8 @@ from machlite.frontend.semantic import (
     TRef,
     TShift,
     TTake,
+    expr_accesses,
+    vec_len,
 )
 from machlite.frontend.syntax import DType, VarKind
 
@@ -123,16 +125,6 @@ def subgraph_span(loop_node: IRNode) -> tuple[int, int]:
     for n in ordered_walk(loop_node.subgraph):
         last = max(last, n.id)
     return loop_node.id, last
-
-
-def vec_len_of(t) -> int:
-    if isinstance(t, TRef):
-        return t.access.mem_len if t.klass == "vector" else 1
-    if isinstance(t, (TTake, TGatherMul)):
-        return t.idx.mem_len
-    if isinstance(t, TBin):
-        return max(vec_len_of(t.lhs), vec_len_of(t.rhs))
-    return 1
 
 
 def klass_of_memloc(ml: MemLoc) -> str:
@@ -248,8 +240,9 @@ class _Builder:
         attrs = {}
         if dest is None:
             dest_ml, dest_slice = self.temp_for(t, region), None
-            if t.klass == "vector" and expr_dyn(t):
-                attrs = {"dyn_var": expr_dyn(t)}
+            dyn = expr_dyn(t)
+            if t.klass == "vector" and dyn:
+                attrs = {"dyn_var": dyn}
         else:
             dest_ml, dest_slice = dest
         return self.emit(graph, BIN_OPS[t.op], [a, b], dest_ml, dest_slice,
@@ -257,7 +250,7 @@ class _Builder:
 
     def temp_for(self, t, region) -> MemLoc:
         if t.klass == "vector":
-            ln = vec_len_of(t)
+            ln = vec_len(t)
             return self.temp("worker", t.dtype, ln * t.dtype.words, (ln,))
         if t.klass == "pescalar":
             return self.temp("worker", t.dtype, t.dtype.words)
@@ -322,12 +315,11 @@ class _Builder:
             self.emit(graph, "fill", [ImmArg(t.value, t.dtype)], dest_ml, s.dst)
         else:
             assert isinstance(t, TRef)
-            src_klass = "gs" if (t.is_loop_var or t.access.ga_index is not None) else t.klass
             arg = self.arg_of(t, graph, region)
             if s.dst.kind is VarKind.LA:
-                op = "copy" if src_klass == "vector" else "fill"
+                op = "copy" if t.klass == "vector" else "fill"
             elif s.dst.kind in (VarKind.LS, VarKind.ULS):
-                op = "copy" if src_klass == "pescalar" else "fill"
+                op = "copy" if t.klass == "pescalar" else "fill"
             else:
                 op = "copy"
             self.emit(graph, op, [arg], dest_ml, s.dst)
@@ -373,50 +365,24 @@ class _Builder:
                 self.last_writer[n.result_index] = loop_node
 
     def collect_outer_refs(self, body) -> set[int]:
+        by_name = self.root.by_name
         refs: set[int] = set()
-
-        def visit_access(acc: Access | None):
-            if acc is None:
-                return
-            mlid = self.root.by_name.get(acc.var)
-            if mlid is not None:
-                refs.add(mlid)
-            if acc.dyn:
-                refs.add(self.root.by_name[acc.dyn])
-
-        def visit_expr(t):
-            if isinstance(t, TRef):
-                if not t.is_loop_var:
-                    visit_access(t.access)
-            elif isinstance(t, TBin):
-                visit_expr(t.lhs)
-                visit_expr(t.rhs)
-            elif isinstance(t, TTake):
-                visit_access(t.src)
-                visit_access(t.idx)
-            elif isinstance(t, TGatherMul):
-                visit_access(t.src)
-                visit_access(t.idx)
-                visit_access(t.other)
-
         for b in body:
             if isinstance(b, TAssign):
-                visit_access(b.dst)
-                visit_expr(b.expr)
+                accs = [b.dst] + expr_accesses(b.expr)
             elif isinstance(b, TReduce):
-                visit_access(b.src)
-                refs.add(self.root.by_name[b.target])
+                accs = [b.src]
+                refs.add(by_name[b.target])
             elif isinstance(b, TShift):
-                visit_access(b.dst)
-                visit_access(b.src)
+                accs = [b.dst, b.src]
             elif isinstance(b, TPut):
-                visit_access(b.dst)
-                visit_access(b.idx)
-                visit_access(b.src)
-            elif isinstance(b, TExitIf):
-                for o in (b.lhs, b.rhs):
-                    if isinstance(o, TRef) and not o.is_loop_var:
-                        visit_access(o.access)
+                accs = [b.dst, b.idx, b.src]
+            else:  # TExitIf
+                accs = expr_accesses(b.lhs) + expr_accesses(b.rhs)
+            for acc in accs:
+                refs.add(by_name[acc.var])
+                if acc.dyn:
+                    refs.add(by_name[acc.dyn])
         return refs
 
     def run(self) -> IRGraph:
@@ -430,11 +396,8 @@ class _Builder:
 
 
 def expr_dyn(t) -> str | None:
-    if isinstance(t, TRef) and t.access.pe is not None:
-        return t.access.dyn
-    if isinstance(t, TBin):
-        return expr_dyn(t.lhs) or expr_dyn(t.rhs)
-    return None
+    """The dynamic stop an expression's operands share, if any."""
+    return next((acc.dyn for acc in expr_accesses(t) if acc.dyn), None)
 
 
 def build(il: ILProgram) -> IRGraph:

@@ -3,11 +3,16 @@
 Each section's control vector and argument vector are cut into n contiguous
 chunks whose lengths differ by at most one; earlier drain positions take the
 extra words.  Chunk k belongs to the response tile at drain position k.
+
+A section's spliced words (controller scalars read at broadcast time) reach
+every response tile in the wake stream, in the order of `Section.splices`.
+Each chunk's `patch` has one entry per such word: the word's offset in the
+chunk's args, or None when another chunk holds that word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def chunk_sizes(total: int, n: int) -> list[int]:
@@ -30,8 +35,7 @@ class RespChunk:
     position: int
     ctrl: list[int]
     args: list[int]
-    # patches into this chunk's args: (local offset, width, splice slot index)
-    splices: list[tuple] = field(default_factory=list)
+    patch: list[int | None]     # per spliced wake-stream word: offset in args
 
 
 def assign_sections(sections, n_resp: int) -> list[list[RespChunk]]:
@@ -40,18 +44,13 @@ def assign_sections(sections, n_resp: int) -> list[list[RespChunk]]:
     for sec in sections:
         ctrl_chunks = split_even(sec.ctrl_vector, n_resp)
         args_chunks = split_even(sec.args_vector, n_resp)
-        starts, at = [], 0
-        for c in args_chunks:
-            starts.append(at)
-            at += len(c)
+        spliced = [pos + w for pos, width, _addr in sec.splices for w in range(width)]
+        lo = 0
         for k in range(n_resp):
-            chunk = RespChunk(sec.index, k, ctrl_chunks[k], args_chunks[k])
-            lo, hi = starts[k], starts[k] + len(args_chunks[k])
-            for slot, (pos, width, _src) in enumerate(sec.splices):
-                for w in range(width):
-                    if lo <= pos + w < hi:
-                        chunk.splices.append((pos + w - lo, 1, (slot, w)))
-            per_pos[k].append(chunk)
+            hi = lo + len(args_chunks[k])
+            patch = [p - lo if lo <= p < hi else None for p in spliced]
+            per_pos[k].append(RespChunk(sec.index, k, ctrl_chunks[k], args_chunks[k], patch))
+            lo = hi
     return per_pos
 
 

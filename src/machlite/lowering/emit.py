@@ -182,7 +182,8 @@ def emit_resp(vm: VMachineProgram) -> str:
                  f"last={'yes' if p['last_on_side'] else 'no'}")
         for chunk in vm.chunks[pos]:
             L.append(f"  section {chunk.section}: ctrl[{len(chunk.ctrl)}] "
-                     f"args[{len(chunk.args)}] splices[{len(chunk.splices)}]")
+                     f"args[{len(chunk.args)}] "
+                     f"splices[{sum(p is not None for p in chunk.patch)}]")
     return "\n".join(L) + "\n"
 
 

@@ -102,7 +102,7 @@ class GraphLowerer:
         spec = operand_spec(ml, a.access, sized=sized)
         return spec, operand_words(spec, ml, a.access, self.plan)
 
-    def src_spec_words(self, a, dt: DType, splices, at: int):
+    def src_spec_words(self, a, at: int):
         """Encode one source; a controller scalar becomes a spliced immediate."""
         if isinstance(a, ImmArg):
             words = rpcmod.imm_words(a.value, a.dtype)
@@ -126,7 +126,7 @@ class GraphLowerer:
         splices: list[tuple] = []
         specs: list[OperandSpec] = []
         for a in args:
-            spec, w, sp = self.src_spec_words(a, dt, splices, len(words))
+            spec, w, sp = self.src_spec_words(a, len(words))
             specs.append(spec)
             if sp is not None:
                 splices.append(sp)
@@ -147,7 +147,7 @@ class GraphLowerer:
         return spec, operand_words(spec, dml, n.dest_slice, self.plan)
 
     def queue_gather(self, n: IRNode) -> None:
-        args, dyn = self.node_dyn_split(n)
+        args = n.args
         dml = self.g.memlocs[n.result_index]
         dt = dml.dtype.value
         op = n.op_name
@@ -170,8 +170,6 @@ class GraphLowerer:
         words.extend(dwords)
         words.append(self.mask_word(n))
         words.append(self.static_len(n))
-        if dyn is not None:
-            words.append(self.addr(dyn.mlid))
         rd = self.rpcs.intern(op, op, dt, specs, dspec, arity=len(words))
         self.queue(rd, words, [], n)
 
@@ -191,8 +189,7 @@ class GraphLowerer:
 
     def queue_reduce(self, n: IRNode) -> bool:
         """Queue the send (and for uls targets the receive); True for gs targets."""
-        args, dyn = self.node_dyn_split(n)
-        src = args[0]
+        src = n.args[0]
         sml = self.g.memlocs[src.mlid]
         dt = sml.dtype.value
         dml = self.g.memlocs[n.result_index]
@@ -204,8 +201,6 @@ class GraphLowerer:
             spec, words = OperandSpec("as", 1), [self.addr(src.mlid)]
         words = list(words)
         words.append(self.mask_word(n))
-        if dyn is not None:
-            words.append(self.addr(dyn.mlid))
         rd = self.rpcs.intern("reduce_send", "reduce", dt, [spec], None,
                               target=target, arity=len(words))
         self.queue(rd, words, [], n)

@@ -114,20 +114,22 @@ class VMachineProgram:
             for name, sz in (("ctrl", sizes), ("args", asz)):
                 if sz and max(sz) - min(sz) > 1:
                     errs.append(f"section {sec.index}: uneven {name} split {sz}")
-            seen = set()
+            # every spliced word lands in exactly one chunk, at its position
+            spliced = [p + w for p, width, _a in sec.splices for w in range(width)]
+            holders = [[] for _ in spliced]
             for pos in range(self.n_resp):
-                chunk = self.chunks[pos][sec.index]
-                for local, width, (slot, word) in chunk.splices:
-                    gpos, gwidth, _addr = sec.splices[slot]
-                    if starts[pos] + local != gpos + word or width != 1:
-                        errs.append(f"section {sec.index}: splice slot {slot} "
-                                    f"maps badly at position {pos}")
-                    seen.add((slot, word))
-            want = {(slot, w) for slot, (_p, gw, _a) in enumerate(sec.splices)
-                    for w in range(gw)}
-            if seen != want:
-                errs.append(f"section {sec.index}: splice words {want - seen} "
-                            f"not covered by any chunk")
+                patch = self.chunks[pos][sec.index].patch
+                if len(patch) != len(spliced):
+                    errs.append(f"section {sec.index}: position {pos} patches "
+                                f"{len(patch)} of {len(spliced)} spliced words")
+                    continue
+                for j, local in enumerate(patch):
+                    if local is not None:
+                        holders[j].append(starts[pos] + local)
+            bad = [j for j, at in enumerate(holders) if at != [spliced[j]]]
+            if bad:
+                errs.append(f"section {sec.index}: spliced words {bad} are not "
+                            f"held once at their position")
 
     def _check_masks(self, errs) -> None:
         addrs = [e.address for e in self.masks.ordered()]

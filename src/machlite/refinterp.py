@@ -409,13 +409,17 @@ def run(g: IRGraph, plan: MemPlan | None = None) -> RefResult:
     return RefResult(values, interp.loop_trips, reduce_taint(g))
 
 
+# absolute guard of the f32 reduction-result comparison, for near-zero values
+ABS_TOL = 1e-6
+
+
 def diff_results(g: IRGraph, a: RefResult, b: RefResult, *,
-                 rel: float = 1e-5, abs_tol: float = 1e-6) -> list[str]:
+                 rel: float = 1e-5) -> list[str]:
     """Mismatch report with per-variable tolerance classes.
 
     Integer variables and untainted f32 compare exactly; variables carrying
-    f32 reduction results compare to relative tolerance with a small
-    absolute guard for near-zero values.
+    f32 reduction results compare to relative tolerance `rel`, with the
+    absolute guard `ABS_TOL` for near-zero values.
     """
     out = []
     for mlid in sorted(a.values):
@@ -432,7 +436,7 @@ def diff_results(g: IRGraph, a: RefResult, b: RefResult, *,
         if ml.dtype is DType.I16 or mlid not in a.tainted:
             same = np.array_equal(va, vb)
         else:
-            same = np.allclose(va, vb, rtol=rel, atol=abs_tol)
+            same = np.allclose(va, vb, rtol=rel, atol=ABS_TOL)
         if not same:
             if va.ndim == 0:
                 out.append(f"{ml.name}: {va!r} vs {vb!r}")

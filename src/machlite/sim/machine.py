@@ -317,8 +317,7 @@ class Machine:
                                  f"depth={len(q)} head={q[0].kind}")
         for cpu in self.cpus:
             if not cpu.idle:
-                lines.append(f"  {cpu.xy} {cpu.role} state="
-                             f"{getattr(cpu, 'state', '?')}")
+                lines.append(f"  {cpu.xy} {cpu.role} state={cpu.state}")
         return "blocked channels:\n" + "\n".join(lines) if lines else "(empty fabric)"
 
     # --- results -------------------------------------------------------------

@@ -29,6 +29,7 @@ from ..memwords import CMPS, alu, decode_words, encode_words, np_dtype
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
+from ..lowering.rpc import MASKED_KINDS
 from .router import DATA, RESET, Wavelet, advance, data, reset
 
 # shift ring state per (dx, dy): E, S, W, N
@@ -328,17 +329,6 @@ class RespCpu(Cpu):
         self.last = last_on_side
         self.chunks = {c.section: c for c in chunks}
         self.pad = pad
-        # per section: flat wake-word index -> local args offset (or None)
-        self.patch_map = {}
-        for sec in m.vm.sections:
-            local = {}
-            for off, _w, key in self.chunks[sec.index].splices:
-                local[key] = off
-            flat = []
-            for slot, (_pos, width, _src) in enumerate(sec.splices):
-                for k in range(width):
-                    flat.append(local.get((slot, k)))
-            self.patch_map[sec.index] = flat
         self.state = "hdr"
         self.section = -1
         self.n = 0
@@ -372,7 +362,7 @@ class RespCpu(Cpu):
         w = self.pop(WAKE)
         if w is None:
             return False
-        local = self.patch_map[self.section][self.j]
+        local = self.chunks[self.section].patch[self.j]
         if local is not None:
             self.args_scratch[local] = w.word
             self.m.trace_event("splice_patch", position=self.pos,
@@ -586,8 +576,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         srcs = [self._take(it, s) for s in rd.srcs]
         dstw = self._take(it, rd.dst) if rd.dst else None
         mask_addr = next(it)
-        n_static = next(it) if rd.kind in ("map", "gather", "gather_mul",
-                                           "scatter") else None
+        n_static = next(it) if rd.kind in MASKED_KINDS else None
         self.dyn_stop = _i16(self.image[next(it)]) if rd.has_dyn else None
         mask = int(self.image[mask_addr])
         setup = self.m.cfg.rpc_setup_cycles

@@ -273,19 +273,18 @@ def test_distribution_reconstructs_vectors():
 def test_splices_land_in_the_right_chunks():
     g, plan, vm = lowered(WITH_GS_ARG)
     sec = vm.sections[1]
+    (gpos, width, _addr), = sec.splices
     covered = []
-    starts = []
     at = 0
     for pos in range(vm.n_resp):
         chunk = vm.chunks[pos][sec.index]
-        starts.append(at)
-        for local, width, (slot, word) in chunk.splices:
-            gpos, gwidth, addr = sec.splices[slot]
-            assert width == 1
-            assert at + local == gpos + word
-            covered.append((slot, word))
+        assert len(chunk.patch) == width        # one entry per wake-stream word
+        for word, local in enumerate(chunk.patch):
+            if local is not None:
+                assert at + local == gpos + word
+                covered.append(word)
         at += len(chunk.args)
-    assert sorted(covered) == [(0, 0), (0, 1)]
+    assert sorted(covered) == [0, 1]
 
 
 # --- masks ------------------------------------------------------------------
