@@ -36,7 +36,6 @@ class ILProgram:
     grid: GridConfig
     variables: dict[str, ILVar]
     stmts: tuple
-    seed: int
     order: tuple[str, ...]
 
 
@@ -80,4 +79,4 @@ def lower_to_il(typed: TypedProgram, seed: int = 0) -> ILProgram:
         if info.init is not None:
             init = materialize_init(info.init, shape, d.dtype, seed, idx)
         variables[name] = ILVar(name, d.kind, d.dtype, shape, init, d.output)
-    return ILProgram(typed.grid, variables, typed.stmts, seed, typed.order)
+    return ILProgram(typed.grid, variables, typed.stmts, typed.order)

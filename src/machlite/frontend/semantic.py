@@ -3,6 +3,23 @@
 Produces a TypedProgram whose statements carry fully resolved accesses:
 PE-grid participation regions plus per-axis memory windows.  Compile-time
 range loops are unrolled here; device loops over GA stay structured.
+
+The field forms (take, gather_mul, put, shift and reduce) share one set of
+operand rules, `Analyzer.check_operands`, checked in this order at the
+form's location; the first rule that fails ends the check:
+
+- each operand is an la slice (shift also takes ls and uls slices), and
+  the index of take, gather_mul and put is an i16 la slice;
+- the operands have one dtype (the index is i16 by the rule above);
+- every operand with a PE region selects the statement's region, the
+  destination's (`Analyzer.check_region`, which assignments run too);
+- no operand uses a dynamic stop;
+- the index and the operands moved element for element have one element
+  count (the table a gather reads or a scatter writes may differ).
+
+Each message names the form and the operand.  Checks that belong to one
+form keep their own code: the shift step and la/ls pairing, the reduce
+target, the uls-destination rules and read-before-write.
 """
 from __future__ import annotations
 
@@ -169,10 +186,8 @@ class TExitIf:
 
 @dataclass(frozen=True)
 class TReduce:
+    dst: Access        # the gs or uls target, written whole
     src: Access
-    target: str
-    target_kind: VarKind
-    dtype: DType
     loc: Loc = field(default=Loc(0, 0), compare=False)
 
 
@@ -193,6 +208,18 @@ class TPut:
     loc: Loc = field(default=Loc(0, 0), compare=False)
 
 
+def stmt_accesses(s) -> list[Access]:
+    """The accesses a typed statement other than a device loop writes and
+    reads: the destination first (an exit_if has none), then the reads."""
+    if isinstance(s, TAssign):
+        return [s.dst] + expr_accesses(s.expr)
+    if isinstance(s, (TReduce, TShift)):
+        return [s.dst, s.src]
+    if isinstance(s, TPut):
+        return [s.dst, s.idx, s.src]
+    return expr_accesses(s.lhs) + expr_accesses(s.rhs)
+
+
 @dataclass(frozen=True)
 class GridConfig:
     nx: int
@@ -204,7 +231,6 @@ class VarInfo:
     decl: TensorDecl
     init: InitSpec | None
     written: bool = False
-    referenced: bool = False
 
 
 @dataclass
@@ -376,7 +402,6 @@ class Analyzer:
             if info.decl.kind is not VarKind.LS or info.decl.dtype is not DType.I16:
                 self.sink.error(f"dynamic stop '{ax.stop}' must be an i16 ls variable", loc)
                 return None
-            info.referenced = True
             if not 0 <= start < extent:
                 self.sink.error(f"memory slice start {start} out of range", loc)
                 return None
@@ -401,7 +426,6 @@ class Analyzer:
         info = self.lookup(ref.name, ref.loc)
         if info is None:
             return None
-        info.referenced = True
         d = info.decl
         if d.kind is VarKind.GS:
             if ref.axes is not None:
@@ -472,9 +496,17 @@ class Analyzer:
         if isinstance(e, Ref):
             return self.resolve_ref(e)
         if isinstance(e, Take):
-            return self.type_take(e)
+            ops = self.resolve_operands(e.src, e.idx)
+            if ops is None or not self.check_operands("take()", e.loc, (),
+                                                      table=ops[0], idx=ops[1]):
+                return None
+            return TTake(*ops, "vector", ops[0].dtype)
         if isinstance(e, GatherMul):
-            return self.type_gather_mul(e)
+            ops = self.resolve_operands(e.src, e.idx, e.other)
+            if ops is None or not self.check_operands("gather_mul()", e.loc, ops[2:],
+                                                      table=ops[0], idx=ops[1]):
+                return None
+            return TGatherMul(*ops, "vector", ops[0].dtype)
         if isinstance(e, BinOp):
             lhs = self.type_expr(e.lhs, ctx_dtype, e.loc)
             rhs = self.type_expr(e.rhs, ctx_dtype, e.loc)
@@ -514,69 +546,74 @@ class Analyzer:
             return dts.pop()
         return lhs.dtype  # all literals
 
-    def check_regions_match(self, region, t, loc: Loc) -> bool:
+    # -- operand rules (see the module docstring) -----------------------------
+
+    def resolve_operands(self, *refs: Ref) -> list[Access] | None:
+        """The accesses of a form's operands; every operand is resolved so
+        that all their errors are reported, and None returned if any failed."""
+        typed = [self.resolve_ref(r) for r in refs]
+        if any(t is None for t in typed):
+            return None
+        return [t.access for t in typed]
+
+    def check_operands(self, form: str, loc: Loc, elems, table: Access | None = None,
+                       idx: Access | None = None, stmt=None, ls_ok: bool = False) -> bool:
+        """The shared operand rules of a field form.  `elems` are the operands
+        moved element for element, `table` the array a gather reads or a
+        scatter writes, `idx` the index; `stmt` is the typed statement whose
+        region the operands must select (None for an expression)."""
+        values = ([table] if table else []) + list(elems)
+        kinds = (VarKind.LA, VarKind.LS, VarKind.ULS) if ls_ok else (VarKind.LA,)
+        bad = next((acc for acc in values if acc.kind not in kinds), None)
+        if bad is not None:
+            self.sink.error(f"{form} operand '{bad.var}' must be an "
+                            f"{'la or ls' if ls_ok else 'la'} slice", loc)
+        bad_idx = idx is not None and (idx.kind is not VarKind.LA or idx.dtype is not DType.I16)
+        if bad_idx:
+            self.sink.error(f"{form} index '{idx.var}' must be an i16 la slice", loc)
+        if bad is not None or bad_idx:
+            return False
+        first = values[0]
+        for acc in values[1:]:
+            if acc.dtype is not first.dtype:
+                self.sink.error(
+                    f"{form} operand dtypes differ: '{first.var}' is {first.dtype.value}, "
+                    f"'{acc.var}' is {acc.dtype.value}", loc)
+                return False
+        if stmt is not None and not self.check_region(stmt, loc):
+            return False
+        if not self.check_static(form, [a for a in (table, idx, *elems) if a is not None], loc):
+            return False
+        counted = ([idx] if idx else []) + list(elems)
+        for acc in counted[1:]:
+            if acc.mem_len != counted[0].mem_len:
+                self.sink.error(
+                    f"{form} element counts differ: '{counted[0].var}' has "
+                    f"{counted[0].mem_len}, '{acc.var}' has {acc.mem_len}", loc)
+                return False
+        return True
+
+    def check_region(self, t, loc: Loc) -> bool:
+        """Every operand of `t` with a PE region selects the region of its
+        destination; one error for each operand that does not."""
+        dst, *reads = stmt_accesses(t)
         ok = True
-        if isinstance(t, TRef) and t.access.pe is not None and t.access.pe != region:
-            self.sink.error(
-                f"operand '{t.access.var}' participates on {t.access.pe}, "
-                f"statement region is {region}; slices must select the same workers", loc)
-            ok = False
-        if isinstance(t, (TTake, TGatherMul)):
-            for acc in ((t.src, t.idx, t.other) if isinstance(t, TGatherMul) else (t.src, t.idx)):
-                if acc.pe != region:
-                    self.sink.error(
-                        f"operand '{acc.var}' participates on {acc.pe}, "
-                        f"statement region is {region}", loc)
-                    ok = False
-        if isinstance(t, TBin):
-            ok &= self.check_regions_match(region, t.lhs, loc)
-            ok &= self.check_regions_match(region, t.rhs, loc)
+        for acc in reads:
+            if acc.pe is not None and acc.pe != dst.pe:
+                self.sink.error(
+                    f"operand '{acc.var}' participates on {acc.pe}, statement region "
+                    f"is {dst.pe}; slices must select the same workers", loc)
+                ok = False
         return ok
 
-    def type_take(self, e: Take) -> TTake | None:
-        src = self.resolve_ref(e.src)
-        idx = self.resolve_ref(e.idx)
-        if src is None or idx is None:
-            return None
-        ok = True
-        if src.klass != "vector":
-            self.sink.error("take() source must be an la slice", e.loc)
-            ok = False
-        if idx.klass != "vector" or idx.dtype is not DType.I16:
-            self.sink.error("take() index must be an i16 la slice", e.loc)
-            ok = False
-        if not ok:
-            return None
-        if src.access.dyn or idx.access.dyn:
-            self.sink.error("take() does not support dynamic stops", e.loc)
-            return None
-        return TTake(src.access, idx.access, "vector", src.dtype)
-
-    def type_gather_mul(self, e: GatherMul) -> TGatherMul | None:
-        src = self.resolve_ref(e.src)
-        idx = self.resolve_ref(e.idx)
-        other = self.resolve_ref(e.other)
-        if src is None or idx is None or other is None:
-            return None
-        ok = True
-        if src.klass != "vector" or other.klass != "vector":
-            self.sink.error("gather_mul() operands must be la slices", e.loc)
-            ok = False
-        if idx.klass != "vector" or idx.dtype is not DType.I16:
-            self.sink.error("gather_mul() index must be an i16 la slice", e.loc)
-            ok = False
-        if ok and src.dtype is not other.dtype:
-            self.sink.error("gather_mul() operand dtypes differ", e.loc)
-            ok = False
-        if ok and idx.access.mem_len != other.access.mem_len:
-            self.sink.error("gather_mul() index and multiplier lengths differ", e.loc)
-            ok = False
-        if ok and (src.access.dyn or idx.access.dyn or other.access.dyn):
-            self.sink.error("gather_mul() does not support dynamic stops", e.loc)
-            ok = False
-        if not ok:
-            return None
-        return TGatherMul(src.access, idx.access, other.access, "vector", src.dtype)
+    def check_static(self, form: str, accs, loc: Loc) -> bool:
+        """No operand of a form without dynamic-stop support uses one."""
+        for acc in accs:
+            if acc.dyn:
+                self.sink.error(f"{form} does not support dynamic stops: "
+                                f"'{acc.var}' stops at '{acc.dyn}'", loc)
+                return False
+        return True
 
     # -- statements ---------------------------------------------------------
 
@@ -590,20 +627,14 @@ class Analyzer:
                 self.sink.error("exit_if is only allowed inside a device loop", s.loc)
                 return None
             return self.check_exit_if(s)
-        if isinstance(s, Reduce):
-            return self.check_reduce(s)
-        if isinstance(s, Shift):
-            return self.check_shift(s)
-        if isinstance(s, Put):
-            return self.check_put(s)
+        if isinstance(s, (Reduce, Shift, Put)):
+            return self.check_field_stmt(s)
         raise TypeError(f"unexpected statement {s!r}")
 
     def first_write_ok(self, name: str, dst: Access | None) -> None:
         """Uninitialized storage must first be written in full."""
         info = self.vars.get(name)
         if info is None or info.written or info.init is not None:
-            if info is not None and dst is not None:
-                info.written = True
             return
         d = info.decl
         full = dst is not None and dst.ga_index is None
@@ -667,25 +698,22 @@ class Analyzer:
             if eklass == "vector":
                 self.sink.error("cannot assign a vector expression to a per-worker scalar", s.loc)
                 return None
-            if eklass == "pescalar" and not self.check_regions_match(dst.access.pe, texpr, s.loc):
-                return None
-        else:  # vector destination
-            if eklass == "vector":
-                ln = vec_len(texpr)
-                if ln != dst.access.mem_len:
-                    self.sink.error(
-                        f"element count mismatch: destination {dst.access.mem_len}, "
-                        f"expression {ln}", s.loc)
-                    return None
-            if eklass in ("vector", "pescalar"):
-                if not self.check_regions_match(dst.access.pe, texpr, s.loc):
-                    return None
+        elif eklass == "vector" and vec_len(texpr) != dst.access.mem_len:
+            self.sink.error(
+                f"element count mismatch: destination {dst.access.mem_len}, "
+                f"expression {vec_len(texpr)}", s.loc)
+            return None
+        t = TAssign(dst.access, texpr, s.loc)
+        if not self.check_region(t, s.loc):
+            return None
+        if dst.klass == "vector":
             dyns = {acc.dyn for acc in reads + [dst.access] if acc.dyn}
             if len(dyns) > 1:
                 self.sink.error("all operands must share a single dynamic stop", s.loc)
                 return None
-            if dyns and isinstance(texpr, (TTake, TGatherMul)):
-                self.sink.error("gather forms do not support dynamic stops", s.loc)
+            if isinstance(texpr, (TTake, TGatherMul)) and not self.check_static(
+                    "take()" if isinstance(texpr, TTake) else "gather_mul()",
+                    [dst.access], s.loc):
                 return None
             if dyns:
                 # every LA operand must use the shared dynamic stop, on an
@@ -707,13 +735,12 @@ class Analyzer:
                         "dynamic-stop operands must agree on the last axis start and extent", s.loc)
                     return None
         self.first_write_ok(dst.access.var, dst.access)
-        return TAssign(dst.access, texpr, s.loc)
+        return t
 
     def check_device_for(self, s: DeviceFor) -> TDeviceFor | None:
         info = self.lookup(s.iterable.name, s.loc)
         if info is None:
             return None
-        info.referenced = True
         if info.decl.kind is not VarKind.GA:
             self.sink.error("device loops iterate over a ga variable", s.loc)
             return None
@@ -776,99 +803,54 @@ class Analyzer:
             rhs = TLit(rhs.value, dt)
         return TExitIf(lhs, s.cmp, rhs, s.loc)
 
-    def check_reduce(self, s: Reduce) -> TReduce | None:
-        src = self.resolve_ref(s.src)
-        if src is None:
+    def check_field_stmt(self, s):
+        """A reduce, shift or put: the shared operand rules, then the form's
+        own checks and the reads and writes it makes."""
+        if isinstance(s, Reduce):
+            ops = self.resolve_operands(s.src)
+            if ops is None or not self.check_operands("reduce()", s.loc, ops):
+                return None
+            (src,) = ops
+            self.note_read(src.var, s.loc)
+            info = self.lookup(s.target, s.loc)
+            if info is None:
+                return None
+            d = info.decl
+            if d.kind not in (VarKind.ULS, VarKind.GS):
+                self.sink.error("reduce() target must be a uls or gs variable", s.loc)
+                return None
+            if d.dtype is not src.dtype:
+                self.sink.error("reduce() target dtype differs from the source", s.loc)
+                return None
+            self.first_write_ok(d.name, None)
+            return TReduce(Access(d.name, d.kind, d.dtype), src, s.loc)
+        if isinstance(s, Shift):
+            ops = self.resolve_operands(s.dst, s.src)
+            if ops is None:
+                return None
+            t = TShift(*ops, s.axis, s.offset, s.loc)
+            if not self.check_operands("shift()", s.loc, ops, stmt=t, ls_ok=True):
+                return None
+            (_, _, xst), (_, _, yst) = t.dst.pe
+            if xst != 1 or yst != 1:
+                self.sink.error("shift regions must be contiguous (step 1)", s.loc)
+                return None
+            if (t.dst.kind is VarKind.LA) != (t.src.kind is VarKind.LA):
+                self.sink.error("shift operands must both be la or both ls", s.loc)
+                return None
+            self.note_read(t.src.var, s.loc)
+            self.first_write_ok(t.dst.var, None)
+            return t
+        ops = self.resolve_operands(s.dst, s.idx, s.src)
+        if ops is None:
             return None
-        if src.klass != "vector":
-            self.sink.error("reduce() source must be an la slice", s.loc)
+        t = TPut(*ops, s.loc)
+        if not self.check_operands("put()", s.loc, [t.src], table=t.dst, idx=t.idx, stmt=t):
             return None
-        if src.access.dyn:
-            self.sink.error("reduce() does not support dynamic stops", s.loc)
-            return None
-        self.note_read(src.access.var, s.loc)
-        info = self.lookup(s.target, s.loc)
-        if info is None:
-            return None
-        info.referenced = True
-        if info.decl.kind not in (VarKind.ULS, VarKind.GS):
-            self.sink.error("reduce() target must be a uls or gs variable", s.loc)
-            return None
-        if info.decl.dtype is not src.dtype:
-            self.sink.error("reduce() target dtype differs from the source", s.loc)
-            return None
-        self.first_write_ok(s.target, None)
-        info.written = True
-        return TReduce(src.access, s.target, info.decl.kind, src.dtype, s.loc)
-
-    def check_shift(self, s: Shift) -> TShift | None:
-        dst = self.resolve_ref(s.dst)
-        src = self.resolve_ref(s.src)
-        if dst is None or src is None:
-            return None
-        ok = True
-        for t, nm in ((dst, "destination"), (src, "source")):
-            if t.klass not in ("vector", "pescalar"):
-                self.sink.error(f"shift {nm} must be an la or ls slice", s.loc)
-                ok = False
-        if not ok:
-            return None
-        if dst.dtype is not src.dtype:
-            self.sink.error("shift operand dtypes differ", s.loc)
-            return None
-        if dst.access.pe != src.access.pe:
-            self.sink.error("shift source and destination must select the same workers", s.loc)
-            return None
-        (xs, xe, xst), (ys, ye, yst) = dst.access.pe
-        if xst != 1 or yst != 1:
-            self.sink.error("shift regions must be contiguous (step 1)", s.loc)
-            return None
-        if dst.access.dyn or src.access.dyn:
-            self.sink.error("shift does not support dynamic stops", s.loc)
-            return None
-        if dst.klass == "vector" and dst.access.mem_len != src.access.mem_len:
-            self.sink.error("shift element counts differ", s.loc)
-            return None
-        if dst.klass != src.klass:
-            self.sink.error("shift operands must both be la or both ls", s.loc)
-            return None
-        self.note_read(src.access.var, s.loc)
-        self.first_write_ok(dst.access.var, None)
-        self.vars[dst.access.var].written = True
-        return TShift(dst.access, src.access, s.axis, s.offset, s.loc)
-
-    def check_put(self, s: Put) -> TPut | None:
-        dst = self.resolve_ref(s.dst)
-        idx = self.resolve_ref(s.idx)
-        src = self.resolve_ref(s.src)
-        if dst is None or idx is None or src is None:
-            return None
-        ok = True
-        if dst.klass != "vector" or src.klass != "vector":
-            self.sink.error("put() destination and source must be la slices", s.loc)
-            ok = False
-        if idx.klass != "vector" or idx.dtype is not DType.I16:
-            self.sink.error("put() index must be an i16 la slice", s.loc)
-            ok = False
-        if not ok:
-            return None
-        if dst.dtype is not src.dtype:
-            self.sink.error("put() operand dtypes differ", s.loc)
-            return None
-        if not (dst.access.pe == idx.access.pe == src.access.pe):
-            self.sink.error("put() operands must select the same workers", s.loc)
-            return None
-        if idx.access.mem_len != src.access.mem_len:
-            self.sink.error("put() index and source lengths differ", s.loc)
-            return None
-        if dst.access.dyn or idx.access.dyn or src.access.dyn:
-            self.sink.error("put() does not support dynamic stops", s.loc)
-            return None
-        self.note_read(src.access.var, s.loc)
-        self.note_read(idx.access.var, s.loc)
-        self.note_read(dst.access.var, s.loc)  # scatter updates only selected elements
-        self.vars[dst.access.var].written = True
-        return TPut(dst.access, idx.access, src.access, s.loc)
+        for acc in (t.src, t.idx, t.dst):  # a scatter keeps the elements it skips
+            self.note_read(acc.var, s.loc)
+        self.vars[t.dst.var].written = True
+        return t
 
     def run(self) -> TypedProgram | None:
         if self.grid.nx < 2 or self.grid.ny < 2 or self.grid.nx % 2 or self.grid.ny % 2:

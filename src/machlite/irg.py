@@ -27,6 +27,7 @@ from machlite.frontend.semantic import (
     TShift,
     TTake,
     expr_accesses,
+    stmt_accesses,
     vec_len,
 )
 from machlite.frontend.syntax import DType, VarKind
@@ -195,7 +196,6 @@ class _Builder:
         if dyn is not None and op in ("add", "sub", "mul", "div", "copy", "fill"):
             acc = Access(dyn, VarKind.LS, DType.I16, pe=region)
             attrs["dyn_len_arg"] = len(args)
-            attrs["dyn_var"] = dyn
             args = list(args) + [MemArg(self.root.by_name[dyn], acc, "pescalar")]
         node = IRNode(self.next_node, op, tuple(args),
                       dest.id if dest is not None else None, dest_slice, attrs)
@@ -279,9 +279,8 @@ class _Builder:
             self.build_assign(s, graph)
         elif isinstance(s, TReduce):
             src = MemArg(self.root.by_name[s.src.var], s.src, "vector")
-            dest_ml = self.root.memlocs[self.root.by_name[s.target]]
-            self.emit(graph, "reduce_sum", [src], dest_ml, None,
-                      {"target_kind": s.target_kind.value}, region=s.src.pe)
+            dest_ml = self.root.memlocs[self.root.by_name[s.dst.var]]
+            self.emit(graph, "reduce_sum", [src], dest_ml, None, region=s.src.pe)
         elif isinstance(s, TShift):
             src = MemArg(self.root.by_name[s.src.var], s.src,
                          "vector" if s.src.kind is VarKind.LA else "pescalar")
@@ -333,7 +332,7 @@ class _Builder:
             ml = self.root.memlocs[mlid]
             n = self.emit(graph, "sg_export",
                           [MemArg(mlid, None, klass_of_memloc(ml))],
-                          None, None, {"var": ml.name})
+                          None, None)
             export_nodes[mlid] = n
         sub = IRGraph(grid=self.root.grid, memlocs=self.root.memlocs,
                       inits=self.root.inits, by_name=self.root.by_name)
@@ -342,13 +341,13 @@ class _Builder:
             graph, "loop",
             [MemArg(ga_ml, s.ga, "gs"), MemArg(counter.id, None, "gs")],
             None, None,
-            {"start": start, "extent": stop - start, "subgraph": sub, "var": s.var})
+            {"start": start, "extent": stop - start, "subgraph": sub})
         self.last_writer[counter.id] = loop_node
         for mlid in outer_refs:
             ml = self.root.memlocs[mlid]
             imp = self.emit(sub, "sg_import",
                             [MemArg(mlid, None, klass_of_memloc(ml))],
-                            None, None, {"var": ml.name})
+                            None, None)
             self.root.transfers.append((export_nodes[mlid].id, imp.id, mlid))
         loop_ml = self.temp("controller", s.ga.dtype, s.ga.dtype.words)
         self.loop_var_ml[s.var] = loop_ml.id
@@ -368,18 +367,7 @@ class _Builder:
         by_name = self.root.by_name
         refs: set[int] = set()
         for b in body:
-            if isinstance(b, TAssign):
-                accs = [b.dst] + expr_accesses(b.expr)
-            elif isinstance(b, TReduce):
-                accs = [b.src]
-                refs.add(by_name[b.target])
-            elif isinstance(b, TShift):
-                accs = [b.dst, b.src]
-            elif isinstance(b, TPut):
-                accs = [b.dst, b.idx, b.src]
-            else:  # TExitIf
-                accs = expr_accesses(b.lhs) + expr_accesses(b.rhs)
-            for acc in accs:
+            for acc in stmt_accesses(b):
                 refs.add(by_name[acc.var])
                 if acc.dyn:
                     refs.add(by_name[acc.dyn])

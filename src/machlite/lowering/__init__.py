@@ -8,7 +8,7 @@ emit_text     deterministic textual listings (see emit)
 from __future__ import annotations
 
 from ..irg import IRGraph, full_shape, node_placement, ordered_walk
-from ..memplan import MemPlan, lifespans
+from ..memplan import MemPlan, observables
 from .distribute import RespChunk, assign_sections, chunk_sizes, resp_words, split_even
 from .layout import COLOR_IDS, COLOR_NAMES, FabricLayout, build_layout
 from .masks import MaskEntry, MaskTable, mask_bit, region_members
@@ -49,9 +49,6 @@ def lower(g: IRGraph, plan: MemPlan, *, n_resp: int = 4,
         n_resp += 2             # reserve tiles join the flanks on demand
     layout = build_layout(nx, ny, n_resp)
 
-    spans = lifespans(g)
-    observables = sorted(mlid for mlid, ml in g.memlocs.items()
-                         if ml.kind != "temporary" and mlid in spans)
     symbols = []
     for mlid in sorted(plan.entries):
         ml = g.memlocs[mlid]
@@ -66,7 +63,7 @@ def lower(g: IRGraph, plan: MemPlan, *, n_resp: int = 4,
     prog = VMachineProgram(
         nx=nx, ny=ny, n_resp=n_resp, layout=layout, instrs=instrs,
         sections=sections, chunks=chunks, rpcs=rpcs, masks=masks,
-        symbols=symbols, inits=dict(g.inits), observables=observables,
+        symbols=symbols, inits=dict(g.inits), observables=observables(g),
         worker_words=plan.footprint["worker"],
         worker_node_ids=worker_nodes(g), loop_ids=loop_ids,
         task_table_size=task_table_size, resp_capacity=resp_capacity)

@@ -132,6 +132,14 @@ def lifespans(g: IRGraph) -> dict[int, tuple[int, int]]:
     return out
 
 
+def observables(g: IRGraph) -> list[int]:
+    """The memlocs a run reports, in id order: every variable (not an
+    expression temporary) that has a lifespan."""
+    spans = lifespans(g)
+    return [mlid for mlid, ml in sorted(g.memlocs.items())
+            if ml.kind != "temporary" and mlid in spans]
+
+
 def alignment_of(ml) -> int:
     if ml.var_kind is VarKind.LA:
         return BANK_WORDS

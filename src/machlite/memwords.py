@@ -1,7 +1,7 @@
 """Word semantics shared by the image builder, the reference interpreter and
 the simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
-16-bit ALU (`alu`) and compare ops (`CMPS`) both backends evaluate with,
-16-bit word codecs, and the data mapping of a logical array into word
+16-bit ALU (`alu`), compare ops (`CMPS`) and reduction fold (`fold_sum`)
+both backends evaluate with, 16-bit word codecs, and the data mapping of a logical array into word
 images.
 
 f32 values occupy two consecutive words, low word first.  All per-element
@@ -55,6 +55,18 @@ def alu(op: str, dt: DType, a, b=None):
         q = np.where(b == 0, np.int64(0),
                      np.trunc(a.astype(np.int64) / np.where(b == 0, 1, b)))
         return q.astype(np.int16)
+
+
+def fold_sum(vals, dt: DType):
+    """The reduction fold both backends share: f32 adds in order, rounding
+    to float32 at every step; i16 wraps."""
+    vals = np.asarray(vals, dtype=np_dtype(dt)).reshape(-1)
+    if dt is DType.F32:
+        acc = np.float32(0.0)
+        for v in vals:
+            acc = np.float32(acc + v)
+        return acc
+    return vals.astype(np.int64).sum().astype(np.int16)
 
 
 def encode_words(arr: np.ndarray, dtype: DType) -> np.ndarray:

@@ -30,9 +30,9 @@ from machlite.irg import (
     full_shape,
     ordered_walk,
 )
-from machlite.memplan import MemPlan, lifespans
+from machlite.memplan import MemPlan, observables
 from machlite.memwords import (
-    CMPS, alu, initial_array, load_words, np_dtype, store_words)
+    CMPS, alu, fold_sum, initial_array, load_words, np_dtype, store_words)
 
 
 @dataclass
@@ -262,21 +262,9 @@ class _Interp:
         region = self.region_of(n)
         (xs, xe, xst), (ys, ye, yst) = region
         arr = self.store.read(src.mlid)
-        if ml.dtype is DType.F32:
-            acc = np.float32(0.0)
-            for x in range(xs, xe, xst):
-                for y in range(ys, ye, yst):
-                    win = arr[(x, y) + self.mem_slices(src.access, ml, x, y)].reshape(-1)
-                    for v in win:
-                        acc = np.float32(acc + v)
-            result = acc
-        else:
-            total = 0
-            for x in range(xs, xe, xst):
-                for y in range(ys, ye, yst):
-                    win = arr[(x, y) + self.mem_slices(src.access, ml, x, y)].reshape(-1)
-                    total += int(win.astype(np.int64).sum())
-            result = np.int64(total).astype(np.int16)
+        result = fold_sum(np.concatenate([
+            arr[(x, y) + self.mem_slices(src.access, ml, x, y)].reshape(-1)
+            for x in range(xs, xe, xst) for y in range(ys, ye, yst)]), ml.dtype)
         dest = self.g.memlocs[n.result_index]
         if dest.placement == "controller":
             self.store.write(n.result_index, np.asarray(result))
@@ -402,10 +390,8 @@ def run(g: IRGraph, plan: MemPlan | None = None) -> RefResult:
     store = SymbolicStore(g) if plan is None else PlannedStore(g, plan)
     interp = _Interp(g, store)
     interp.run()
-    planned = lifespans(g)  # both modes report the same observable set
-    values = {mlid: np.asarray(store.read(mlid))
-              for mlid, ml in g.memlocs.items()
-              if ml.kind != "temporary" and mlid in planned}
+    # both modes report the same observable set
+    values = {mlid: np.asarray(store.read(mlid)) for mlid in observables(g)}
     return RefResult(values, interp.loop_trips, reduce_taint(g))
 
 

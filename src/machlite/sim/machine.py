@@ -82,7 +82,7 @@ class Machine:
         self.trace: list = []
         self.section_latencies: list = []
         self.pending_depart = None
-        self.rpc_occupancy: dict = {}
+        self.worker_busy: dict = {}     # (x, y) -> cycles spent on RPCs
         self._last_progress = 0
 
         h = self.cfg.hop_latency_cycles
@@ -131,8 +131,8 @@ class Machine:
         self.trace_event("section_broadcast", section=section, seq=seq)
         self.pending_depart = (seq, section, self.cycle)
 
-    def record_occ(self, wx: int, wy: int, rid: int, occ: int) -> None:
-        self.rpc_occupancy.setdefault((wx, wy, rid), []).append(occ)
+    def record_occ(self, wx: int, wy: int, occ: int) -> None:
+        self.worker_busy[wx, wy] = self.worker_busy.get((wx, wy), 0) + occ
 
     # --- router phase --------------------------------------------------------
 
@@ -332,9 +332,6 @@ class Machine:
                          tainted=set(tainted))
 
     def stats(self) -> dict:
-        busy = {}
-        for (wx, wy, rid), occs in self.rpc_occupancy.items():
-            busy[(wx, wy)] = busy.get((wx, wy), 0) + sum(occs)
         return {
             "cycles": self.cycle,
             "injected": {COLOR_NAMES[c]: n for c, n in self.injected.items() if n},
@@ -342,7 +339,7 @@ class Machine:
             "absorbed": {COLOR_NAMES[c]: n for c, n in self.absorbed.items() if n},
             "loop_trips": dict(self.loop_trips),
             "section_latencies": list(self.section_latencies),
-            "worker_busy": busy,
+            "worker_busy": dict(self.worker_busy),
             "reduction_stages": {
                 "column_partials": self.delivered[RED_COL],
                 "row_segments": self.delivered[RED_ROW],

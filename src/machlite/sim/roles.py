@@ -25,7 +25,7 @@ import numpy as np
 
 from ..diagnostics import SimFault
 from ..frontend.syntax import DType
-from ..memwords import CMPS, alu, decode_words, encode_words, np_dtype
+from ..memwords import CMPS, alu, decode_words, encode_words, fold_sum, np_dtype
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
@@ -557,7 +557,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         return self.dispatch(words)
 
     def retire(self) -> None:
-        self.m.record_occ(self.wx, self.wy, self.rd.rid, self.occ)
+        self.m.record_occ(self.wx, self.wy, self.occ)
         self.state = "ctrl"
 
     def dispatch(self, words: list) -> bool:
@@ -643,16 +643,7 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     def finish_reduce(self) -> None:
         vals = self.fetch(self.red_parsed, self.op_dt, self.red_n)
-        self.queue_partial(self._accumulate(vals, self.op_dt))
-
-    def _accumulate(self, vals, dt):
-        arr = np.atleast_1d(np.asarray(vals))
-        if dt is DType.F32:
-            acc = np.float32(0.0)
-            for v in arr:
-                acc = np.float32(acc + v)
-            return acc
-        return np.int64(int(arr.astype(np.int64).sum())).astype(np.int16)
+        self.queue_partial(fold_sum(vals, self.op_dt))
 
     def queue_partial(self, value) -> None:
         words = [int(w) for w in encode_words(np.asarray(value), self.op_dt)]
@@ -830,7 +821,7 @@ class ReduceCpu(FieldCpu):
         rd = self.rd
         if rd.kind == "reduce_send":
             self.dt = DType(rd.dtype)
-            self.acc = (np.float32(0.0) if self.dt is DType.F32 else 0)
+            self.acc = fold_sum((), self.dt)
             self.buf = []
             self.state = "col"
         return True
@@ -856,10 +847,7 @@ class ReduceCpu(FieldCpu):
 
     def add_value(self) -> None:
         v = decode_words(np.asarray(self.buf, dtype=np.uint16), self.dt, ())[()]
-        if self.dt is DType.F32:
-            self.acc = np.float32(self.acc + v)
-        else:
-            self.acc = (self.acc + int(v)) & 0xFFFF
+        self.acc = fold_sum((self.acc, v), self.dt)
         self.buf = []
 
     def collect(self, color, done) -> bool:
@@ -876,11 +864,7 @@ class ReduceCpu(FieldCpu):
 
     def emit(self, color, marker=None) -> None:
         """Send the accumulator on `color`, then `marker`."""
-        if self.dt is DType.F32:
-            val = np.asarray(self.acc)
-        else:
-            val = np.asarray(np.int64(self.acc).astype(np.int16))
-        self.stream_out(color, [int(w) for w in encode_words(val, self.dt)], marker)
+        self.stream_out(color, [int(w) for w in encode_words(self.acc, self.dt)], marker)
 
     def col_done(self) -> None:
         p = self.p

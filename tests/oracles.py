@@ -68,7 +68,7 @@ def names_in_stmt(s) -> set[str]:
                 out.add(acc.dyn)
         return out
     if isinstance(s, TReduce):
-        return {s.src.var, s.target}
+        return {s.src.var, s.dst.var}
     if isinstance(s, TShift):
         return {s.dst.var, s.src.var}
     if isinstance(s, TPut):

@@ -44,6 +44,9 @@ def test_shapeless_declaration_is_a_located_error(tmp_path, capsys, name):
 
 
 TWO_LA = "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\n"
+INDEX = TWO_LA + "la i[4,4,8] i16 = randint(0, 8)\n"
+WORKERS = "participates on ((0, 2, 1), (0, 4, 1)), statement region is ((0, 4, 1), (0, 4, 1))"
+SAME_WORKERS = "; slices must select the same workers"
 ANALYZER_RULES = {
     "take_index_read_before_write": (
         "la a[4,4,8] f32 = rand\nla i[4,4,8] i16\nout la d[4,4,8] f32\nd = take(a, i)\n",
@@ -60,6 +63,37 @@ ANALYZER_RULES = {
     "destination_count_mismatch": (
         TWO_LA + "la i[4,4,8] i16 = randint(0, 8)\na[:, :, 0:4] = take(b, i)\n",
         "4:1: error: element count mismatch: destination 4, expression 8"),
+    # the shared operand rules of the field forms
+    "region_reference": (
+        TWO_LA + "a = b[0:2, :, :]\n",
+        f"3:1: error: operand 'b' {WORKERS}{SAME_WORKERS}"),
+    "region_take": (
+        INDEX + "a = take(b, i[0:2, :, :])\n",
+        f"4:1: error: operand 'i' {WORKERS}{SAME_WORKERS}"),
+    "region_gather_mul": (
+        INDEX + "a = gather_mul(b, i, a[0:2, :, :])\n",
+        f"4:1: error: operand 'a' {WORKERS}{SAME_WORKERS}"),
+    "region_shift": (
+        TWO_LA + "shift(a, b[0:2, :, :], row, 1)\n",
+        f"3:1: error: operand 'b' {WORKERS}{SAME_WORKERS}"),
+    "region_put": (
+        INDEX + "put(a, i, b[0:2, :, :])\n",
+        f"4:1: error: operand 'b' {WORKERS}{SAME_WORKERS}"),
+    "operand_kind": (
+        TWO_LA + "gs s f32 = 1.0\nreduce(s, s)\n",
+        "4:1: error: reduce() operand 's' must be an la slice"),
+    "index_kind": (
+        TWO_LA + "a = take(b, a)\n",
+        "3:5: error: take() index 'a' must be an i16 la slice"),
+    "operand_dtypes": (
+        INDEX + "shift(a, i, col, -1)\n",
+        "4:1: error: shift() operand dtypes differ: 'a' is f32, 'i' is i16"),
+    "operand_dynamic_stop": (
+        INDEX + "ls n i16 = 4\nput(a, i, b[:, :, 0:n])\n",
+        "5:1: error: put() does not support dynamic stops: 'b' stops at 'n'"),
+    "operand_counts": (
+        INDEX + "a = gather_mul(b, i, a[:, :, 0:4])\n",
+        "4:5: error: gather_mul() element counts differ: 'i' has 8, 'a' has 4"),
 }
 
 

@@ -127,8 +127,7 @@ A[:, :, 0:n] = B[:, :, 0:n] * 2.0
     (mul,) = g.nodes
     assert mul.op_name == "mul"
     assert mul.attrs["dyn_len_arg"] == 2
-    assert mul.attrs["dyn_var"] == "n"
-    tail = mul.args[2]
+    tail = mul.args[mul.attrs["dyn_len_arg"]]
     assert isinstance(tail, irg.MemArg)
     assert g.memlocs[tail.mlid].name == "n"
     assert tail.klass == "pescalar"
@@ -191,7 +190,8 @@ reduce(A[:, :, 0:2], total)
     shift = g.nodes[1]
     assert shift.attrs["axis"] == "row" and shift.attrs["offset"] == 1
     red = g.nodes[2]
-    assert red.attrs["target_kind"] == "gs"
+    assert g.memlocs[red.result_index].name == "total"
+    assert g.memlocs[red.result_index].placement == "controller"
     assert red.attrs["region"] == ((0, 4, 1), (0, 4, 1))
     assert irg.node_placement(g, red) == "worker"
 
