@@ -238,7 +238,7 @@ def test_token_mutations_never_exit_2(tmp_path, capsys, seed):
 
 # sha256 over the exit code and stderr of `machlite compile` on the
 # mutations of seeds 0-3: every diagnostic, its order and its location
-MUTATION_DIAGNOSTICS_GOLDEN = "ed46567d7e9c213f0536d55ddc552595a5334519fa76a8b463a0d976eaccfa54"
+MUTATION_DIAGNOSTICS_GOLDEN = "7ce9c3a724ecd5cf46eb2c8d15135d4a275c634f02206ad431318f99f11dedad"
 
 
 def test_mutation_diagnostics_match_golden(tmp_path, capsys, monkeypatch):
