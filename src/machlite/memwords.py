@@ -1,8 +1,8 @@
 """Word semantics shared by the image builder, the reference interpreter and
 the simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
 16-bit ALU (`alu`), compare ops (`CMPS`) and reduction fold (`fold_sum`)
-both backends evaluate with, 16-bit word codecs, and the data mapping of a logical array into word
-images.
+both backends evaluate with, 16-bit word codecs, and the data mapping of a
+logical array into word images.
 
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.

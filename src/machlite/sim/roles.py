@@ -821,7 +821,7 @@ class ReduceCpu(FieldCpu):
         rd = self.rd
         if rd.kind == "reduce_send":
             self.dt = DType(rd.dtype)
-            self.acc = fold_sum((), self.dt)
+            self.acc = fold_sum((), self.dt)   # zero of the dtype
             self.buf = []
             self.state = "col"
         return True

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from machlite.frontend.syntax import DType
-from machlite.memwords import encode_words, initial_array, load_words, store_words
+from machlite.memwords import encode_words, fold_sum, initial_array, load_words, store_words
 
 NX, NY, WORDS = 3, 2, 64
 _rng = np.random.default_rng(5)
@@ -68,3 +68,12 @@ def test_scalar_initializer_spreads_to_every_worker():
     assert (got == 2.5).all()
     got[0, 0] = 0.0                 # a writable array, not a broadcast view
     assert got[1, 1] == 2.5
+
+
+def test_reduction_fold_is_sequential_float32_and_wrapping_i16():
+    # in order and in float32, 1e8 + 1 rounds back to 1e8, so the sum is 0
+    f = fold_sum(np.array([1e8, 1.0, -1e8], dtype=np.float32), DType.F32)
+    assert f.dtype == np.float32 and f == 0.0
+    i = fold_sum(np.array([30000, 30000], dtype=np.int16), DType.I16)
+    assert i.dtype == np.int16 and i == -5536
+    assert fold_sum((), DType.F32) == 0.0 and fold_sum((), DType.I16) == 0
