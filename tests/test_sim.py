@@ -323,6 +323,54 @@ def test_live_sets_track_the_fabric_every_cycle(name, variant):
     assert m.cycle == RUN_GOLDEN[name, variant][0]
 
 
+class CountingMachine(Machine):
+    """Counts what the benchmark tracer counts: `try_move` calls and the
+    moves among them, and per role the processor ticks and the ticks that
+    made progress."""
+
+    def __init__(self, vm, cfg):
+        super().__init__(vm, cfg)
+        self.counts = {"try_move": 0, "moves": 0}
+        for cpu in self.cpus:
+            self.counts.setdefault(cpu.role, [0, 0])
+            cpu.tick = self.counted(cpu.tick, self.counts[cpu.role])
+
+    @staticmethod
+    def counted(tick, n):
+        def counted_tick():
+            progress = tick()
+            n[0] += 1
+            n[1] += bool(progress)
+            return progress
+        return counted_tick
+
+    def try_move(self, r, color, port, used):
+        ok = super().try_move(r, color, port, used)
+        self.counts["try_move"] += 1
+        self.counts["moves"] += ok
+        return ok
+
+
+# program -> try_move calls, moves and per role [ticks, useful ticks] of a
+# default-config run; a simulator change that keeps the schedule keeps them
+SCHEDULE_GOLDEN = {
+    "listing1": {"try_move": 20825, "moves": 17663, "exec": [150, 139],
+                 "merge": [175, 174], "resp": [339, 280], "worker": [16252, 12550],
+                 "reduce": [3349, 2661]},
+    "stencil": {"try_move": 10501, "moves": 10020, "exec": [8, 7],
+                "merge": [83, 82], "resp": [104, 90], "worker": [6886, 6236],
+                "reduce": [948, 900]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_GOLDEN))
+def test_schedule_counts_match_golden(name):
+    path = next(p for p in PROGRAMS if p.stem == name)
+    m = CountingMachine(program(path).vm, SimConfig(trace=False))
+    m.run()
+    assert m.counts == SCHEDULE_GOLDEN[name]
+
+
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
 def test_finished_machine_is_freed_without_the_cycle_collector(path):
     b = program(path)
