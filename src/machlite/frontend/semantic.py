@@ -812,6 +812,10 @@ class Analyzer:
                 return None
             (src,) = ops
             self.note_read(src.var, s.loc)
+            if s.target in self.loop_vars:
+                self.sink.error(f"reduce() target '{s.target}' is a loop variable, "
+                                "not a uls or gs variable", s.loc)
+                return None
             info = self.lookup(s.target, s.loc)
             if info is None:
                 return None
@@ -837,6 +841,10 @@ class Analyzer:
                 return None
             if (t.dst.kind is VarKind.LA) != (t.src.kind is VarKind.LA):
                 self.sink.error("shift operands must both be la or both ls", s.loc)
+                return None
+            if t.dst.kind is VarKind.ULS:
+                self.sink.error(f"shift() destination '{t.dst.var}' is a uls, which "
+                                "must hold one value on every worker", s.loc)
                 return None
             self.note_read(t.src.var, s.loc)
             self.first_write_ok(t.dst.var, None)

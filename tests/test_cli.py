@@ -103,14 +103,9 @@ ANALYZER_RULES = {
         "3:1: error: shift() destination 's' is a uls, which must hold one value "
         "on every worker"),
 }
-# accepted today: the reduce is dropped, and the shifted uls differs
-# across workers
-ANALYZER_XFAIL = {"reduce_into_loop_variable", "shift_into_uls"}
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(n, marks=[pytest.mark.xfail(strict=True)] if n in ANALYZER_XFAIL else [])
-    for n in sorted(ANALYZER_RULES)])
+@pytest.mark.parametrize("name", sorted(ANALYZER_RULES))
 def test_analyzer_rule_is_a_located_error(tmp_path, capsys, name):
     text, diag = ANALYZER_RULES[name]
     code, err = cli_exit(tmp_path, capsys, text, "compile", "--grid", "4x4")
