@@ -12,7 +12,12 @@ tile order, the routers that held a wavelet in an input FIFO when it began;
 a wavelet landing during the phase cannot move before the next cycle, so
 its router joins the set for then.  A router serves its input channels in
 a fixed (color, port) order and resolves where an input port of a color
-goes once per ring state, on first use.
+goes once per ring state, on first use, as a bitmask of output ports and
+the queues behind them.  Wavelets are ints (see `router`): an input FIFO
+holds (wavelet, ready cycle) pairs and a delivery queue bare wavelets.
+Each nonempty channel costs one call of `try_move`, which stays a method
+rather than being inlined into the phase loop because the benchmark
+tracer counts its calls.
 
 The processor phase ticks, in processor order, the live processors.  A
 tick that makes no progress changes nothing, and it reads only the
@@ -45,7 +50,7 @@ from ..memwords import load_words
 from ..refinterp import RefResult
 from .config import SimConfig
 from .roles import ExecCpu, MergeCpu, ReduceCpu, RespCpu, WorkerCpu
-from .router import ADVANCE, DELTA, OPPOSITE, RESET, Router
+from .router import ADVANCE, DELTA, OPPOSITE, PORT_BIT, RESET, Router, describe
 
 
 class DeadlockError(RuntimeError):
@@ -59,6 +64,8 @@ class Machine:
         self.vm = vm
         self.cfg = cfg or SimConfig()
         self.cfg.validate()
+        self.fifo_depth = self.cfg.fifo_depth
+        self.hop_latency = self.cfg.hop_latency_cycles
         lay = vm.layout
         self.layout = lay
         self.cycle = 0
@@ -84,6 +91,14 @@ class Machine:
         self.pending_depart = None
         self.worker_busy: dict = {}     # (x, y) -> cycles spent on RPCs
         self._last_progress = 0
+        # wavelets in all FIFOs and delivery queues; tile indices of the
+        # routers with a nonempty input FIFO; indices into cpus of the
+        # processors to tick, and of the blocked ones (asleep with work
+        # left); (cycle, index into cpus) of the pending timers
+        self.in_flight = 0
+        self.live_routers: set[int] = set()
+        self.blocked: set[int] = set()
+        self.timers: list[tuple[int, int]] = []
 
         h = self.cfg.hop_latency_cycles
         pad = self.cfg.control_path_latency - (3 * h + 3)
@@ -109,15 +124,7 @@ class Machine:
             else:
                 continue
             self.cpus.append(cpu)
-        # wavelets in all FIFOs and delivery queues; tile indices of the
-        # routers with a nonempty input FIFO; indices into cpus of the
-        # processors to tick, and of the blocked ones (asleep with work
-        # left); (cycle, index into cpus) of the pending timers
-        self.in_flight = 0
-        self.live_routers: set[int] = set()
         self.live_cpus = set(range(len(self.cpus)))
-        self.blocked: set[int] = set()
-        self.timers: list[tuple[int, int]] = []
         for i, cpu in enumerate(self.cpus):
             cpu.router.cpu = i
 
@@ -140,90 +147,101 @@ class Machine:
         moved = False
         live = self.live_routers
         try_move = self.try_move
+        tiles = self.tiles
         for i in sorted(live):
-            r = self.tiles[i]
+            r = tiles[i]
             used: dict = {}
             busy = False
             for color, port, q in r.chans:
                 if q:
                     if try_move(r, color, port, used):
                         moved = True
-                    busy = busy or bool(q)
+                    if q:
+                        busy = True
             if not busy:
                 live.discard(i)
         return moved
 
     def try_move(self, r: Router, color: int, port: str, used: dict) -> bool:
-        q = r.fifos[(color, port)]
+        """Move the head wavelet of input channel (color, port) of `r`, if it
+        is ready, routed and every destination has room; `used` maps each
+        color to the output ports this router has already moved it to this
+        cycle, as a PORT_BIT mask.  It stays a method, called once per
+        nonempty channel, because the benchmark tracer counts its calls."""
+        key = (color, port)
+        q = r.fifos[key]
         w, ready = q[0]
-        if ready > self.cycle:
+        cycle = self.cycle
+        if ready > cycle:
             return False
-        if w.kind == ADVANCE:
+        if w == ADVANCE:
             q.popleft()
             r.step_ring(color)
             self.absorbed[color] += 1
             self.in_flight -= 1
             self.wake_blocked(r.cpu)
             return True
-        key = (color, r.ring_idx.get(color, 0), port)
         route = r.routes.get(key)
         if route is None:
             route = r.routes[key] = self.resolve(r, color, port)
-        outs, targets = route
-        if outs is None:
+        mask, targets = route
+        if mask is None:
             return False
-        u = used.get(color)
-        if u is None:
-            u = used[color] = set()
-        elif not u.isdisjoint(outs):
+        u = used.get(color, 0)
+        if u & mask:
             return False
-        depth = self.cfg.fifo_depth
+        depth = self.fifo_depth
         for dq, _nb in targets:
             if len(dq) >= depth:
                 return False
         q.popleft()
-        u.update(outs)
-        self.in_flight += len(targets) - 1
-        rdy = self.cycle + self.cfg.hop_latency_cycles
+        used[color] = u | mask
+        if len(targets) > 1:
+            self.in_flight += len(targets) - 1
+        rdy = cycle + self.hop_latency
+        cpu = r.cpu
         for dq, nb in targets:
             if nb is None:
                 dq.append(w)
-                if r.cpu is not None:
-                    self.live_cpus.add(r.cpu)
-                    self.blocked.discard(r.cpu)
+                if cpu is not None:
+                    self.live_cpus.add(cpu)
+                    self.blocked.discard(cpu)
             else:
                 dq.append((w, rdy))
                 self.live_routers.add(nb)
         if port == "C":
-            self.wake_blocked(r.cpu)
-        elif w.kind == RESET:
+            if cpu in self.blocked:
+                self.wake_blocked(cpu)
+            if (self.pending_depart is not None and color == ARGS_BCAST
+                    and (r.x, r.y) == self.layout.merge_xy):
+                seq, sec, g = self.pending_depart
+                self.section_latencies.append((seq, sec, cycle - g))
+                self.trace_event("args_depart_merge", seq=seq, section=sec,
+                                 latency=cycle - g)
+                self.pending_depart = None
+        elif w == RESET:
             r.step_ring(color)
-        if (self.pending_depart is not None and color == ARGS_BCAST
-                and port == "C" and (r.x, r.y) == self.layout.merge_xy):
-            seq, sec, g = self.pending_depart
-            self.section_latencies.append((seq, sec, self.cycle - g))
-            self.trace_event("args_depart_merge", seq=seq, section=sec,
-                            latency=self.cycle - g)
-            self.pending_depart = None
         return True
 
     def resolve(self, r: Router, color: int, port: str) -> tuple:
-        """(outs, targets) of input `port` in the current ring state of
+        """(port mask, targets) of input `port` in the current ring state of
         `color`, or (None, ()) when that state does not route it.  A target
         is (queue, neighbour tile index), with None for the delivery queue."""
         ring = r.rings.get(color)
         outs = dict(ring[r.ring_idx[color]]).get(port) if ring else None
         if outs is None:
             return None, ()
+        mask = 0
         targets = []
         for o in outs:
+            mask |= PORT_BIT[o]
             if o == "C":
                 targets.append((r.delivery(color), None))
             else:
                 nb = self.links[o][r.index]
                 assert nb is not None, (r.x, r.y, COLOR_NAMES.get(color), o)
                 targets.append((nb.fifo(color, OPPOSITE[o]), nb.index))
-        return outs, targets
+        return mask, tuple(targets)
 
     def wake_blocked(self, cpu: int | None) -> None:
         """A wavelet left the C input FIFO of the tile of processor `cpu`,
@@ -246,15 +264,16 @@ class Machine:
             i = heapq.heappop(timers)[1]
             live.add(i)
             self.blocked.discard(i)
+        cpus = self.cpus
         for i in sorted(live):
-            cpu = self.cpus[i]
+            cpu = cpus[i]
             if cpu.tick():
                 prog = True
-                if cpu.idle and not any(cpu.router.outbox.values()):
+                if cpu.idle and not any(cpu.outbox.values()):
                     live.discard(i)
             else:
                 live.discard(i)
-                if not cpu.idle or any(cpu.router.outbox.values()):
+                if not cpu.idle or any(cpu.outbox.values()):
                     self.blocked.add(i)
         return prog
 
@@ -309,12 +328,12 @@ class Machine:
                     w, ready = q[0]
                     lines.append(
                         f"  {xy} {COLOR_NAMES.get(c, c)} in={p} depth={len(q)} "
-                        f"head={w.kind}/{w.word} ready={ready} "
+                        f"head={describe(w)} ready={ready} "
                         f"ring={r.ring_idx.get(c, 0)}")
             for c, q in sorted(r.outbox.items()):
                 if q:
                     lines.append(f"  {xy} {COLOR_NAMES.get(c, c)} delivery "
-                                 f"depth={len(q)} head={q[0].kind}")
+                                 f"depth={len(q)} head={describe(q[0])}")
         for cpu in self.cpus:
             if not cpu.idle:
                 lines.append(f"  {cpu.xy} {cpu.role} state={cpu.state}")

@@ -30,7 +30,7 @@ from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
 from ..lowering.rpc import MASKED_KINDS
-from .router import DATA, RESET, Wavelet, advance, data, reset
+from .router import ADVANCE, RESET, data
 
 # shift ring state per (dx, dy): E, S, W, N
 SHIFT_STATE = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
@@ -42,6 +42,9 @@ def _i16(word: int) -> int:
 
 class Cpu:
     role = "?"
+    # slots keep a worker's instance dict, which its RPC state fills, small
+    __slots__ = ("m", "xy", "router", "until", "then", "cfifo", "outbox", "depth",
+                 "injected", "delivered", "live_routers", "tile")
 
     def __init__(self, m, xy):
         # the machine owns its processors; a strong back-reference would
@@ -52,27 +55,36 @@ class Cpu:
         self.router = m.routers[xy]
         self.until = 0          # the cycle a wait started by sleep ends
         self.then = ""          # the state that follows the wait
+        # what push and pop touch, held here rather than read through the
+        # proxy; none of it refers back to the processor
+        self.cfifo: dict = {}   # color -> this tile's C input FIFO
+        self.outbox = self.router.outbox
+        self.depth = m.fifo_depth
+        self.injected = m.injected
+        self.delivered = m.delivered
+        self.live_routers = m.live_routers
+        self.tile = self.router.index
 
-    def push(self, color: int, w: Wavelet) -> bool:
-        m = self.m
-        q = self.router.fifo(color, "C")
-        if len(q) >= m.cfg.fifo_depth:
+    def push(self, color: int, w: int) -> bool:
+        q = self.cfifo.get(color)
+        if q is None:
+            q = self.cfifo[color] = self.router.fifo(color, "C")
+        if len(q) >= self.depth:
             return False
+        m = self.m
         q.append((w, m.cycle + 1))
-        m.injected[color] += 1
+        self.injected[color] += 1
         m.in_flight += 1
-        m.live_routers.add(self.router.index)
+        self.live_routers.add(self.tile)
         return True
 
-    def pop(self, color: int):
-        m = self.m
-        q = self.router.outbox.get(color)
+    def pop(self, color: int) -> int | None:
+        q = self.outbox.get(color)
         if not q:
             return None
-        w = q.popleft()
-        m.delivered[color] += 1
-        m.in_flight -= 1
-        return w
+        self.delivered[color] += 1
+        self.m.in_flight -= 1
+        return q.popleft()
 
     def sleep(self, n: int, then: str) -> None:
         """Wait n cycles, then run state `then`; a timer wakes the
@@ -172,7 +184,7 @@ class ExecCpu(MemCpu):
 
     def ack(self) -> bool:
         if self.acks >= self.bcast_seq:
-            if self.push(WAKE, reset()):
+            if self.push(WAKE, RESET):
                 self.m.note_broadcast(self.go_section, self.bcast_seq)
                 self.bcast_seq += 1
                 self.state = "run"
@@ -187,7 +199,7 @@ class ExecCpu(MemCpu):
         w = self.pop(RED_CTRL)
         if w is None:
             return False
-        self.recv_buf.append(w.word)
+        self.recv_buf.append(w)
         if len(self.recv_buf) == self.recv_dt.words:
             self.write_words(self.recv_addr, self.recv_buf)
             self.state = "run"
@@ -282,20 +294,17 @@ class MergeCpu(Cpu):
         if self.pop(WAKE) is not None:     # discard our copy of the wake stream
             prog = True
         for color in (CTRL_DRAIN, ARGS_DRAIN):
-            q = self.router.outbox.get(color)
+            q = self.outbox.get(color)
             if not q:
                 continue
             w = q[0]
             side = "left" if self.chunks_done[color] % 2 == 0 else "right"
-            if w.kind == DATA:
-                out = self.RECOLOR[color]
-                egress = self.router.fifo(out, "C")
-                if len(egress) >= m.cfg.fifo_depth:
+            if w < ADVANCE:
+                if not self.push(self.RECOLOR[color], w):
                     continue               # field backpressure
                 self.pop(color)
-                self.push(out, data(w.word))
                 m.trace_event("merge_word", seq=self.seq, color=color,
-                              side=side, word=w.word)
+                              side=side, word=w)
                 prog = True
             else:                          # chunk-end marker
                 self.pop(color)
@@ -345,7 +354,7 @@ class RespCpu(Cpu):
         w = self.pop(WAKE)
         if w is None:
             return False
-        self.section = w.word
+        self.section = w
         self.state = "count"
         return True
 
@@ -353,7 +362,7 @@ class RespCpu(Cpu):
         w = self.pop(WAKE)
         if w is None:
             return False
-        self.n, self.j = w.word, 0
+        self.n, self.j = w, 0
         self.args_scratch = list(self.chunks[self.section].args)
         self.state = "patch" if self.n else "go"
         return True
@@ -364,7 +373,7 @@ class RespCpu(Cpu):
             return False
         local = self.chunks[self.section].patch[self.j]
         if local is not None:
-            self.args_scratch[local] = w.word
+            self.args_scratch[local] = w
             self.m.trace_event("splice_patch", position=self.pos,
                                section=self.section, index=self.j)
         self.j += 1
@@ -376,7 +385,7 @@ class RespCpu(Cpu):
         w = self.pop(WAKE)
         if w is None:
             return False
-        assert w.kind == RESET, "go marker expected"
+        assert w == RESET, "go marker expected"
         ch = self.chunks[self.section]
         self.ctrl_stream = self._stream(ch.ctrl)
         self.args_stream = self._stream(self.args_scratch)
@@ -389,9 +398,9 @@ class RespCpu(Cpu):
 
     def _stream(self, words) -> deque:
         out = deque(data(v) for v in words)
-        out.append(reset())
+        out.append(RESET)
         if not self.last:
-            out.append(advance())
+            out.append(ADVANCE)
         return out
 
     def drain(self) -> bool:
@@ -434,13 +443,13 @@ class FieldCpu(Cpu):
         if len(self.task_q) + busy < self.table:
             w = self.pop(CTRL_BCAST)
             if w is not None:
-                self.task_q.append(w.word)
-                self.queued_arity += self.defs[w.word].arity
+                self.task_q.append(w)
+                self.queued_arity += self.defs[w].arity
                 prog = True
         if len(self.arg_q) < self.queued_arity:
             w = self.pop(ARGS_BCAST)
             if w is not None:
-                self.arg_q.append(w.word)
+                self.arg_q.append(w)
                 prog = True
         return prog
 
@@ -458,16 +467,21 @@ class FieldCpu(Cpu):
         return [self.arg_q.popleft() for _ in range(rd.arity)]
 
     def tick(self) -> bool:
-        fed = self.ingest()
-        return getattr(self, self.state)() or fed
+        ob = self.outbox
+        # ingest only takes words already delivered
+        if ob.get(CTRL_BCAST) or ob.get(ARGS_BCAST):
+            fed = self.ingest()
+            return getattr(self, self.state)() or fed
+        return getattr(self, self.state)()
 
     def retire(self) -> None:
         self.state = "ctrl"
 
     def stream_out(self, color: int, words, marker=None) -> None:
-        """Enter state `send` with `words`, then `marker`, to push on `color`."""
+        """Enter state `send` with the 16-bit `words`, then `marker`, to push
+        on `color`."""
         self.push_color = color
-        self.stream = deque(data(w) for w in words)
+        self.stream = deque(words)
         if marker is not None:
             self.stream.append(marker)
         self.state = "send"
@@ -647,13 +661,13 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     def queue_partial(self, value) -> None:
         words = [int(w) for w in encode_words(np.asarray(value), self.op_dt)]
-        self.stream_out(RED_COL, words, reset() if self.col_end else advance())
+        self.stream_out(RED_COL, words, RESET if self.col_end else ADVANCE)
 
     def red_recv(self) -> bool:
         w = self.pop(RED_BCAST)
         if w is None:
             return False
-        self.buf.append(w.word)
+        self.buf.append(w)
         if len(self.buf) == self.op_dt.words:
             self.write_words(self.dst_addr, self.buf)
             self.retire()
@@ -671,7 +685,7 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     def index_out(self) -> bool:
         """Send index g_k round the loopback channel."""
-        if not self.push(LOOPBACK, data(self.idx_vals[self.g_k] & 0xFFFF)):
+        if not self.push(LOOPBACK, data(self.idx_vals[self.g_k])):
             return False
         self.occ += 1
         self.state = "index_back"
@@ -683,7 +697,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         if w is None:
             return False
         self.occ += 1
-        getattr(self, self.g_move)(_i16(w.word), self.g_k)
+        getattr(self, self.g_move)(_i16(w), self.g_k)
         self.g_k += 1
         if self.g_k == self.n:
             self.retire()
@@ -767,7 +781,7 @@ class WorkerCpu(FieldCpu, MemCpu):
     def shift_adv(self) -> bool:
         prog = False
         for color in list(self.sh_adv):
-            if self.push(color, advance()):
+            if self.push(color, ADVANCE):
                 self.sh_adv[color] -= 1
                 if not self.sh_adv[color]:
                     del self.sh_adv[color]
@@ -780,21 +794,21 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     def shift_xfer(self) -> bool:
         prog = False
-        if self.sh_si < len(self.sh_snd):
-            if self.push(self.send_color, data(self.sh_snd[self.sh_si])):
-                self.sh_si += 1
-                prog = True
-        if len(self.sh_rcv) < self.sh_need:
+        snd, si, rcv = self.sh_snd, self.sh_si, self.sh_rcv
+        if si < len(snd) and self.push(self.send_color, snd[si]):
+            si = self.sh_si = si + 1
+            prog = True
+        if len(rcv) < self.sh_need:
             w = self.pop(self.recv_color)
             if w is not None:
-                self.sh_rcv.append(w.word)
+                rcv.append(w)
                 prog = True
         if prog:
             self.occ += 1
-        if self.sh_si == len(self.sh_snd) and len(self.sh_rcv) == self.sh_need:
+        if si == len(snd) and len(rcv) == self.sh_need:
             if self.sh_receiving:
                 self.image[self.word_index(self.sh_dst, self.op_dt)] = \
-                    np.asarray(self.sh_rcv, dtype=np.uint16)
+                    np.asarray(rcv, dtype=np.uint16)
             self.retire()
             return True
         return prog
@@ -836,7 +850,7 @@ class ReduceCpu(FieldCpu):
         w = self.pop(RED_UP_E)
         if w is None:
             return False
-        self.buf.append(w.word)
+        self.buf.append(w)
         if len(self.buf) == self.dt.words:
             self.add_value()
             self.state = "fin_s"
@@ -854,10 +868,10 @@ class ReduceCpu(FieldCpu):
         w = self.pop(color)
         if w is None:
             return False
-        if w.kind == RESET:
+        if w == RESET:
             done()
             return True
-        self.buf.append(w.word)
+        self.buf.append(w)
         if len(self.buf) == self.dt.words:
             self.add_value()
         return True
@@ -869,7 +883,7 @@ class ReduceCpu(FieldCpu):
     def col_done(self) -> None:
         p = self.p
         if p["seg"] in ("left", "right"):
-            self.emit(RED_ROW, reset() if p["seg_end"] else advance())
+            self.emit(RED_ROW, RESET if p["seg_end"] else ADVANCE)
         elif p["seg_feed"]:
             self.state = "seg"
         else:
@@ -880,9 +894,9 @@ class ReduceCpu(FieldCpu):
         if corner == "ur":
             self.emit(RED_UP_E)
         elif corner == "ll":
-            self.emit(RED_UP_S, advance())
+            self.emit(RED_UP_S, ADVANCE)
         elif corner == "lr":
-            self.emit(RED_UP_S, reset())
+            self.emit(RED_UP_S, RESET)
         else:                              # final: fold in the other corners
             self.buf = []
             self.state = "fin_e"

@@ -11,6 +11,11 @@ sets.  Control wavelets steer the rings in-band:
            traverses through a fabric port; delivered to a processor it acts
            as an end-of-stream marker
 
+A wavelet is a plain int: a data wavelet is its 16-bit word, and `ADVANCE`
+and `RESET` are the two values above 0xFFFF, so `w < ADVANCE` tells data
+from control and no object is made per word.  `describe` names one for
+reports.
+
 A router moves at most one wavelet per (color, input port) per cycle.  A move
 requires every destination queue to have room; multicast is all-or-nothing.
 Input channels are served, and output ports arbitrated, in color order and
@@ -19,33 +24,28 @@ then C, L, R, U, D port order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 PORTS = ("C", "L", "R", "U", "D")
+PORT_BIT = {p: 1 << i for i, p in enumerate(PORTS)}
 OPPOSITE = {"L": "R", "R": "L", "U": "D", "D": "U"}
 DELTA = {"L": (-1, 0), "R": (1, 0), "U": (0, -1), "D": (0, 1)}
 
-DATA = "data"
-ADVANCE = "advance"
-RESET = "reset"
+ADVANCE = 0x10000
+RESET = 0x10001
 
 
-@dataclass(slots=True)
-class Wavelet:
-    kind: str
-    word: int = 0
+def data(word: int) -> int:
+    """The data wavelet carrying the low 16 bits of `word`."""
+    return int(word) & 0xFFFF
 
 
-def data(word: int) -> Wavelet:
-    return Wavelet(DATA, int(word) & 0xFFFF)
-
-
-def advance() -> Wavelet:
-    return Wavelet(ADVANCE)
-
-
-def reset() -> Wavelet:
-    return Wavelet(RESET)
+def describe(w: int) -> str:
+    """`kind/word` of wavelet `w`: `data/7`, `advance/0` or `reset/0`."""
+    if w == ADVANCE:
+        return "advance/0"
+    if w == RESET:
+        return "reset/0"
+    return f"data/{w}"
 
 
 class Router:
@@ -61,8 +61,10 @@ class Router:
         self.fifos: dict[tuple, deque] = {}
         # (color, port, fifo) of every input channel, in service order
         self.chans: list[tuple] = []
-        # (color, ring index, input port) -> (outs, targets) or (None, ());
-        # filled by the machine on first use, see Machine.resolve
+        # (color, input port) -> (port mask, targets) of the current ring
+        # state, or (None, ()) when it does not route the port; filled by
+        # the machine on first use (see Machine.resolve), dropped for a
+        # color when its ring steps
         self.routes: dict[tuple, tuple] = {}
         self.outbox: dict[int, deque] = {}
 
@@ -84,6 +86,9 @@ class Router:
         ring = self.rings.get(color)
         if ring:
             self.ring_idx[color] = (self.ring_idx[color] + 1) % len(ring)
+            routes = self.routes
+            for p in PORTS:
+                routes.pop((color, p), None)
 
     def busy_channels(self):
         """Nonempty input channels in deterministic service order."""

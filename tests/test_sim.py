@@ -28,7 +28,7 @@ from machlite.irg import ordered_walk
 from machlite.lowering.emit import emit_text
 from machlite.pipeline import check, compile_source, run_reference
 from machlite.refinterp import diff_results
-from machlite.sim import Machine, SimConfig
+from machlite.sim import ADVANCE, RESET, Machine, SimConfig, data, describe
 from machlite.sim.machine import DeadlockError
 from machlite.sim.roles import WorkerCpu
 
@@ -396,6 +396,18 @@ def test_stuck_worker_deadlocks():
     with pytest.raises(DeadlockError) as err:
         m.run()
     assert f"{cpu.xy} worker state=ctrl" in err.value.report
+
+
+def test_wavelets_are_ints_with_the_control_kinds_above_every_word():
+    assert (data(0x12345), data(-1)) == (0x2345, 0xFFFF)
+    words = {data(w) for w in range(0x10000)}
+    assert len(words) == 0x10000 and max(words) < ADVANCE
+    assert len(words | {ADVANCE, RESET}) == 0x10002
+
+
+def test_describe_names_the_kind_and_the_word():
+    assert [describe(w) for w in (data(0), data(0xFFFF), ADVANCE, RESET)] == [
+        "data/0", "data/65535", "advance/0", "reset/0"]
 
 
 def test_trace_is_off_by_default():
