@@ -15,9 +15,6 @@ a fixed (color, port) order and resolves where an input port of a color
 goes once per ring state, on first use, as a bitmask of output ports and
 the queues behind them.  Wavelets are ints (see `router`): an input FIFO
 holds (wavelet, ready cycle) pairs and a delivery queue bare wavelets.
-Each nonempty channel costs one call of `try_move`, which stays a method
-rather than being inlined into the phase loop because the benchmark
-tracer counts its calls.
 
 The processor phase ticks, in processor order, the live processors.  A
 tick that makes no progress changes nothing, and it reads only the
@@ -167,7 +164,8 @@ class Machine:
         is ready, routed and every destination has room; `used` maps each
         color to the output ports this router has already moved it to this
         cycle, as a PORT_BIT mask.  It stays a method, called once per
-        nonempty channel, because the benchmark tracer counts its calls."""
+        nonempty channel rather than inlined into the phase loop, because
+        the benchmark tracer counts its calls."""
         key = (color, port)
         q = r.fifos[key]
         w, ready = q[0]
