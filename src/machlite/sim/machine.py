@@ -194,8 +194,7 @@ class Machine:
                 return False
         q.popleft()
         used[color] = u | mask
-        if len(targets) > 1:
-            self.in_flight += len(targets) - 1
+        self.in_flight += len(targets) - 1
         rdy = cycle + self.hop_latency
         cpu = r.cpu
         for dq, nb in targets:

@@ -468,7 +468,7 @@ class FieldCpu(Cpu):
 
     def tick(self) -> bool:
         ob = self.outbox
-        # ingest only takes words already delivered
+        # ingest takes words from these two delivery queues only
         if ob.get(CTRL_BCAST) or ob.get(ARGS_BCAST):
             fed = self.ingest()
             return getattr(self, self.state)() or fed
