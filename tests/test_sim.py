@@ -6,8 +6,10 @@ goldens pin the default-config cycle count and the sha256 of the
 `machlite compile --emit asm` listing, and per-run goldens pin the cycle
 count, `stats()` and the output arrays under the default config and every
 variant, so a change that claims to leave behaviour alone can show that
-it did.  A stall oracle reruns the programs with processor ticks withheld
-at random, which may change cycles but must not change outputs.
+it did.  A schedule golden pins, for two programs, what the benchmark
+tracer counts: `try_move` calls, moves and per-role ticks.  A stall oracle
+reruns the programs with processor ticks withheld at random, which may
+change cycles but must not change outputs.
 
 The long campaign (fuzz seeds 0-299 under every variant, each variant's
 cycles, `stats()` and outputs pinned by one sha256) is marked `slow` and
