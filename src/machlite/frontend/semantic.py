@@ -826,7 +826,7 @@ class Analyzer:
             if d.dtype is not src.dtype:
                 self.sink.error("reduce() target dtype differs from the source", s.loc)
                 return None
-            self.first_write_ok(d.name, None)
+            info.written = True  # a reduce writes its whole target
             return TReduce(Access(d.name, d.kind, d.dtype), src, s.loc)
         if isinstance(s, Shift):
             ops = self.resolve_operands(s.dst, s.src)

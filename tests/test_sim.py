@@ -255,14 +255,9 @@ FORMS = {
         "la b[4,4,8] f32 = rand\nuls u f32\nla c[4,4,8] f32 = rand\n"
         "reduce(b, u)\nc *= u\n"),
 }
-REJECTED_FORMS = {"reduce_into_uninitialized_gs", "reduce_into_uninitialized_uls"}
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=(
-        "a reduce writes its whole target, yet the analyzer asks an "
-        "uninitialized target for an initializer")))
-    if n in REJECTED_FORMS else n for n in sorted(FORMS)])
+@pytest.mark.parametrize("name", sorted(FORMS))
 def test_dsl_form_agrees(name):
     assert check(compile_source(FORMS[name]), SimConfig(trace=False)) == []
 
