@@ -349,6 +349,14 @@ def test_live_sets_track_the_fabric_every_cycle(name, variant):
     assert m.cycle == RUN_GOLDEN[name, variant][0]
 
 
+def wrap_tick(cpu, wrapper) -> None:
+    """Set `cpu.tick` to `wrapper(tick)`, where `tick` runs the class's
+    tick on `cpu` through a weak reference: a wrapper that held the bound
+    `cpu.tick` would be a reference cycle through the processor."""
+    ref, tick = weakref.ref(cpu), type(cpu).tick
+    cpu.tick = wrapper(lambda: tick(ref()))
+
+
 class CountingMachine(Machine):
     """Counts what the benchmark tracer counts: `try_move` calls and the
     moves among them, and per role the processor ticks and the ticks that
@@ -358,8 +366,8 @@ class CountingMachine(Machine):
         super().__init__(vm, cfg)
         self.counts = {"try_move": 0, "moves": 0}
         for cpu in self.cpus:
-            self.counts.setdefault(cpu.role, [0, 0])
-            cpu.tick = self.counted(cpu.tick, self.counts[cpu.role])
+            n = self.counts.setdefault(cpu.role, [0, 0])
+            wrap_tick(cpu, lambda tick: self.counted(tick, n))
 
     @staticmethod
     def counted(tick, n):
@@ -397,18 +405,32 @@ def test_schedule_counts_match_golden(name):
     assert m.counts == SCHEDULE_GOLDEN[name]
 
 
-@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
-def test_finished_machine_is_freed_without_the_cycle_collector(path):
-    b = program(path)
+def assert_freed_without_the_cycle_collector(make) -> None:
+    """The machine `make()` builds, run to the end and dropped, frees
+    itself, its routers and its processors with the cycle collector off."""
     gc.disable()
     try:
-        m = Machine(b.vm, SimConfig(trace=False))
+        m = make()
         m.run()
         refs = [weakref.ref(o) for o in [m, *m.tiles, *m.cpus]]
         del m
         assert [r for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_finished_machine_is_freed_without_the_cycle_collector(path):
+    vm = program(path).vm
+    assert_freed_without_the_cycle_collector(
+        lambda: Machine(vm, SimConfig(trace=False)))
+
+
+@pytest.mark.parametrize("name", ["listing1", "two_shifts"])
+def test_finished_stall_machine_is_freed_without_the_cycle_collector(name):
+    vm = stall_bundle(name).vm
+    assert_freed_without_the_cycle_collector(
+        lambda: StallMachine(vm, SimConfig(trace=False), 1, rates=(0.5,)))
 
 
 def test_stuck_worker_deadlocks():
@@ -457,7 +479,7 @@ class StallMachine(Machine):
         super().__init__(vm, cfg)
         rng = random.Random(seed)
         for cpu in self.cpus:
-            cpu.tick = self.stalled(cpu.tick, rng.choice(rates), rng)
+            wrap_tick(cpu, lambda tick: self.stalled(tick, rng.choice(rates), rng))
 
     @staticmethod
     def stalled(tick, rate, rng):
