@@ -1,4 +1,4 @@
-"""mach-lite frontend: lexing, parsing, semantic analysis, IL lowering."""
+"""mach-lite frontend: lexing, parsing and semantic analysis."""
 
 from machlite.frontend.syntax import (
     AxisSlice,
@@ -22,7 +22,6 @@ from machlite.frontend.syntax import (
 )
 from machlite.frontend.parser import parse
 from machlite.frontend.semantic import GridConfig, TypedProgram, analyze
-from machlite.frontend.intermediate import ILProgram, lower_to_il
 
 __all__ = [
     "AxisSlice",
@@ -32,7 +31,6 @@ __all__ = [
     "ExitIf",
     "GatherMul",
     "GridConfig",
-    "ILProgram",
     "InitSpec",
     "Lit",
     "Pragma",
@@ -47,6 +45,5 @@ __all__ = [
     "VarKind",
     "DType",
     "analyze",
-    "lower_to_il",
     "parse",
 ]

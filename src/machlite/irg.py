@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from machlite.diagnostics import DiagnosticSink
-from machlite.frontend.intermediate import ILProgram
 from machlite.frontend.semantic import (
     Access,
+    GridConfig,
     TAssign,
     TBin,
     TDeviceFor,
@@ -26,11 +26,13 @@ from machlite.frontend.semantic import (
     TRef,
     TShift,
     TTake,
+    TypedProgram,
     expr_accesses,
     stmt_accesses,
     vec_len,
 )
-from machlite.frontend.syntax import DType, VarKind
+from machlite.frontend.syntax import DType, TensorDecl, VarKind
+from machlite.memwords import materialize_init
 
 CONTROLLER_OPS = {"ga_load", "exit_if", "loop", "sg_export", "sg_import"}
 WORKER_FIELD_OPS = {"reduce_sum", "shift", "gather", "scatter", "gather_mul"}
@@ -48,6 +50,27 @@ class MemLoc:
     var_kind: VarKind | None = None
     shape: tuple[int, ...] = ()
     mem_shape: tuple[int, ...] = ()
+
+
+def declared_shape(d: TensorDecl, grid: GridConfig) -> tuple[int, ...]:
+    """Shape of a declared variable and of its frozen initializer: an ls
+    has one value per worker, every other kind its declared shape (a gs
+    or uls is a scalar, `()`)."""
+    return (grid.nx, grid.ny) if d.kind is VarKind.LS else d.shape
+
+
+def frozen_inits(typed: TypedProgram, seed: int = 0) -> dict[str, np.ndarray]:
+    """Every declared initializer, frozen at its declared shape; the `k`-th
+    declared variable draws `rand` and `randint` from
+    `default_rng([seed, k])`."""
+    out = {}
+    for k, name in enumerate(typed.order):
+        info = typed.variables[name]
+        if info.init is not None:
+            out[name] = materialize_init(
+                info.init, declared_shape(info.decl, typed.grid),
+                info.decl.dtype, seed, k)
+    return out
 
 
 def full_shape(g: IRGraph, ml: MemLoc) -> tuple[int, ...]:
@@ -137,12 +160,13 @@ def klass_of_memloc(ml: MemLoc) -> str:
 
 
 class _Builder:
-    def __init__(self, il: ILProgram):
-        self.il = il
+    def __init__(self, typed: TypedProgram, inits: dict[str, np.ndarray]):
+        self.typed = typed
+        self.inits = inits
         self.next_node = 0
         self.next_mlid = 0
         self.next_temp = 0
-        self.root = IRGraph(grid=(il.grid.nx, il.grid.ny))
+        self.root = IRGraph(grid=(typed.grid.nx, typed.grid.ny))
         self.last_writer: dict[int, IRNode] = {}
         self.loop_var_ml: dict[str, int] = {}
 
@@ -162,21 +186,23 @@ class _Builder:
                                None, (), mem_shape)
 
     def declare_vars(self) -> None:
-        for name in self.il.order:
-            v = self.il.variables[name]
-            placement = "controller" if v.kind in (VarKind.GS, VarKind.GA) else "worker"
-            if v.kind is VarKind.LA:
-                per_pe = int(np.prod(v.mem_shape)) * v.dtype.words
-            elif v.kind is VarKind.GA:
-                per_pe = v.shape[0] * v.dtype.words
+        for name in self.typed.order:
+            d = self.typed.variables[name].decl
+            shape = declared_shape(d, self.typed.grid)
+            mem_shape = shape[2:] if d.kind is VarKind.LA else ()
+            placement = "controller" if d.kind in (VarKind.GS, VarKind.GA) else "worker"
+            if d.kind is VarKind.LA:
+                per_pe = int(np.prod(mem_shape)) * d.dtype.words
+            elif d.kind is VarKind.GA:
+                per_pe = shape[0] * d.dtype.words
             else:
-                per_pe = v.dtype.words
-            kind = "output" if v.output else "persistent"
-            ml = self.new_memloc(name, kind, placement, v.dtype, per_pe,
-                                 v.kind, v.shape, v.mem_shape)
+                per_pe = d.dtype.words
+            kind = "output" if d.output else "persistent"
+            ml = self.new_memloc(name, kind, placement, d.dtype, per_pe,
+                                 d.kind, shape, mem_shape)
             self.root.by_name[name] = ml.id
-            if v.init is not None:
-                self.root.inits[ml.id] = v.init
+            if name in self.inits:
+                self.root.inits[ml.id] = self.inits[name]
 
     def emit(self, graph: IRGraph, op: str, args: list, dest: MemLoc | None,
              dest_slice: Access | None, attrs: dict | None = None,
@@ -375,7 +401,7 @@ class _Builder:
 
     def run(self) -> IRGraph:
         self.declare_vars()
-        for s in self.il.stmts:
+        for s in self.typed.stmts:
             self.build_stmt(s, self.root)
         self.root.outputs = tuple(
             mlid for mlid in sorted(self.root.by_name.values())
@@ -388,9 +414,10 @@ def expr_dyn(t) -> str | None:
     return next((acc.dyn for acc in expr_accesses(t) if acc.dyn), None)
 
 
-def build(il: ILProgram) -> IRGraph:
-    """Lower an IL program to its IR graph."""
-    return _Builder(il).run()
+def build(typed: TypedProgram, inits: dict[str, np.ndarray]) -> IRGraph:
+    """Lower a typed program to its IR graph; `inits` maps each initialized
+    variable to its frozen array (`frozen_inits`)."""
+    return _Builder(typed, inits).run()
 
 
 def node_placement(g: IRGraph, n: IRNode) -> str:

@@ -14,12 +14,12 @@ from .layout import COLOR_IDS, COLOR_NAMES, FabricLayout, build_layout
 from .masks import MaskEntry, MaskTable, mask_bit, region_members
 from .rpc import RpcDef, RpcTable
 from .sections import GraphLowerer, Instr, Section
-from .vmprog import MemSym, VMachineProgram, WORKER_WORDS
+from .vmprog import MemSym, VMachineProgram
 
 __all__ = [
     "COLOR_IDS", "COLOR_NAMES", "FabricLayout", "GraphLowerer", "Instr",
     "MaskEntry", "MaskTable", "MemSym", "RespChunk", "RpcDef", "RpcTable",
-    "Section", "VMachineProgram", "WORKER_WORDS", "assign_sections",
+    "Section", "VMachineProgram", "assign_sections",
     "build_layout", "chunk_sizes", "lower",
     "mask_bit", "partition", "region_members", "resp_words", "split_even",
 ]

@@ -1,8 +1,9 @@
 """Container for a fully lowered program plus its integrity checks.
 
 A VMachineProgram is self-contained: symbols carry absolute word addresses,
-inits carry frozen logical arrays, and build_images materializes the byte
-state every tile starts from.  Nothing here refers back to the source graph:
+inits carry frozen logical arrays, and build_images materializes the word
+state every tile starts from, through `memwords.initial_images`, the builder
+the planned reference store uses too.  Nothing here refers back to the source graph:
 the simulator and the listings need only this object.
 """
 
@@ -14,8 +15,7 @@ import numpy as np
 
 from ..diagnostics import CompileError, Diagnostic
 from ..frontend.syntax import DType, VarKind
-from ..memplan import WORKER_WORDS
-from ..memwords import initial_array, store_words
+from ..memwords import initial_images
 from .distribute import resp_words
 from .layout import FabricLayout
 from .masks import MaskTable, region_members
@@ -157,19 +157,13 @@ class VMachineProgram:
     def build_images(self):
         """Initial (worker, controller) memory images.
 
-        Worker image is (nx, ny, worker_words); the controller image spans
-        WORKER_WORDS.  Every persistent init (laid out by
-        `memwords.store_words`, as the reference store lays it out) and every
-        mask word is in place before cycle 0.
+        `memwords.initial_images` stores every init at its symbol's
+        address, as the planned reference store does; then every mask word
+        is put in place.  All of it is there before cycle 0.
         """
-        worker = np.zeros((self.nx, self.ny, self.worker_words), dtype=np.uint16)
-        ctrl = np.zeros(WORKER_WORDS, dtype=np.uint16)
-        for sym in self.symbols:
-            init = self.inits.get(sym.mlid)
-            if init is not None:
-                image = ctrl if sym.space == "controller" else worker
-                store_words(image, sym.address, sym.size_words,
-                            initial_array(init, sym.dtype, sym.shape), sym.dtype)
+        worker, ctrl = initial_images(self.nx, self.ny, self.worker_words, (
+            (s.space, s.address, s.size_words, s.dtype, s.shape, self.inits[s.mlid])
+            for s in self.symbols if s.mlid in self.inits))
         for addr, bits in self.masks.image_bits(self.nx, self.ny).items():
             worker[:, :, addr] = bits
         return worker, ctrl

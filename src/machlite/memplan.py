@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from machlite.frontend.syntax import VarKind
 from machlite.irg import IRGraph, MemArg, ordered_walk, subgraph_span
+from machlite.memwords import WORKER_WORDS
 
-WORKER_WORDS = 24_576          # 48 KB of 16-bit words per PE
 BANK_WORDS = 3_072             # 8 banks
 N_BANKS = 8
 CONTROLLER_BASE_WORDS = 0x2FF0  # byte address 0x5fe0; code sits below

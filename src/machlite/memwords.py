@@ -1,8 +1,10 @@
 """Word semantics shared by the image builder, the reference interpreter and
 the simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
 16-bit ALU (`alu`), compare ops (`CMPS`) and reduction fold (`fold_sum`)
-both backends evaluate with, 16-bit word codecs, and the data mapping of a
-logical array into word images.
+both backends evaluate with, 16-bit word codecs, the data mapping of a
+logical array into word images, and the initial state: declared
+initializers frozen under the run seed (`materialize_init`) and the images
+both backends start from (`initial_images`).
 
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.
@@ -12,13 +14,17 @@ The data mapping: a worker variable's logical array has shape
 planned word address; a controller variable's array sits at its address in
 the one controller image.  `store_words` and `load_words` are the only code
 that applies this rule; the reference store, the initial image builder and
-the simulator readout all go through them.
+the simulator readout all go through them.  Addresses are absolute: the
+controller image spans a whole tile's `WORKER_WORDS`, and its planned
+variables sit above the code.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from machlite.frontend.syntax import DType
+from machlite.frontend.syntax import DType, InitSpec
+
+WORKER_WORDS = 24_576          # 48 KB of 16-bit words per tile
 
 CMPS = {
     ">": lambda a, b: a > b,
@@ -104,3 +110,43 @@ def initial_array(init, dt: DType, shape) -> np.ndarray:
     """A declared initializer at the variable's stored shape; a scalar
     (`uls`) spreads to every worker."""
     return np.broadcast_to(np.asarray(init, dtype=np_dtype(dt)), shape).copy()
+
+
+def materialize_init(init: InitSpec, shape: tuple[int, ...], dtype: DType,
+                     seed: int, var_index: int) -> np.ndarray:
+    """A declared initializer as a frozen array of the declared `shape`
+    (a scalar for `()`); `rand` and `randint` draw from
+    `default_rng([seed, var_index])`."""
+    nd = np_dtype(dtype)
+    if init.form == "zeros":
+        return np.zeros(shape, nd)
+    if init.form == "constant":
+        return np.full(shape, init.value, nd) if shape else nd(init.value)
+    if init.form == "literal":
+        flat = np.array(init.values, nd)
+        return flat.reshape(shape) if shape else nd(init.values[0])
+    rng = np.random.default_rng([seed, var_index])
+    if init.form == "rand":
+        out = rng.random(shape, dtype=np.float32)
+        return out.astype(nd) if dtype is not DType.F32 else out
+    if init.form == "randint":
+        return rng.integers(init.lo, init.hi, shape, dtype=np.int16).astype(nd)
+    raise ValueError(f"unknown init form {init.form!r}")
+
+
+def initial_images(nx: int, ny: int, worker_words: int, inits):
+    """The (worker, controller) images a run starts from: zeroed, with
+    every initializer stored at its address.
+
+    `inits` yields `(space, address, size_words, dtype, shape, init)` per
+    initialized variable: its space (`"worker"` or `"controller"`), its
+    absolute word address and per-tile size, and its frozen initializer,
+    spread by `initial_array` to the logical `shape`.  The worker image is
+    `(nx, ny, worker_words)`; the controller image is `WORKER_WORDS` long.
+    """
+    worker = np.zeros((nx, ny, worker_words), dtype=np.uint16)
+    ctrl = np.zeros(WORKER_WORDS, dtype=np.uint16)
+    for space, addr, size, dt, shape, init in inits:
+        store_words(ctrl if space == "controller" else worker, addr, size,
+                    initial_array(init, dt, shape), dt)
+    return worker, ctrl

@@ -3,11 +3,10 @@
 Walks nodes in id order over dense numpy arrays.  Two storage modes:
 
 * symbolic: one array per memloc, keyed by id.
-* planned: every access goes through the addresses a MemPlan assigned, over
-  a flat word image per worker and one for the controller, laid out by
-  `memwords.store_words`/`load_words` exactly as the simulator's images
-  are.  A planner bug that overlaps live allocations shows up as corrupted
-  values against the symbolic run.
+* planned: every access goes through the absolute addresses a MemPlan
+  assigned, over the word images `memwords.initial_images` builds for the
+  simulator too.  A planner bug that overlaps live allocations shows up as
+  corrupted values against the symbolic run.
 
 f32 reductions accumulate sequentially in float32, workers in C-order over
 (x, y) and elements in memory order; that ordering is the definition other
@@ -32,7 +31,8 @@ from machlite.irg import (
 )
 from machlite.memplan import MemPlan, observables
 from machlite.memwords import (
-    CMPS, alu, fold_sum, initial_array, load_words, np_dtype, store_words)
+    CMPS, alu, fold_sum, initial_array, initial_images, load_words, np_dtype,
+    store_words)
 
 
 @dataclass
@@ -64,34 +64,32 @@ class SymbolicStore:
 
 
 class PlannedStore:
-    """Backs every variable with the word addresses the plan assigned, in
-    the same worker and controller images the simulator starts from."""
+    """Backs every variable with the absolute word address the plan
+    assigned, in the worker and controller images the simulator starts
+    from: `memwords.initial_images` builds both."""
 
     def __init__(self, g: IRGraph, plan: MemPlan):
         self.g = g
         self.plan = plan
-        nx, ny = g.grid
-        self.worker = np.zeros((nx, ny, plan.footprint["worker"]), dtype=np.uint16)
-        ctrl_budget = plan._free["controller"].budget
-        self.controller = np.zeros(ctrl_budget, dtype=np.uint16)
-        for mlid, ml in g.memlocs.items():
-            init = g.inits.get(mlid)
-            if init is not None:
-                self.write(mlid, initial_array(init, ml.dtype, full_shape(g, ml)))
+        self.worker, self.controller = initial_images(
+            *g.grid, plan.footprint["worker"],
+            (self._place(mlid) + (init,) for mlid, init in g.inits.items()))
 
     def _place(self, mlid: int):
+        """(space, address, size_words, dtype, logical shape) of a memloc."""
         ml = self.g.memlocs[mlid]
-        image = self.controller if ml.placement == "controller" else self.worker
-        return image, self.plan.entries[mlid], ml
+        return (ml.placement, self.plan.address_words(mlid), ml.size_words,
+                ml.dtype, full_shape(self.g, ml))
 
     def read(self, mlid: int) -> np.ndarray:
-        image, e, ml = self._place(mlid)
-        return load_words(image, e.offset, e.size_words, ml.dtype,
-                          full_shape(self.g, ml))
+        space, addr, size, dt, shape = self._place(mlid)
+        image = self.controller if space == "controller" else self.worker
+        return load_words(image, addr, size, dt, shape)
 
     def write(self, mlid: int, arr: np.ndarray) -> None:
-        image, e, ml = self._place(mlid)
-        store_words(image, e.offset, e.size_words, arr, ml.dtype)
+        space, addr, size, dt, _ = self._place(mlid)
+        image = self.controller if space == "controller" else self.worker
+        store_words(image, addr, size, arr, dt)
 
 
 class _Break(Exception):

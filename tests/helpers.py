@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from machlite import irg
-from machlite.frontend import GridConfig, analyze, lower_to_il, parse
+from machlite.frontend import GridConfig, analyze, parse
 
 
 def typed_of(src: str, nx: int = 4, ny: int = 4):
@@ -14,18 +14,17 @@ def typed_of(src: str, nx: int = 4, ny: int = 4):
 
 
 def graph_of(src: str, nx: int = 4, ny: int = 4, seed: int = 0) -> irg.IRGraph:
-    il = lower_to_il(typed_of(src, nx, ny), seed=seed)
-    g = irg.build(il)
-    assert irg.validate(g) == []
-    return g
+    return compiled(src, nx, ny, seed)[1]
 
 
 def compiled(src: str, nx: int = 4, ny: int = 4, seed: int = 0):
-    """(il, graph) pair; the il carries the materialized init arrays."""
-    il = lower_to_il(typed_of(src, nx, ny), seed=seed)
-    g = irg.build(il)
+    """(inits, graph) pair: the frozen init array of each initialized
+    variable by name, and the IR graph built from them."""
+    typed = typed_of(src, nx, ny)
+    inits = irg.frozen_inits(typed, seed)
+    g = irg.build(typed, inits)
     assert irg.validate(g) == []
-    return il, g
+    return inits, g
 
 
 LISTING1 = """\

@@ -15,7 +15,6 @@ import pytest
 import oracles
 from helpers import LISTING1, graph_of, typed_of
 from machlite import cli, irg
-from machlite.frontend import lower_to_il
 from machlite.fuzz import gen_source
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
@@ -217,7 +216,7 @@ out la E[4,4,6] f32
         rng = random.Random(seed)
         src = header + f"E = {gen(rng, 4)}\n"
         typed = typed_of(src)
-        g = irg.build(lower_to_il(typed))
+        g = irg.build(typed, irg.frozen_inits(typed))
         assert irg.validate(g) == [], src
         n_nodes = sum(1 for _ in irg.ordered_walk(g))
         assert n_nodes == oracles.program_node_count(typed), src

@@ -22,6 +22,7 @@ from machlite.lowering import (
 )
 from machlite.lowering.emit import emit_text
 from machlite.lowering.layout import REDUCE, RESP, SPINE, WORKER
+from machlite.memwords import WORKER_WORDS
 
 
 def lowered(src: str, nx: int = 4, ny: int = 4, seed: int = 0):
@@ -468,20 +469,19 @@ A += A
         e.offset + e.size_words for e in [*plan.entries.values(), *plan.reserved.values()]
         if e.space == "worker")
     assert worker.shape == store.worker.shape == (4, 4, vm.worker_words)
+    assert ctrl.shape == store.controller.shape == (WORKER_WORDS,)
     for sym in vm.symbols:
         if vm.inits.get(sym.mlid) is None:
             continue
         if sym.space == "controller":
-            e = plan.entries[sym.mlid]
             got = ctrl[sym.address:sym.address + sym.size_words]
-            want = store.controller[e.offset:e.offset + e.size_words]
+            want = store.controller[sym.address:sym.address + sym.size_words]
             assert np.array_equal(got, want), sym.name
         else:
-            e = plan.entries[sym.mlid]
             for x in range(4):
                 for y in range(4):
                     got = worker[x, y, sym.address:sym.address + sym.size_words]
-                    want = store.worker[x, y, e.offset:e.offset + e.size_words]
+                    want = store.worker[x, y, sym.address:sym.address + sym.size_words]
                     assert np.array_equal(got, want), (sym.name, x, y)
     # mask words are in place
     for entry in vm.masks.ordered():

@@ -1,11 +1,16 @@
-"""The data mapping of a logical array into per-tile word images."""
+"""The data mapping of a logical array into per-tile word images, and the
+initializers frozen into them."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from machlite.frontend.syntax import DType
-from machlite.memwords import encode_words, fold_sum, initial_array, load_words, store_words
+from machlite.frontend.semantic import GridConfig
+from machlite.frontend.syntax import DType, InitSpec, TensorDecl, VarKind
+from machlite.irg import declared_shape
+from machlite.memwords import (
+    WORKER_WORDS, encode_words, fold_sum, initial_array, initial_images, load_words,
+    materialize_init, store_words)
 
 NX, NY, WORDS = 3, 2, 64
 _rng = np.random.default_rng(5)
@@ -70,6 +75,18 @@ def test_scalar_initializer_spreads_to_every_worker():
     assert got[1, 1] == 2.5
 
 
+def test_initial_images_hold_each_init_at_its_absolute_address():
+    ga = np.arange(5, dtype=np.int16)
+    worker, ctrl = initial_images(NX, NY, WORDS, [
+        ("worker", 9, 2, DType.F32, (NX, NY), np.float32(2.5)),   # a uls
+        ("controller", 12_300, 5, DType.I16, (5,), ga),
+    ])
+    assert worker.shape == (NX, NY, WORDS) and ctrl.shape == (WORKER_WORDS,)
+    assert (load_words(worker, 9, 2, DType.F32, (NX, NY)) == 2.5).all()
+    assert np.array_equal(load_words(ctrl, 12_300, 5, DType.I16, (5,)), ga)
+    assert np.count_nonzero(worker) == NX * NY and np.count_nonzero(ctrl) == 4
+
+
 def test_reduction_fold_is_sequential_float32_and_wrapping_i16():
     # in order and in float32, 1e8 + 1 rounds back to 1e8, so the sum is 0
     f = fold_sum(np.array([1e8, 1.0, -1e8], dtype=np.float32), DType.F32)
@@ -77,3 +94,67 @@ def test_reduction_fold_is_sequential_float32_and_wrapping_i16():
     i = fold_sum(np.array([30000, 30000], dtype=np.int16), DType.I16)
     assert i.dtype == np.int16 and i == -5536
     assert fold_sum((), DType.F32) == 0.0 and fold_sum((), DType.I16) == 0
+
+
+# variable kind -> (declared shape in its declaration, shape of the variable
+# and of its initializer on the NX x NY grid)
+KIND_SHAPES = {
+    VarKind.LA: ((NX, NY, 4), (NX, NY, 4)),
+    VarKind.GA: ((5,), (5,)),
+    VarKind.LS: ((), (NX, NY)),
+    VarKind.GS: ((), ()),
+    VarKind.ULS: ((), ()),
+}
+SEED, VAR_INDEX = 11, 3
+
+
+def init_of(form: str, n: int) -> InitSpec:
+    """An initializer of `form` for a variable of `n` values."""
+    return {"zeros": InitSpec("zeros"),
+            "constant": InitSpec("constant", value=-3.0, is_int=True),
+            "literal": InitSpec("literal", values=tuple(float(v - 2) for v in range(n))),
+            "rand": InitSpec("rand"),
+            "randint": InitSpec("randint", lo=-4, hi=9)}[form]
+
+
+@pytest.mark.parametrize("kind", list(KIND_SHAPES), ids=lambda k: k.value)
+def test_declared_shape_of_each_kind(kind):
+    decl_shape, shape = KIND_SHAPES[kind]
+    decl = TensorDecl("v", kind, decl_shape, DType.F32)
+    assert declared_shape(decl, GridConfig(NX, NY)) == shape
+
+
+@pytest.mark.parametrize("dt", [DType.F32, DType.I16], ids=lambda d: d.value)
+@pytest.mark.parametrize("kind", list(KIND_SHAPES), ids=lambda k: k.value)
+@pytest.mark.parametrize("form", ["zeros", "constant", "literal", "rand", "randint"])
+def test_materialized_init_has_the_variable_shape_and_values(form, kind, dt):
+    shape = KIND_SHAPES[kind][1]
+    n = int(np.prod(shape, dtype=int))
+    got = materialize_init(init_of(form, n), shape, dt, SEED, VAR_INDEX)
+    nd = np.float32 if dt is DType.F32 else np.int16
+    assert np.shape(got) == shape and got.dtype == nd
+    rng = np.random.default_rng([SEED, VAR_INDEX])
+    want = {
+        "zeros": lambda: np.zeros(shape),
+        "constant": lambda: np.full(shape, -3),
+        "literal": lambda: np.arange(n).reshape(shape) - 2,  # one value for a gs or uls
+        "rand": lambda: rng.random(shape, dtype=np.float32),
+        "randint": lambda: rng.integers(-4, 9, shape, dtype=np.int16),
+    }[form]()
+    assert np.array_equal(got, np.asarray(want).astype(nd))
+
+
+def test_literal_ls_takes_one_value_per_worker_in_c_order():
+    values = tuple(float(v) for v in range(NX * NY))
+    got = materialize_init(InitSpec("literal", values=values), (NX, NY), DType.F32, 0, 0)
+    assert got[1, 0] == NY and got[NX - 1, NY - 1] == NX * NY - 1
+
+
+def test_random_inits_draw_from_the_seed_and_the_variable_index():
+    def draw(form, seed, k):
+        return materialize_init(init_of(form, 0), (NX, NY, 4), DType.F32, seed, k)
+
+    for form in ("rand", "randint"):
+        assert np.array_equal(draw(form, SEED, VAR_INDEX), draw(form, SEED, VAR_INDEX))
+        assert not np.array_equal(draw(form, SEED, VAR_INDEX), draw(form, SEED, VAR_INDEX + 1))
+        assert not np.array_equal(draw(form, SEED, VAR_INDEX), draw(form, SEED + 1, VAR_INDEX))

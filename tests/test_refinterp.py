@@ -10,10 +10,6 @@ from machlite.diagnostics import SimFault
 from machlite.memplan import plan
 
 
-def inits(il):
-    return {name: v.init for name, v in il.variables.items()}
-
-
 def test_elementwise_chain_bit_exact():
     src = """\
 la A[4,4,8] f32 = rand
@@ -22,9 +18,8 @@ la D[4,4,8] f32 = rand
 out la E[4,4,8] f32
 E = (A + B) * D
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    i = inits(il)
     want = (i["A"].astype(np.float32) + i["B"]) * i["D"]
     assert np.array_equal(res.by_name(g, "E"), want)
     assert want.dtype == np.float32
@@ -36,9 +31,8 @@ la A[4,4,8] f32 = rand
 la B[4,4,8] f32 = rand
 A[0:4:2, 1:4:2, 2:5] += B[0:4:2, 1:4:2, 0:3]
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    i = inits(il)
     want = i["A"].copy()
     want[0:4:2, 1:4:2, 2:5] = want[0:4:2, 1:4:2, 2:5] + i["B"][0:4:2, 1:4:2, 0:3]
     assert np.array_equal(res.by_name(g, "A"), want)
@@ -52,9 +46,8 @@ gs c f32 = 2.5
 out la E[4,4,6] f32
 E = A * s + c
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    i = inits(il)
     want = (i["A"] * i["s"][:, :, None] + np.float32(2.5)).astype(np.float32)
     assert np.array_equal(res.by_name(g, "E"), want)
 
@@ -70,9 +63,9 @@ for v in G {
     A += 1.0
 }
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    ga = inits(il)["G"]
+    ga = i["G"]
     acc = np.float32(0.0)
     adds = 0
     trips = 0
@@ -94,9 +87,9 @@ la A[4,4,8] f32 = rand
 gs total f32 = 0.0
 reduce(A[1:3, 0:4:2, 2:6], total)
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    a = inits(il)["A"]
+    a = i["A"]
     acc = np.float32(0.0)
     for x in range(1, 3):
         for y in range(0, 4, 2):
@@ -111,9 +104,9 @@ la A[4,4,9] i16 = randint(-2000, 2000)
 uls t i16 = 0
 reduce(A, t)
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    want = np.int64(inits(il)["A"].astype(np.int64).sum()).astype(np.int16)
+    want = np.int64(i["A"].astype(np.int64).sum()).astype(np.int16)
     out = res.by_name(g, "t")
     assert out.shape == (4, 4)
     assert np.all(out == want)
@@ -127,9 +120,8 @@ la A[4,4,3] f32 = rand
 la B[4,4,3] f32 = rand
 shift(B[0:3, 1:4, :], A[0:3, 1:4, :], row, 1)
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    i = inits(il)
     want = i["B"].copy()
     # receiving worker (x, y) takes the value from (x-1, y) within the region
     for x in range(0, 3):
@@ -143,9 +135,8 @@ ls a f32 = rand
 ls b f32 = rand
 shift(b, a, col, -1)
 """
-    il2, g2 = compiled(src2)
+    i2, g2 = compiled(src2)
     res2 = refinterp.run(g2)
-    i2 = inits(il2)
     want2 = i2["b"].copy()
     for x in range(4):
         for y in range(4):
@@ -159,9 +150,9 @@ def test_shift_same_variable_in_place():
 la A[4,4,2] f32 = rand
 shift(A, A, col, 1)
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    a = inits(il)["A"]
+    a = i["A"]
     want = a.copy()
     want[:, 1:] = a[:, :-1]  # y=0 keeps its previous contents
     assert np.array_equal(res.by_name(g, "A"), want)
@@ -178,9 +169,8 @@ E = take(S, I)
 E = gather_mul(S, I, M)
 put(D, I, M)
 """
-    il, g = compiled(src)
+    i, g = compiled(src)
     res = refinterp.run(g)
-    i = inits(il)
     take_want = np.empty((4, 4, 5), np.float32)
     gm_want = np.empty((4, 4, 5), np.float32)
     put_want = i["D"].copy()
@@ -214,9 +204,8 @@ la B[2,2,8] f32 = rand
 ls n i16 = [2, 5, 0, 8]
 A[:, :, 0:n] = B[:, :, 0:n] * 2.0
 """
-    il, g = compiled(src, 2, 2)
+    i, g = compiled(src, 2, 2)
     res = refinterp.run(g)
-    i = inits(il)
     want = i["A"].copy()
     for x in range(2):
         for y in range(2):
