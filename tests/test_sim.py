@@ -7,10 +7,11 @@ goldens pin the default-config cycle count and the sha256 of the
 count, `stats()` and the output arrays under the default config and every
 variant, so a change that claims to leave behaviour alone can show that
 it did.  An initial-state golden pins the `--emit asm` listing and the
-start images of the programs and of fuzz seeds 0-199.  A schedule golden pins, for two programs, what the benchmark
-tracer counts: `try_move` calls, moves and per-role ticks.  A stall oracle
-reruns the programs with processor ticks withheld at random, which may
-change cycles but must not change outputs.
+start images of the programs and of fuzz seeds 0-199.  A schedule golden
+pins, for two programs, what the benchmark tracer counts: `try_move`
+calls, moves and per-role ticks.  A stall oracle reruns the programs with
+processor ticks withheld at random, which may change cycles but must not
+change outputs.
 
 The long campaign (fuzz seeds 0-299 under every variant, each variant's
 cycles, `stats()` and outputs pinned by one sha256) is marked `slow` and
