@@ -23,6 +23,7 @@ target, the uls-destination rules and read-before-write.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from machlite.diagnostics import DiagnosticSink, Loc
@@ -226,6 +227,13 @@ class GridConfig:
     ny: int
 
 
+def declared_shape(d: TensorDecl, grid: GridConfig) -> tuple[int, ...]:
+    """Shape of a declared variable and of its initializer: an ls has one
+    value per worker, every other kind its declared shape (a gs or uls is
+    a scalar, `()`)."""
+    return (grid.nx, grid.ny) if d.kind is VarKind.LS else d.shape
+
+
 @dataclass
 class VarInfo:
     decl: TensorDecl
@@ -342,11 +350,7 @@ class Analyzer:
                 f"initialized la '{d.name}' grid dims {d.shape[:2]} must equal "
                 f"the {self.grid.nx}x{self.grid.ny} worker grid", d.loc)
         if init.form == "literal":
-            need = 1
-            for x in d.shape:
-                need *= x
-            if d.kind is VarKind.LS:
-                need = self.grid.nx * self.grid.ny
+            need = math.prod(declared_shape(d, self.grid))
             if len(init.values) != need:
                 self.sink.error(
                     f"literal init for '{d.name}' has {len(init.values)} values, expected {need}", d.loc)

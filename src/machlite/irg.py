@@ -1,9 +1,10 @@
-"""Intermediate representation graph: nodes in execution order, explicit edges.
+"""Intermediate representation graph: nodes in execution order.
 
 Node ids increase monotonically across the whole program, including loop
 subgraphs, so id order is execution order.  Control flow is graph-in-graph: a
 loop node owns a child IRGraph, and every non-temporary variable referenced
-inside the loop appears as an export/import transfer pair across the boundary.
+inside the loop appears as an `sg_export` node before the loop and an
+`sg_import` node at the head of its body.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.semantic import (
     Access,
-    GridConfig,
     TAssign,
     TBin,
     TDeviceFor,
@@ -27,11 +27,12 @@ from machlite.frontend.semantic import (
     TShift,
     TTake,
     TypedProgram,
+    declared_shape,
     expr_accesses,
     stmt_accesses,
     vec_len,
 )
-from machlite.frontend.syntax import DType, TensorDecl, VarKind
+from machlite.frontend.syntax import DType, VarKind
 from machlite.memwords import materialize_init
 
 CONTROLLER_OPS = {"ga_load", "exit_if", "loop", "sg_export", "sg_import"}
@@ -50,13 +51,6 @@ class MemLoc:
     var_kind: VarKind | None = None
     shape: tuple[int, ...] = ()
     mem_shape: tuple[int, ...] = ()
-
-
-def declared_shape(d: TensorDecl, grid: GridConfig) -> tuple[int, ...]:
-    """Shape of a declared variable and of its frozen initializer: an ls
-    has one value per worker, every other kind its declared shape (a gs
-    or uls is a scalar, `()`)."""
-    return (grid.nx, grid.ny) if d.kind is VarKind.LS else d.shape
 
 
 def frozen_inits(typed: TypedProgram, seed: int = 0) -> dict[str, np.ndarray]:
@@ -108,24 +102,13 @@ class IRNode:
         return self.attrs.get("subgraph")
 
 
-@dataclass(frozen=True)
-class IREdge:
-    src_node: int
-    dst_node: int
-    arg_pos: int
-    src_slice: Access | None
-
-
 @dataclass
 class IRGraph:
     nodes: list[IRNode] = field(default_factory=list)
-    edges: list[IREdge] = field(default_factory=list)
     memlocs: dict[int, MemLoc] = field(default_factory=dict)
     inits: dict[int, np.ndarray] = field(default_factory=dict)
-    transfers: list[tuple[int, int, int]] = field(default_factory=list)  # export id, import id, memloc
     grid: tuple[int, int] = (0, 0)
     by_name: dict[str, int] = field(default_factory=dict)
-    outputs: tuple[int, ...] = ()
 
     def max_id(self) -> int:
         last = -1
@@ -167,7 +150,6 @@ class _Builder:
         self.next_mlid = 0
         self.next_temp = 0
         self.root = IRGraph(grid=(typed.grid.nx, typed.grid.ny))
-        self.last_writer: dict[int, IRNode] = {}
         self.loop_var_ml: dict[str, int] = {}
 
     def new_memloc(self, name: str, kind: str, placement: str, dtype: DType,
@@ -227,13 +209,6 @@ class _Builder:
                       dest.id if dest is not None else None, dest_slice, attrs)
         self.next_node += 1
         graph.nodes.append(node)
-        for pos, a in enumerate(node.args):
-            if isinstance(a, MemArg):
-                w = self.last_writer.get(a.mlid)
-                if w is not None:
-                    self.root.edges.append(IREdge(w.id, node.id, pos, a.access))
-        if dest is not None:
-            self.last_writer[dest.id] = node
         return node
 
     # -- expressions --------------------------------------------------------
@@ -353,28 +328,21 @@ class _Builder:
         ga_ml = self.root.by_name[s.ga.var]
         counter = self.temp("controller", DType.I16, 1)
         outer_refs = sorted(self.collect_outer_refs(s.body) | {ga_ml})
-        export_nodes = {}
         for mlid in outer_refs:
             ml = self.root.memlocs[mlid]
-            n = self.emit(graph, "sg_export",
-                          [MemArg(mlid, None, klass_of_memloc(ml))],
-                          None, None)
-            export_nodes[mlid] = n
+            self.emit(graph, "sg_export",
+                      [MemArg(mlid, None, klass_of_memloc(ml))], None, None)
         sub = IRGraph(grid=self.root.grid, memlocs=self.root.memlocs,
                       inits=self.root.inits, by_name=self.root.by_name)
         start, stop = s.ga.ga_range
-        loop_node = self.emit(
-            graph, "loop",
-            [MemArg(ga_ml, s.ga, "gs"), MemArg(counter.id, None, "gs")],
-            None, None,
-            {"start": start, "extent": stop - start, "subgraph": sub})
-        self.last_writer[counter.id] = loop_node
+        self.emit(graph, "loop",
+                  [MemArg(ga_ml, s.ga, "gs"), MemArg(counter.id, None, "gs")],
+                  None, None,
+                  {"start": start, "extent": stop - start, "subgraph": sub})
         for mlid in outer_refs:
             ml = self.root.memlocs[mlid]
-            imp = self.emit(sub, "sg_import",
-                            [MemArg(mlid, None, klass_of_memloc(ml))],
-                            None, None)
-            self.root.transfers.append((export_nodes[mlid].id, imp.id, mlid))
+            self.emit(sub, "sg_import",
+                      [MemArg(mlid, None, klass_of_memloc(ml))], None, None)
         loop_ml = self.temp("controller", s.ga.dtype, s.ga.dtype.words)
         self.loop_var_ml[s.var] = loop_ml.id
         self.emit(sub, "ga_load",
@@ -383,12 +351,6 @@ class _Builder:
         for b in s.body:
             self.build_stmt(b, sub)
         del self.loop_var_ml[s.var]
-        # after the loop, reads of body-written variables depend on the loop node
-        for n in ordered_walk(sub):
-            if n.result_index is not None \
-                    and self.root.memlocs[n.result_index].kind != "temporary":
-                self.last_writer[n.result_index] = loop_node
-
     def collect_outer_refs(self, body) -> set[int]:
         by_name = self.root.by_name
         refs: set[int] = set()
@@ -403,9 +365,6 @@ class _Builder:
         self.declare_vars()
         for s in self.typed.stmts:
             self.build_stmt(s, self.root)
-        self.root.outputs = tuple(
-            mlid for mlid in sorted(self.root.by_name.values())
-            if self.root.memlocs[mlid].kind == "output")
         return self.root
 
 
@@ -436,7 +395,6 @@ def validate(g: IRGraph) -> list:
     sink = DiagnosticSink()
     seen: set[int] = set()
     prev = -1
-    nodes_by_id: dict[int, IRNode] = {}
     for n in ordered_walk(g):
         if n.id in seen:
             sink.error(f"node id {n.id} appears more than once")
@@ -444,22 +402,11 @@ def validate(g: IRGraph) -> list:
         if n.id <= prev:
             sink.error(f"node ids not increasing at {n.id} (after {prev})")
         prev = n.id
-        nodes_by_id[n.id] = n
         if n.result_index is not None and n.result_index not in g.memlocs:
             sink.error(f"node {n.id} writes unknown memloc {n.result_index}")
         for pos, a in enumerate(n.args):
             if isinstance(a, MemArg) and a.mlid not in g.memlocs:
                 sink.error(f"node {n.id} arg {pos} references unknown memloc {a.mlid}")
-    for e in g.edges:
-        if e.src_node >= e.dst_node:
-            sink.error(f"edge {e.src_node}->{e.dst_node} does not point forward")
-        if e.src_node not in nodes_by_id or e.dst_node not in nodes_by_id:
-            sink.error(f"edge {e.src_node}->{e.dst_node} references missing nodes")
-            continue
-        dst = nodes_by_id[e.dst_node]
-        if not 0 <= e.arg_pos < len(dst.args):
-            sink.error(f"edge into node {e.dst_node} has arg position {e.arg_pos} "
-                       f"outside its {len(dst.args)} args")
     # temporaries must be written before any read
     temp_written: set[int] = set()
     for n in ordered_walk(g):
@@ -473,13 +420,13 @@ def validate(g: IRGraph) -> list:
                     sink.error(f"temporary {ml.name} read at node {n.id} before any write")
         if n.result_index is not None:
             temp_written.add(n.result_index)
-    # every non-temporary referenced inside a loop needs a transfer pair
+    # every non-temporary referenced inside a loop is imported into its body
     for n in ordered_walk(g):
         if n.op_name != "loop":
             continue
         sub = n.subgraph
-        sub_ids = {m.id for m in ordered_walk(sub)}
-        declared = {ml for _, imp, ml in g.transfers if imp in sub_ids}
+        declared = {m.args[0].mlid for m in ordered_walk(sub)
+                    if m.op_name == "sg_import"}
         inner_refs: set[int] = set()
         for m in ordered_walk(sub):
             for a in m.args:

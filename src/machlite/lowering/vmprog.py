@@ -3,7 +3,7 @@
 A VMachineProgram is self-contained: symbols carry absolute word addresses,
 inits carry frozen logical arrays, and build_images materializes the word
 state every tile starts from, through `memwords.initial_images`, the builder
-the planned reference store uses too.  Nothing here refers back to the source graph:
+the planned reference run uses too.  Nothing here refers back to the source graph:
 the simulator and the listings need only this object.
 """
 
@@ -158,7 +158,7 @@ class VMachineProgram:
         """Initial (worker, controller) memory images.
 
         `memwords.initial_images` stores every init at its symbol's
-        address, as the planned reference store does; then every mask word
+        address, as the planned reference run does; then every mask word
         is put in place.  All of it is there before cycle 0.
         """
         worker, ctrl = initial_images(self.nx, self.ny, self.worker_words, (

@@ -2,9 +2,9 @@
 the simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
 16-bit ALU (`alu`), compare ops (`CMPS`) and reduction fold (`fold_sum`)
 both backends evaluate with, 16-bit word codecs, the data mapping of a
-logical array into word images, and the initial state: declared
-initializers frozen under the run seed (`materialize_init`) and the images
-both backends start from (`initial_images`).
+logical array into word images (`word_view`), and the initial state:
+declared initializers frozen under the run seed (`materialize_init`) and
+the images both backends start from (`initial_images`).
 
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.
@@ -12,9 +12,9 @@ orders are C-order over the declared memory axes.
 The data mapping: a worker variable's logical array has shape
 `(nx, ny, *mem_shape)` and tile (x, y) holds `arr[x, y]` in C order at its
 planned word address; a controller variable's array sits at its address in
-the one controller image.  `store_words` and `load_words` are the only code
-that applies this rule; the reference store, the initial image builder and
-the simulator readout all go through them.  Addresses are absolute: the
+the one controller image.  `word_view` is the only code that applies this
+rule; the initial image builder, the planned reference run and the
+simulator readout all go through it.  Addresses are absolute: the
 controller image spans a whole tile's `WORKER_WORDS`, and its planned
 variables sit above the code.
 """
@@ -89,27 +89,17 @@ def decode_words(words: np.ndarray, dtype: DType, shape=()) -> np.ndarray:
     return w.view("<i2").reshape(shape)
 
 
-def store_words(image: np.ndarray, addr: int, size: int, arr, dt: DType) -> None:
-    """Write a logical array into `image[..., addr:addr + size]`.
+def word_view(image: np.ndarray, addr: int, size: int, dt: DType,
+              shape) -> np.ndarray:
+    """The logical array stored at `image[..., addr:addr + size]`, as a live
+    view of those words: writing the view writes the image.
 
     The leading axes of `image` index tiles (none for the controller image,
-    `(nx, ny)` for worker images); each tile gets its block of `arr`.
+    `(nx, ny)` for worker images); each tile holds its block of the array.
+    `image` is `"<u2"`, so the view is exact on any host byte order.
     """
-    image[..., addr:addr + size] = \
-        encode_words(arr, dt).reshape(image.shape[:-1] + (size,))
-
-
-def load_words(image: np.ndarray, addr: int, size: int, dt: DType,
-               shape) -> np.ndarray:
-    """The logical array stored at `addr`, as a fresh copy of the words:
-    callers mutate what they load and write it back."""
-    return decode_words(image[..., addr:addr + size].copy(), dt, shape)
-
-
-def initial_array(init, dt: DType, shape) -> np.ndarray:
-    """A declared initializer at the variable's stored shape; a scalar
-    (`uls`) spreads to every worker."""
-    return np.broadcast_to(np.asarray(init, dtype=np_dtype(dt)), shape).copy()
+    return image[..., addr:addr + size].view(
+        "<f4" if dt is DType.F32 else "<i2").reshape(shape)
 
 
 def materialize_init(init: InitSpec, shape: tuple[int, ...], dtype: DType,
@@ -140,13 +130,14 @@ def initial_images(nx: int, ny: int, worker_words: int, inits):
 
     `inits` yields `(space, address, size_words, dtype, shape, init)` per
     initialized variable: its space (`"worker"` or `"controller"`), its
-    absolute word address and per-tile size, and its frozen initializer,
-    spread by `initial_array` to the logical `shape`.  The worker image is
-    `(nx, ny, worker_words)`; the controller image is `WORKER_WORDS` long.
+    absolute word address and per-tile size, its logical `shape` and its
+    frozen initializer, which a scalar (`uls`) spreads to every worker.
+    The worker image is `(nx, ny, worker_words)`; the controller image is
+    `WORKER_WORDS` long.
     """
-    worker = np.zeros((nx, ny, worker_words), dtype=np.uint16)
-    ctrl = np.zeros(WORKER_WORDS, dtype=np.uint16)
+    worker = np.zeros((nx, ny, worker_words), dtype="<u2")
+    ctrl = np.zeros(WORKER_WORDS, dtype="<u2")
     for space, addr, size, dt, shape, init in inits:
-        store_words(ctrl if space == "controller" else worker, addr, size,
-                    initial_array(init, dt, shape), dt)
+        word_view(ctrl if space == "controller" else worker, addr, size, dt,
+                  shape)[...] = init
     return worker, ctrl

@@ -23,9 +23,6 @@ lower_to_il = irg.frozen_inits
 @dataclass
 class Bundle:
     """Everything one compilation produces, stage by stage."""
-    source: str
-    grid: tuple[int, int]
-    seed: int
     graph: irg.IRGraph
     plan: memplan.MemPlan
     vm: object
@@ -62,8 +59,7 @@ def compile_source(text: str, nx: int | None = None, ny: int | None = None, *,
         raise CompileError(bad)
     plan = memplan.plan(g)
     vm = lower(g, plan)
-    return Bundle(source=text, grid=(nx, ny), seed=seed,
-                  graph=g, plan=plan, vm=vm)
+    return Bundle(graph=g, plan=plan, vm=vm)
 
 
 def run_reference(b: Bundle) -> refinterp.RefResult:

@@ -1,12 +1,14 @@
 """Unified-memory reference interpreter for IR graphs.
 
-Walks nodes in id order over dense numpy arrays.  Two storage modes:
+Walks nodes in id order, reading and writing one numpy array per memloc in
+place.  Two storage modes:
 
-* symbolic: one array per memloc, keyed by id.
-* planned: every access goes through the absolute addresses a MemPlan
-  assigned, over the word images `memwords.initial_images` builds for the
-  simulator too.  A planner bug that overlaps live allocations shows up as
-  corrupted values against the symbolic run.
+* symbolic: each array is a fresh array of its own.
+* planned: each array is a live view (`memwords.word_view`) of the words at
+  the absolute address a MemPlan assigned, in the images
+  `memwords.initial_images` builds for the simulator too.  A planner bug
+  that overlaps live allocations shows up as corrupted values against the
+  symbolic run.
 
 f32 reductions accumulate sequentially in float32, workers in C-order over
 (x, y) and elements in memory order; that ordering is the definition other
@@ -31,8 +33,7 @@ from machlite.irg import (
 )
 from machlite.memplan import MemPlan, observables
 from machlite.memwords import (
-    CMPS, alu, fold_sum, initial_array, initial_images, load_words, np_dtype,
-    store_words)
+    CMPS, alu, fold_sum, initial_images, np_dtype, word_view)
 
 
 @dataclass
@@ -45,51 +46,24 @@ class RefResult:
         return self.values[g.by_name[name]]
 
 
-class SymbolicStore:
-    def __init__(self, g: IRGraph):
-        self.g = g
-        self.arrays: dict[int, np.ndarray] = {}
-        for mlid, ml in g.memlocs.items():
-            shape = full_shape(g, ml)
-            init = g.inits.get(mlid)
-            self.arrays[mlid] = (np.zeros(shape, dtype=np_dtype(ml.dtype))
-                                 if init is None
-                                 else initial_array(init, ml.dtype, shape))
-
-    def read(self, mlid: int) -> np.ndarray:
-        return self.arrays[mlid]
-
-    def write(self, mlid: int, arr: np.ndarray) -> None:
-        self.arrays[mlid] = arr
-
-
-class PlannedStore:
-    """Backs every variable with the absolute word address the plan
-    assigned, in the worker and controller images the simulator starts
-    from: `memwords.initial_images` builds both."""
-
-    def __init__(self, g: IRGraph, plan: MemPlan):
-        self.g = g
-        self.plan = plan
-        self.worker, self.controller = initial_images(
-            *g.grid, plan.footprint["worker"],
-            (self._place(mlid) + (init,) for mlid, init in g.inits.items()))
-
-    def _place(self, mlid: int):
-        """(space, address, size_words, dtype, logical shape) of a memloc."""
-        ml = self.g.memlocs[mlid]
-        return (ml.placement, self.plan.address_words(mlid), ml.size_words,
-                ml.dtype, full_shape(self.g, ml))
-
-    def read(self, mlid: int) -> np.ndarray:
-        space, addr, size, dt, shape = self._place(mlid)
-        image = self.controller if space == "controller" else self.worker
-        return load_words(image, addr, size, dt, shape)
-
-    def write(self, mlid: int, arr: np.ndarray) -> None:
-        space, addr, size, dt, _ = self._place(mlid)
-        image = self.controller if space == "controller" else self.worker
-        store_words(image, addr, size, arr, dt)
+def memory(g: IRGraph, plan: MemPlan | None = None) -> dict[int, np.ndarray]:
+    """Each memloc's logical array, holding its initializer: a fresh array
+    (symbolic), or a view of the words at its planned address in the
+    images the simulator starts from (planned)."""
+    if plan is None:
+        arrays = {mlid: np.zeros(full_shape(g, ml), dtype=np_dtype(ml.dtype))
+                  for mlid, ml in g.memlocs.items()}
+        for mlid, init in g.inits.items():
+            arrays[mlid][...] = init
+        return arrays
+    place = {mlid: (ml.placement, plan.address_words(mlid), ml.size_words,
+                    ml.dtype, full_shape(g, ml))
+             for mlid, ml in g.memlocs.items() if mlid in plan.entries}
+    worker, ctrl = initial_images(
+        *g.grid, plan.footprint["worker"],
+        (place[mlid] + (init,) for mlid, init in g.inits.items()))
+    return {mlid: word_view(ctrl if space == "controller" else worker, *rest)
+            for mlid, (space, *rest) in place.items()}
 
 
 class _Break(Exception):
@@ -99,7 +73,7 @@ class _Break(Exception):
 @dataclass
 class _Interp:
     g: IRGraph
-    store: object
+    arrays: dict[int, np.ndarray]
     loop_trips: dict[int, int] = field(default_factory=dict)
 
     # -- window helpers -----------------------------------------------------
@@ -123,7 +97,7 @@ class _Interp:
         for ax in access.mem:
             stop = ax.stop
             if stop is None:
-                nval = int(self.store.read(self.g.by_name[ax.dyn])[x, y])
+                nval = int(self.arrays[self.g.by_name[ax.dyn]][x, y])
                 if not ax.start <= nval <= ax.extent:
                     raise SimFault(
                         f"dynamic stop {nval} outside [{ax.start}, {ax.extent}] "
@@ -135,7 +109,7 @@ class _Interp:
     def fetch_vec(self, a: MemArg, region, x=None, y=None) -> np.ndarray:
         """A vector operand as (RX, RY, L), or flat (L,) per PE when x, y given."""
         ml = self.g.memlocs[a.mlid]
-        arr = self.store.read(a.mlid)
+        arr = self.arrays[a.mlid]
         ms = self.mem_slices(a.access, ml, x, y)
         if x is not None:
             return arr[(x, y) + ms].reshape(-1)
@@ -146,15 +120,15 @@ class _Interp:
     def scalar_value(self, a) -> np.ndarray:
         if isinstance(a, ImmArg):
             return np.asarray(a.value, dtype=np_dtype(a.dtype))
-        return np.asarray(self.store.read(a.mlid))
+        return self.arrays[a.mlid]
 
     def fetch_arg(self, a, region, dtype: DType, x=None, y=None):
         if isinstance(a, ImmArg):
             return np.asarray(a.value, dtype=np_dtype(a.dtype))
         if a.klass == "gs":
-            return np.asarray(self.store.read(a.mlid))
+            return self.arrays[a.mlid]
         if a.klass == "pescalar":
-            arr = self.store.read(a.mlid)
+            arr = self.arrays[a.mlid]
             if x is not None:
                 return arr[x, y]
             (xs, xe, xst), (ys, ye, yst) = region
@@ -175,22 +149,17 @@ class _Interp:
         view[...] = value.reshape(view.shape[:2] + (1,) * (view.ndim - 2))
 
     def write_dest(self, n: IRNode, region, value, x=None, y=None) -> None:
-        mlid = n.result_index
-        ml = self.g.memlocs[mlid]
-        arr = self.store.read(mlid)
+        ml = self.g.memlocs[n.result_index]
+        arr = self.arrays[n.result_index]
         if ml.placement == "controller":
-            self.store.write(mlid, np.asarray(value, dtype=np_dtype(ml.dtype)))
+            arr[...] = value
             return
         ms = self.mem_slices(n.dest_slice, ml, x, y)
-        (xs, xe, xst), (ys, ye, yst) = region
         if x is not None:
             self._assign(arr[(x, y) + ms], value)
-        elif ml.var_kind in (VarKind.LS, VarKind.ULS) or (
-                not ml.mem_shape and ml.var_kind is None):
-            self._assign(arr[xs:xe:xst, ys:ye:yst], value)
         else:
+            (xs, xe, xst), (ys, ye, yst) = region
             self._assign(arr[(slice(xs, xe, xst), slice(ys, ye, yst)) + ms], value)
-        self.store.write(mlid, arr)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -212,12 +181,12 @@ class _Interp:
                 raise _Break
             return
         if op == "ga_load":
-            ga = self.store.read(n.args[0].mlid)
+            ga = self.arrays[n.args[0].mlid]
             if "index" in n.attrs:
                 k = n.attrs["index"]
             else:
-                k = int(self.store.read(n.args[1].mlid))
-            self.store.write(n.result_index, np.asarray(ga[k]))
+                k = int(self.arrays[n.args[1].mlid])
+            self.arrays[n.result_index][...] = ga[k]
             return
         if op == "reduce_sum":
             self.eval_reduce(n)
@@ -239,7 +208,7 @@ class _Interp:
             nargs = n.args[:dyn_pos]
         if ml.placement == "controller":
             vals = [self.fetch_arg(a, None, dtype) for a in nargs]
-            self.store.write(n.result_index, alu(n.op_name, dtype, *vals))
+            self.arrays[n.result_index][...] = alu(n.op_name, dtype, *vals)
             return
         region = self.region_of(n)
         has_dyn = dyn_pos is not None or (
@@ -259,17 +228,12 @@ class _Interp:
         ml = self.g.memlocs[src.mlid]
         region = self.region_of(n)
         (xs, xe, xst), (ys, ye, yst) = region
-        arr = self.store.read(src.mlid)
+        arr = self.arrays[src.mlid]
         result = fold_sum(np.concatenate([
             arr[(x, y) + self.mem_slices(src.access, ml, x, y)].reshape(-1)
             for x in range(xs, xe, xst) for y in range(ys, ye, yst)]), ml.dtype)
-        dest = self.g.memlocs[n.result_index]
-        if dest.placement == "controller":
-            self.store.write(n.result_index, np.asarray(result))
-        else:  # uls target: every worker holds the value
-            out = self.store.read(n.result_index)
-            out[...] = result
-            self.store.write(n.result_index, out)
+        # a gs target holds the value; a uls target, every worker
+        self.arrays[n.result_index][...] = result
 
     def eval_shift(self, n: IRNode) -> None:
         src = n.args[0]
@@ -278,9 +242,8 @@ class _Interp:
         axis, off = n.attrs["axis"], n.attrs["offset"]
         dx, dy = (off, 0) if axis == "row" else (0, off)
         (xs, xe, _), (ys, ye, _) = n.dest_slice.pe
-        sarr = self.store.read(src.mlid)
-        darr = self.store.read(n.result_index)
-        snapshot = sarr.copy()
+        darr = self.arrays[n.result_index]
+        snapshot = self.arrays[src.mlid].copy()
         for x in range(xs, xe):
             for y in range(ys, ye):
                 px, py = x - dx, y - dy
@@ -292,7 +255,6 @@ class _Interp:
                     dview[...] = sval.reshape(dview.shape)
                 else:
                     darr[x, y] = sval
-        self.store.write(n.result_index, darr)
 
     def eval_gather_scatter(self, n: IRNode) -> None:
         op = n.op_name
@@ -307,10 +269,10 @@ class _Interp:
         sml = self.g.memlocs[src_a.mlid]
         iml = self.g.memlocs[idx_a.mlid]
         dml = self.g.memlocs[n.result_index]
-        sarr = self.store.read(src_a.mlid)
-        iarr = self.store.read(idx_a.mlid)
-        darr = self.store.read(n.result_index)
-        marr = self.store.read(n.args[2].mlid) if op == "gather_mul" else None
+        sarr = self.arrays[src_a.mlid]
+        iarr = self.arrays[idx_a.mlid]
+        darr = self.arrays[n.result_index]
+        marr = self.arrays[n.args[2].mlid] if op == "gather_mul" else None
         for x in range(xs, xe, xst):
             for y in range(ys, ye, yst):
                 swin = sarr[(x, y) + self.mem_slices(src_a.access, sml, x, y)].reshape(-1)
@@ -345,7 +307,6 @@ class _Interp:
                         else:
                             out[k] = np.asarray(swin[j] * mwin[k], dtype=darr.dtype)
                 dview[...] = out.reshape(dview.shape)
-        self.store.write(n.result_index, darr)
 
     def eval_loop(self, n: IRNode) -> None:
         start = n.attrs["start"]
@@ -354,7 +315,7 @@ class _Interp:
         trips = 0
         try:
             for k in range(start, start + extent):
-                self.store.write(counter_mlid, np.asarray(k, dtype=np.int16))
+                self.arrays[counter_mlid][...] = k
                 trips += 1
                 for b in n.subgraph.nodes:
                     self.eval_node(b)
@@ -385,11 +346,11 @@ def reduce_taint(g: IRGraph) -> set[int]:
 
 
 def run(g: IRGraph, plan: MemPlan | None = None) -> RefResult:
-    store = SymbolicStore(g) if plan is None else PlannedStore(g, plan)
-    interp = _Interp(g, store)
+    arrays = memory(g, plan)
+    interp = _Interp(g, arrays)
     interp.run()
-    # both modes report the same observable set
-    values = {mlid: np.asarray(store.read(mlid)) for mlid in observables(g)}
+    # both modes report the same observable set, as copies that alias no image
+    values = {mlid: arrays[mlid].copy() for mlid in observables(g)}
     return RefResult(values, interp.loop_trips, reduce_taint(g))
 
 

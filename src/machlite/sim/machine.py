@@ -43,7 +43,7 @@ import heapq
 from ..lowering.layout import (
     ARGS_BCAST, COLOR_NAMES, EXEC, MERGE, RED_BCAST, RED_COL, RED_CTRL,
     RED_ROW, RED_UP_E, RED_UP_S, REDUCE, RESP, WORKER)
-from ..memwords import load_words
+from ..memwords import word_view
 from ..refinterp import RefResult
 from .config import SimConfig
 from .roles import ExecCpu, MergeCpu, ReduceCpu, RespCpu, WorkerCpu
@@ -343,7 +343,8 @@ class Machine:
         for mlid in self.vm.observables:
             s = self.vm.symbol(mlid)
             image = self.ctrl_image if s.space == "controller" else self.worker_image
-            values[mlid] = load_words(image, s.address, s.size_words, s.dtype, s.shape)
+            values[mlid] = word_view(image, s.address, s.size_words, s.dtype,
+                                     s.shape).copy()
         return RefResult(values=values, loop_trips=dict(self.loop_trips),
                          tainted=set(tainted))
 

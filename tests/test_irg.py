@@ -24,6 +24,12 @@ def temp_count(g: irg.IRGraph) -> int:
     return sum(1 for ml in g.memlocs.values() if ml.kind == "temporary")
 
 
+def imported(g: irg.IRGraph) -> set[str]:
+    """Names of the variables that cross into a loop body (`sg_import`)."""
+    return {g.memlocs[n.args[0].mlid].name for n in irg.ordered_walk(g)
+            if n.op_name == "sg_import"}
+
+
 def test_two_node_expression():
     src = """\
 la A[4,4,8] f32 = rand
@@ -40,9 +46,9 @@ E = (A + B) * D
     assert g.memlocs[add.result_index].kind == "temporary"
     assert g.memlocs[mul.result_index].name == "E"
     assert g.memlocs[mul.result_index].kind == "output"
-    assert g.edges == [irg.IREdge(add.id, mul.id, 0, None)]
+    assert mul.args[0].mlid == add.result_index
     # non-tmp declarations are all retained through the end of the program
-    assert g.outputs == tuple(g.by_name[v] for v in "ABDE")
+    assert [ml.name for ml in g.memlocs.values() if ml.kind == "output"] == list("ABDE")
 
 
 def test_listing1_shape():
@@ -56,11 +62,16 @@ def test_listing1_shape():
     ]
     assert len(ops) == 12 == oracles.program_node_count(typed)
     assert temp_count(g) == 2 == oracles.program_temp_count(typed)
-    assert [n.id for n in irg.ordered_walk(g)] == list(range(12))
-    crossing = {g.memlocs[ml].name for _, _, ml in g.transfers}
-    assert crossing == {"myLA", "myGA", "myGS"}
-    edges = {(e.src_node, e.dst_node, e.arg_pos) for e in g.edges}
-    assert edges == {(3, 7, 1), (7, 8, 1), (8, 9, 0), (3, 11, 0)}
+    nodes = list(irg.ordered_walk(g))
+    assert [n.id for n in nodes] == list(range(12))
+    assert imported(g) == {"myLA", "myGA", "myGS"}
+    # the body's ga_load reads the loop counter, the loop variable feeds
+    # the gs add, whose result the exit test reads; the reduce after the
+    # loop reads the la the body wrote
+    assert nodes[7].args[1].mlid == nodes[3].args[1].mlid
+    assert nodes[8].args[1].mlid == nodes[7].result_index
+    assert nodes[9].args[0].mlid == nodes[8].result_index
+    assert nodes[11].args[0].mlid == nodes[10].result_index
 
 
 def test_listing1_loop_body_details():
@@ -112,7 +123,7 @@ B = A * G[3]
     assert g.memlocs[load.result_index].placement == "controller"
     assert isinstance(mul.args[1], irg.MemArg)
     assert mul.args[1].klass == "gs"
-    assert {(e.src_node, e.dst_node, e.arg_pos) for e in g.edges} == {(0, 1, 1)}
+    assert mul.args[1].mlid == load.result_index
 
 
 def test_dynamic_stop_trailing_arg():
@@ -142,7 +153,7 @@ for v in G {
 }
 """
     g = graph_of(src)
-    assert {g.memlocs[ml].name for _, _, ml in g.transfers} == {"A", "G", "n"}
+    assert imported(g) == {"A", "G", "n"}
 
 
 # sha256 over `machlite compile --emit irg` of every program and fuzz seeds 0-59
@@ -223,28 +234,31 @@ out la E[4,4,6] f32
         assert temp_count(g) == oracles.program_temp_count(typed), src
 
 
-def test_validate_flags_backward_edge():
+def test_validate_flags_ids_out_of_order():
     g = graph_of("""\
 la A[4,4,8] f32 = rand
 out la B[4,4,8] f32
 B = A + 1.0
 B = B * 2.0
 """)
-    g.edges.append(irg.IREdge(1, 0, 0, None))
+    g.nodes.reverse()
     msgs = [d.message for d in irg.validate(g)]
-    assert any("does not point forward" in m for m in msgs)
+    assert "node ids not increasing at 0 (after 1)" in msgs
 
 
 def test_validate_flags_missing_transfer():
     g = graph_of(LISTING1, 10, 10)
-    g.transfers.pop(0)
+    body = g.nodes[3].subgraph.nodes
+    dropped = body.pop(0)
+    assert dropped.op_name == "sg_import"
     msgs = [d.message for d in irg.validate(g)]
-    assert any("without a subgraph transfer" in m for m in msgs)
+    name = g.memlocs[dropped.args[0].mlid].name
+    assert f"loop node 3 references '{name}' without a subgraph transfer" in msgs
 
 
 def test_empty_program_graph():
     g = graph_of("la A[4,4,8] f32 = rand\n")
-    assert g.nodes == [] and g.edges == []
+    assert g.nodes == []
     assert irg.validate(g) == []
 
 

@@ -22,7 +22,7 @@ from machlite.lowering import (
 )
 from machlite.lowering.emit import emit_text
 from machlite.lowering.layout import REDUCE, RESP, SPINE, WORKER
-from machlite.memwords import WORKER_WORDS
+from machlite.memwords import WORKER_WORDS, word_view
 
 
 def lowered(src: str, nx: int = 4, ny: int = 4, seed: int = 0):
@@ -463,22 +463,26 @@ A += A
     plan = memplan.plan(g)
     vm = lower(g, plan)
     worker, ctrl = vm.build_images()
-    store = refinterp.PlannedStore(g, plan)
-    # both worker images span the plan's footprint, masks included
+    planned = refinterp.memory(g, plan)
+    # the worker image spans the plan's footprint, masks included
     assert vm.worker_words == plan.footprint["worker"] == max(
         e.offset + e.size_words for e in [*plan.entries.values(), *plan.reserved.values()]
         if e.space == "worker")
-    assert worker.shape == store.worker.shape == (4, 4, vm.worker_words)
-    assert ctrl.shape == store.controller.shape == (WORKER_WORDS,)
-    # both place every init at the symbol's absolute address
+    assert worker.shape == (4, 4, vm.worker_words)
+    assert ctrl.shape == (WORKER_WORDS,)
+    # the planned views read images equal to these at every init's
+    # absolute address, and hold the values stored there
     for sym in vm.symbols:
         if vm.inits.get(sym.mlid) is None:
             continue
-        got, want = ((ctrl, store.controller) if sym.space == "controller"
-                     else (worker, store.worker))
+        image = ctrl if sym.space == "controller" else worker
+        base = planned[sym.mlid].base       # the image the view reads
+        assert base.shape == image.shape, sym.name
         span = slice(sym.address, sym.address + sym.size_words)
-        assert got[..., span].any(), sym.name
-        assert np.array_equal(got[..., span], want[..., span]), sym.name
+        assert image[..., span].any(), sym.name
+        assert np.array_equal(base[..., span], image[..., span]), sym.name
+        words = word_view(image, sym.address, sym.size_words, sym.dtype, sym.shape)
+        assert np.array_equal(planned[sym.mlid], words), sym.name
     # mask words are in place
     for entry in vm.masks.ordered():
         for x in range(4):

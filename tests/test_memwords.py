@@ -5,22 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from machlite.frontend.semantic import GridConfig
+from machlite.frontend.semantic import GridConfig, declared_shape
 from machlite.frontend.syntax import DType, InitSpec, TensorDecl, VarKind
-from machlite.irg import declared_shape
 from machlite.memwords import (
-    WORKER_WORDS, encode_words, fold_sum, initial_array, initial_images, load_words,
-    materialize_init, store_words)
+    WORKER_WORDS, encode_words, fold_sum, initial_images, materialize_init,
+    word_view)
 
 NX, NY, WORDS = 3, 2, 64
 _rng = np.random.default_rng(5)
 
-# name -> (image shape, word address, logical array, dtype)
+# name -> (image shape, word address, logical array, dtype): an la of
+# memory rank 1 and 2 (declared rank 3 and 4), an ls, a uls, a ga and a gs
 CASES = {
+    "worker_f32_rank1": ((NX, NY, WORDS), 7,
+                         _rng.standard_normal((NX, NY, 6)).astype(np.float32), DType.F32),
     "worker_f32_rank2": ((NX, NY, WORDS), 7,
                          _rng.standard_normal((NX, NY, 4, 5)).astype(np.float32), DType.F32),
     "worker_i16_scalar": ((NX, NY, WORDS), 50,
                           _rng.integers(-300, 300, (NX, NY), dtype=np.int16), DType.I16),
+    "worker_f32_uniform_scalar": ((NX, NY, WORDS), 51,
+                                  np.full((NX, NY), -1.25, dtype=np.float32), DType.F32),
     "controller_ga_f32": ((WORDS,), 3,
                           _rng.standard_normal(5).astype(np.float32), DType.F32),
     "controller_gs_i16": ((WORDS,), 20, np.int16(-7), DType.I16),
@@ -28,20 +32,32 @@ CASES = {
 
 
 def stored(name):
+    """A zeroed image with the case's array written through `word_view`."""
     shape, addr, arr, dt = CASES[name]
+    arr = np.asarray(arr)
     tiles = len(shape) - 1
-    size = int(np.prod(np.shape(arr)[tiles:], dtype=int)) * dt.words
-    image = np.zeros(shape, dtype=np.uint16)
-    store_words(image, addr, size, arr, dt)
-    return image, addr, size, np.asarray(arr), dt
+    size = int(np.prod(arr.shape[tiles:], dtype=int)) * dt.words
+    image = np.zeros(shape, dtype="<u2")
+    word_view(image, addr, size, dt, arr.shape)[...] = arr
+    return image, addr, size, arr, dt
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_load_round_trips_store(name):
     image, addr, size, arr, dt = stored(name)
-    got = load_words(image, addr, size, dt, arr.shape)
+    got = word_view(image, addr, size, dt, arr.shape)
     assert got.dtype == arr.dtype and got.shape == arr.shape
     assert np.array_equal(got, arr)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_word_view_never_copies(name):
+    # numpy's reshape copies silently where a view cannot express the shape
+    image, addr, size, arr, dt = stored(name)
+    view = word_view(image, addr, size, dt, arr.shape)
+    assert np.shares_memory(view, image)
+    view[...] = 0
+    assert not image.any()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -60,18 +76,23 @@ def test_each_tile_holds_its_block_and_nothing_else(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_loaded_array_is_a_copy(name):
+    # a readout (`word_view(...).copy()`) aliases no image and no other readout
     image, addr, size, arr, dt = stored(name)
     before = image.copy()
-    got = load_words(image, addr, size, dt, arr.shape)
+    got = word_view(image, addr, size, dt, arr.shape).copy()
+    again = word_view(image, addr, size, dt, arr.shape).copy()
     got[...] = 1
     assert np.array_equal(image, before)
+    assert np.array_equal(again, arr)
 
 
 def test_scalar_initializer_spreads_to_every_worker():
-    got = initial_array(np.float32(2.5), DType.F32, (NX, NY))
+    worker, _ = initial_images(NX, NY, WORDS, [
+        ("worker", 9, 2, DType.F32, (NX, NY), np.float32(2.5))])
+    got = word_view(worker, 9, 2, DType.F32, (NX, NY))
     assert got.shape == (NX, NY) and got.dtype == np.float32
     assert (got == 2.5).all()
-    got[0, 0] = 0.0                 # a writable array, not a broadcast view
+    got[0, 0] = 0.0                 # each worker holds its own words
     assert got[1, 1] == 2.5
 
 
@@ -82,8 +103,9 @@ def test_initial_images_hold_each_init_at_its_absolute_address():
         ("controller", 12_300, 5, DType.I16, (5,), ga),
     ])
     assert worker.shape == (NX, NY, WORDS) and ctrl.shape == (WORKER_WORDS,)
-    assert (load_words(worker, 9, 2, DType.F32, (NX, NY)) == 2.5).all()
-    assert np.array_equal(load_words(ctrl, 12_300, 5, DType.I16, (5,)), ga)
+    assert worker.dtype.str == ctrl.dtype.str == "<u2"
+    assert (word_view(worker, 9, 2, DType.F32, (NX, NY)) == 2.5).all()
+    assert np.array_equal(word_view(ctrl, 12_300, 5, DType.I16, (5,)), ga)
     assert np.count_nonzero(worker) == NX * NY and np.count_nonzero(ctrl) == 4
 
 

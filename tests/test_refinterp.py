@@ -1,6 +1,8 @@
 """Reference interpreter semantics, checked against direct numpy math."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,21 @@ reduce(B[:, :, 0:3], s)
         a = refinterp.run(g)
         b = refinterp.run(g, plan(g))
         assert refinterp.diff_results(g, a, b) == [], src
+
+
+def test_overlapping_plan_corrupts_the_planned_run():
+    # the planned run reads and writes the planned words, so a plan that
+    # puts two live variables on one block shows against the symbolic run
+    g = graph_of("out la A[4,4,8] f32 = rand\nout la B[4,4,8] f32\nB = A * 2.0\n")
+    good = plan(g)
+    a, b = g.by_name["A"], g.by_name["B"]
+    bad = dataclasses.replace(good, entries={
+        **good.entries, b: dataclasses.replace(good.entries[b], offset=good.entries[a].offset)})
+    sym, got = refinterp.run(g), refinterp.run(g, bad)
+    assert refinterp.diff_results(g, sym, refinterp.run(g, good)) == []
+    assert [m.split(":")[0] for m in refinterp.diff_results(g, sym, got)] == ["A"]
+    assert np.array_equal(got.values[a], sym.values[b])
+    assert np.array_equal(got.values[b], sym.values[b])
 
 
 def test_diff_reports_mismatch():
