@@ -257,3 +257,67 @@ def test_mutation_diagnostics_match_golden(tmp_path, capsys, monkeypatch):
             code, err = cli_exit(tmp_path, capsys, text, "compile")
             h.update(f"{code}\n{err}\0".encode())
     assert h.hexdigest() == MUTATION_DIAGNOSTICS_GOLDEN
+
+
+# lexer corner cases: comments (with and without a line end after them),
+# blank-line runs, CRLF, tabs, number shapes, Unicode words and digits, and
+# characters that are no token
+TOKEN_EDGES = [
+    "", "\n", "   ", "#", "# only a comment", "a = 1 # trailing comment",
+    "# c1\n# c2\na = 1\n", "a = 1\n# last line comment",
+    "\n\n\na = 1\n\n\n\nb = 2\n\n", "a = 1\r\nb = 2\r\n", "a = 1\r\n\r\n\r\nb\r",
+    "\ta\t=\t1\n", "\t\n \t \n",
+    "x = 1.2.3\n", "y = 5.e3\n", "z = .5\n", "w = x1e5\n", "n = 1e5x\n",
+    "f = 1E+5 + 2e-3 - 1.\n", "g = 3..4\n", "h = 1e5e3 + 1.5.e3\n", "i = 007\n",
+    "__x9 = a.b\n", "a+=-1\n", ">=<=!===\n", "+-*/=><[](){},:;@\n",
+    "@host { a = 1 }\n", "aé = 1\n", "v = ٣\n", "u = ٣.٥e٢\n", "x² = ǅ\n",
+    "_ = Ⅻ\n", "½\n", "$", "a = $ 1\n", "?", "b ? c\n",
+]
+
+
+def token_inputs():
+    from machlite.fuzz import gen_source
+    yield from (p.read_text() for p in PROGRAMS)
+    yield from (gen_source(seed) for seed in range(1000))
+    for seed in range(4):
+        yield from mutations(seed)
+    yield from TOKEN_EDGES
+
+
+# sha256 over (kind, text, line, col) of every token, and every lexer
+# diagnostic, of token_inputs()
+TOKENS_GOLDEN = "247c9a5f18ec3597bfad755c28548b626503fc591d2efbb4471674a54e971a90"
+
+
+def test_tokens_match_golden():
+    h = hashlib.sha256()
+    for text in token_inputs():
+        sink = DiagnosticSink()
+        for t in tokenize(text, sink):
+            h.update(f"{t.kind}\0{t.text}\0{t.loc.line}\0{t.loc.col}\0".encode())
+        h.update(("\n".join(str(d) for d in sink.items) + "\1").encode())
+    assert h.hexdigest() == TOKENS_GOLDEN
+
+
+MALFORMED_NUMBERS = {
+    "exponent_without_digits": ("a += 1e\n", "2:6: error: malformed number '1e'"),
+    "exponent_sign_without_digits": ("a += 1e+\n", "2:6: error: malformed number '1e+'"),
+    "superscript_digit": ("a += \u00b2\n", "2:6: error: malformed number '\u00b2'"),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="the parser's int()/float() raise an unlocated ValueError")
+@pytest.mark.parametrize("name", sorted(MALFORMED_NUMBERS))
+def test_malformed_number_is_a_located_error(tmp_path, capsys, name):
+    text, diag = MALFORMED_NUMBERS[name]
+    code, err = cli_exit(tmp_path, capsys, "la a[4,4,8] f32 = rand\n" + text, "compile")
+    assert code == 1
+    assert err.splitlines()[0] == diag
+
+
+@pytest.mark.xfail(strict=True, reason="diff_results compares without equal_nan")
+def test_diff_of_equal_nans_exits_0(tmp_path, capsys):
+    src = tmp_path / "nan.mach"
+    src.write_text("la A[2,2,4] f32 = zeros\nout la B[2,2,4] f32\nB = A / A\n")
+    assert cli.main(["diff", str(src)]) == 0
+    assert capsys.readouterr() == ("all variables within tolerance\n", "")

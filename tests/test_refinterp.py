@@ -302,3 +302,55 @@ def test_diff_reports_mismatch():
     b.values[g.by_name["E"]][1, 2, 0] = 7.0
     msgs = refinterp.diff_results(g, a, b)
     assert len(msgs) == 1 and "E" in msgs[0] and "(1, 2, 0)" in msgs[0]
+
+
+NAN_SRC = """\
+la A[2,2,4] f32 = zeros
+out la B[2,2,4] f32
+gs s f32 = 0.0
+B = A / A
+reduce(B, s)
+"""
+
+
+def nan_results():
+    """Two reference results of NAN_SRC, whose B and s are NaN, the second
+    with copied values that a test may change."""
+    g = graph_of(NAN_SRC, 2, 2)
+    a, b = refinterp.run(g), refinterp.run(g, plan(g))
+    b.values = {k: v.copy() for k, v in b.values.items()}
+    B, s = g.by_name["B"], g.by_name["s"]
+    assert np.isnan(a.values[B]).all() and np.isnan(a.values[s])
+    assert s in a.tainted and B not in a.tainted
+    return g, a, b, B, s
+
+
+@pytest.mark.xfail(strict=True, reason="diff_results compares without equal_nan")
+def test_diff_nan_on_both_sides_agrees():
+    # B compares exactly, the reduction result s to tolerance
+    g, a, b, _, _ = nan_results()
+    assert refinterp.diff_results(g, a, b) == []
+
+
+def test_diff_nan_against_a_number_is_a_mismatch():
+    g, a, b, B, s = nan_results()
+    b.values[B][1, 0, 3] = 1.0
+    b.values[s][()] = 1.0
+    msgs = refinterp.diff_results(g, a, b)
+    assert [m.split(":")[0] for m in msgs] == ["B", "s"]
+
+
+@pytest.mark.xfail(strict=True, reason="the worst-index search ranks equal NaN and inf positions")
+def test_diff_worst_index_skips_equal_positions():
+    g, a, b, B, _ = nan_results()
+    # NaN and inf on both sides are equal there; only (1, 1, 2) differs
+    a.values[B][0] = np.inf
+    b.values[B][0] = np.inf
+    a.values[B][1, 1, 2] = -np.inf
+    b.values[B][1, 1, 2] = 0.0
+    assert refinterp.diff_results(g, a, b) == [
+        "B: values differ, worst at (1, 1, 2): -inf vs 0.0"]
+    b.values[B][1, 1, 2] = -np.inf
+    b.values[B][1, 0, 3] = 1.0
+    assert refinterp.diff_results(g, a, b) == [
+        "B: values differ, worst at (1, 0, 3): nan vs 1.0"]
