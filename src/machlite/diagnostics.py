@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
+    """A 1-based source position."""
     line: int
     col: int
 

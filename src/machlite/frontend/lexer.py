@@ -1,7 +1,12 @@
-"""Hand-written tokenizer for mach-lite source text."""
+"""Tokenizer for mach-lite source text.
+
+One compiled pattern, matched at each position, picks the next token: a
+comment, a line end, blanks, a number, a word or an operator.  A character
+that none of them takes is reported and skipped.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from machlite.diagnostics import DiagnosticSink, Loc
 
@@ -22,87 +27,100 @@ OPERATORS = [
     "[", "]", "(", ")", "{", "}", ",", ":", ";", "@",
 ]
 
+# `\d` is a decimal digit and `\w` an `isalnum` character or `_`.  A word
+# match whose first character is not `isalpha` or `_`, and a number followed
+# by a digit that is not decimal (`²`), go to the `other` branch.
+_TOKEN = re.compile("|".join([
+    r"(?P<comment>#[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r]+)",
+    r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)",
+    r"(?P<word>[^\W\d]\w*)",
+    "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+    r"(?P<other>.)",
+]), re.DOTALL)
 
-@dataclass(frozen=True)
+
 class Token:
-    kind: str  # "ident" | "keyword" | "int" | "float" | "op" | "newline" | "eof"
-    text: str
-    loc: Loc
+    __slots__ = ("kind", "text", "loc")
+
+    def __init__(self, kind: str, text: str, loc: Loc):
+        self.kind = kind  # "ident" | "keyword" | "int" | "float" | "op" | "newline" | "eof"
+        self.text = text
+        self.loc = loc
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.loc})"
 
 
+def _number_end(source: str, i: int) -> int:
+    """End of the number starting at `i` under `isdigit`: digits, at most
+    one '.' before the exponent, and one exponent with an optional sign."""
+    n = len(source)
+    seen_dot = seen_exp = False
+    while i < n:
+        c = source[i]
+        if c.isdigit():
+            i += 1
+        elif c == "." and not seen_dot and not seen_exp:
+            seen_dot = True
+            i += 1
+        elif c in "eE" and not seen_exp:
+            seen_exp = True
+            i += 1
+            if i < n and source[i] in "+-":
+                i += 1
+        else:
+            break
+    return i
+
+
 def tokenize(source: str, sink: DiagnosticSink) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def emit(kind: str, text: str, at_line: int, at_col: int) -> None:
-        tokens.append(Token(kind, text, Loc(at_line, at_col)))
-
-    while i < n:
-        ch = source[i]
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
+    line_start = 0      # the index of column 1; a comment takes no columns
+    pos, n = 0, len(source)
+    while pos < n:
+        m = match(source, pos)
+        kind, end = m.lastgroup, m.end()
+        if kind == "blank":
+            pass
+        elif kind == "newline":
             # collapse runs of blank lines into a single separator
-            if tokens and tokens[-1].kind not in ("newline",):
-                emit("newline", "\n", line, col)
-            i += 1
+            if tokens and tokens[-1].kind != "newline":
+                append(Token("newline", "\n", Loc(line, pos - line_start + 1)))
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start, start_col = i, col
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = source[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i > start:
-                    seen_exp = True
-                    i += 1
-                    if i < n and source[i] in "+-":
-                        i += 1
-                else:
-                    break
-            text = source[start:i]
-            col += i - start
-            emit("float" if (seen_dot or seen_exp) else "int", text, line, start_col)
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            col += i - start
-            emit("keyword" if text in KEYWORDS else "ident", text, line, start_col)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                emit("op", op, line, col)
-                i += len(op)
-                col += len(op)
-                break
+            line_start = end
+        elif kind == "comment":
+            line_start += end - pos
         else:
-            sink.error(f"unexpected character {ch!r}", Loc(line, col))
-            i += 1
-            col += 1
+            text = m.group()
+            loc = Loc(line, pos - line_start + 1)
+            if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+                append(Token("keyword" if text in KEYWORDS else "ident", text, loc))
+            elif kind == "op":
+                append(Token("op", text, loc))
+            elif kind == "number" and not source[end:end + 1].isdigit():
+                if text[-1] in "eE+-":
+                    sink.error(f"malformed number {text!r}", loc)
+                else:
+                    append(Token("float" if "." in text or "e" in text or "E" in text
+                                 else "int", text, loc))
+            else:
+                ch = source[pos]
+                if ch.isdigit() or (ch == "." and source[pos + 1:pos + 2].isdigit()):
+                    # a digit that is not decimal: `int` and `float` reject it
+                    end = _number_end(source, pos)
+                    sink.error(f"malformed number {source[pos:end]!r}", loc)
+                else:
+                    end = pos + 1
+                    sink.error(f"unexpected character {ch!r}", loc)
+        pos = end
 
+    col = pos - line_start + 1
     if tokens and tokens[-1].kind != "newline":
-        emit("newline", "\n", line, col)
-    emit("eof", "", line, col)
+        append(Token("newline", "\n", Loc(line, col)))
+    append(Token("eof", "", Loc(line, col)))
     return tokens

@@ -49,21 +49,27 @@ class Parser:
 
     # --- token helpers -----------------------------------------------------
 
+    # The token list ends in "eof" and next() never moves past it, so
+    # toks[pos] is always a token; only a look ahead needs the clamp.
+
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
+        t = self.toks[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
             return self.next()
         return None
 

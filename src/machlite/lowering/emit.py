@@ -23,7 +23,8 @@ ROLE_FILES = ("exec.asm", "worker.asm", "reduce.asm", "resp.asm", "merge.asm",
 # --- helpers ----------------------------------------------------------------
 
 def _hex(words) -> str:
-    return " ".join(f"{int(w) & 0xFFFF:04x}" for w in words)
+    """The low 16 bits of each word as four hex digits, space-separated."""
+    return np.asarray(words).astype(">u2").tobytes().hex(" ", 2)
 
 
 def _operand(o: tuple) -> str:
@@ -211,10 +212,15 @@ def emit_paint(vm: VMachineProgram) -> str:
         L.append(f"y={y:<2d} {row}")
     L.append("[resp_order] " + " ".join(f"{x},{y}" for x, y in lay.resp_order))
     L.append("[routes]")
+    shown: dict[int, str] = {}      # id of a ring -> its text; tiles share rings
     for (x, y) in sorted(lay.routes):
-        for color in sorted(lay.routes[(x, y)]):
-            L.append(f"{x},{y} {COLOR_NAMES[color]} "
-                     f"{_ring_str(lay.routes[(x, y)][color])}")
+        rings = lay.routes[(x, y)]
+        for color in sorted(rings):
+            rr = rings[color]
+            text = shown.get(id(rr))
+            if text is None:
+                text = shown[id(rr)] = _ring_str(rr)
+            L.append(f"{x},{y} {COLOR_NAMES[color]} {text}")
     L.append("[params]")
     for (x, y) in sorted(lay.role_params):
         kv = " ".join(f"{k}={v}" for k, v in sorted(lay.role_params[(x, y)].items()))

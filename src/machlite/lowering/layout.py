@@ -56,8 +56,22 @@ EXEC, MERGE, RESP, WORKER, REDUCE, SPINE, UNUSED = (
 
 
 def ring(*states):
-    """Build a route ring; each state is a dict {in_port: (out, ...)}."""
+    """Build a route ring; each state is a dict {in_port: (out, ...)}.
+
+    Rings are shared values: every tile of a layout that routes a colour
+    the same way holds the same tuple, and no holder mutates it.
+    """
     return tuple(tuple(sorted((i, tuple(o)) for i, o in st.items())) for st in states)
+
+
+def _ring_pool():
+    """`ring` for one layout: an equal ring comes back as the same tuple."""
+    seen: dict = {}
+
+    def shared(*states):
+        rr = ring(*states)
+        return seen.setdefault(rr, rr)
+    return shared
 
 
 @dataclass
@@ -140,28 +154,30 @@ def build_layout(nx: int, ny: int, n_resp: int = 4) -> FabricLayout:
     for wx, wy in lay.workers():
         roles[lay.fabric_of(wx, wy)] = WORKER
 
-    _control_routes(lay)
-    _broadcast_routes(lay)
-    _reduction_routes(lay)
-    _shift_routes(lay)
-    _worker_local_routes(lay)
+    # equal rings are one tuple; the per-worker loops reuse rings built before them
+    shared = _ring_pool()
+    _control_routes(lay, shared)
+    _broadcast_routes(lay, shared)
+    _reduction_routes(lay, shared)
+    _shift_routes(lay, shared)
+    _worker_local_routes(lay, shared)
     _role_params(lay)
     return lay
 
 
-def _control_routes(lay: FabricLayout) -> None:
+def _control_routes(lay: FabricLayout, shared) -> None:
     xm, xe, yc = lay.xm, lay.xe, lay.yc
     # Wake: executive to both response flanks; the merge consumes a copy.
-    _add(lay.routes, (xe, yc), WAKE, ring({"C": ("L", "R")}))
-    _add(lay.routes, (xm, yc), WAKE, ring({"R": ("C", "L")}))
+    _add(lay.routes, (xe, yc), WAKE, shared({"C": ("L", "R")}))
+    _add(lay.routes, (xm, yc), WAKE, shared({"R": ("C", "L")}))
     for xy in lay.resp_order:
         p = lay.role_params[xy]
         inward = "R" if p["side"] == "left" else "L"
         outs = ("C",) if _last_outward(lay, xy) else ("C", _opp(inward))
-        _add(lay.routes, xy, WAKE, ring({inward: outs}))
+        _add(lay.routes, xy, WAKE, shared({inward: outs}))
     # Ack: merge back to the executive.
-    _add(lay.routes, (xm, yc), ACK, ring({"C": ("R",)}))
-    _add(lay.routes, (xe, yc), ACK, ring({"L": ("C",)}))
+    _add(lay.routes, (xm, yc), ACK, shared({"C": ("R",)}))
+    _add(lay.routes, (xe, yc), ACK, shared({"L": ("C",)}))
     # Drain rings: state 0 sends the tile's own chunk toward the merge,
     # state 1 lets the outward neighbor's chunk flow through.  Advanced
     # in-band by the terminator wavelets each response appends to its chunk.
@@ -170,11 +186,11 @@ def _control_routes(lay: FabricLayout) -> None:
         inward = "R" if p["side"] == "left" else "L"   # direction of the merge
         outward = _opp(inward)
         for color in (CTRL_DRAIN, ARGS_DRAIN):
-            _add(lay.routes, xy, color, ring({"C": (inward,)}, {outward: (inward,)}))
+            _add(lay.routes, xy, color, shared({"C": (inward,)}, {outward: (inward,)}))
     for color in (CTRL_DRAIN, ARGS_DRAIN):
         # right-flank chunks pass through the executive on their way in
-        _add(lay.routes, (xe, yc), color, ring({"R": ("L",)}))
-        _add(lay.routes, (xm, yc), color, ring({"L": ("C",)}, {"R": ("C",)}))
+        _add(lay.routes, (xe, yc), color, shared({"R": ("L",)}))
+        _add(lay.routes, (xm, yc), color, shared({"L": ("C",)}, {"R": ("C",)}))
 
 
 def _last_outward(lay, xy) -> bool:
@@ -185,19 +201,19 @@ def _opp(d: str) -> str:
     return {"L": "R", "R": "L", "U": "D", "D": "U"}[d]
 
 
-def _broadcast_routes(lay: FabricLayout) -> None:
+def _broadcast_routes(lay: FabricLayout, shared) -> None:
     """Merge egress up/down to the reduction rows, along them, into columns."""
     xm, yru, yrl = lay.xm, lay.yru, lay.yrl
     for color in (CTRL_BCAST, ARGS_BCAST):
-        _add(lay.routes, (xm, lay.yc), color, ring({"C": ("U", "D")}))
+        _add(lay.routes, (xm, lay.yc), color, shared({"C": ("U", "D")}))
         for y, into in ((yru, "U"), (yrl, "D")):
             feed = "D" if y == yru else "U"   # side facing the merge
-            _add(lay.routes, (xm, y), color, ring({feed: _spread_outs(lay, into, True)}))
+            _add(lay.routes, (xm, y), color, shared({feed: _spread_outs(lay, into, True)}))
             for x in range(2, lay.nx + 2):
                 if x == xm:
                     continue
-                _add(lay.routes, (x, y), color, ring({_row_in(lay, x): _row_outs(lay, x, into)}))
-        _feed_columns(lay, color)
+                _add(lay.routes, (x, y), color, shared({_row_in(lay, x): _row_outs(lay, x, into)}))
+        _feed_columns(lay, shared, color)
 
 
 def _row_in(lay, x) -> str:
@@ -223,83 +239,87 @@ def _row_outs(lay, x, into) -> tuple:
     return tuple(outs)
 
 
-def _feed_columns(lay: FabricLayout, color: int) -> None:
+def _feed_columns(lay: FabricLayout, shared, color: int) -> None:
+    # down from the upper row (the top worker ends the column), up from the lower
+    upper, upper_end = shared({"D": ("C", "U")}), shared({"D": ("C",)})
+    lower, lower_end = shared({"U": ("C", "D")}), shared({"U": ("C",)})
     for wx in range(lay.nx):
         x = wx + 2
         for wy in range(lay.ny):
             _, fy = lay.fabric_of(wx, wy)
             if wy < lay.ny // 2:
-                outs = ("C",) if wy == 0 else ("C", "U")
-                _add(lay.routes, (x, fy), color, ring({"D": outs}))
+                rr = upper_end if wy == 0 else upper
             else:
-                outs = ("C",) if wy == lay.ny - 1 else ("C", "D")
-                _add(lay.routes, (x, fy), color, ring({"U": outs}))
+                rr = lower_end if wy == lay.ny - 1 else lower
+            _add(lay.routes, (x, fy), color, rr)
 
 
-def _reduction_routes(lay: FabricLayout) -> None:
+def _reduction_routes(lay: FabricLayout, shared) -> None:
     xm, xe, yru, yrl, yc = lay.xm, lay.xe, lay.yru, lay.yrl, lay.yc
     # Stage 1: columns drain toward the nearer reduction row, closest first.
+    down, up = shared({"C": ("D",)}, {"U": ("D",)}), shared({"C": ("U",)}, {"D": ("U",)})
+    into_upper, into_lower = shared({"U": ("C",)}), shared({"D": ("C",)})
     for wx in range(lay.nx):
         x = wx + 2
         for wy in range(lay.ny):
             _, fy = lay.fabric_of(wx, wy)
-            if wy < lay.ny // 2:
-                _add(lay.routes, (x, fy), RED_COL, ring({"C": ("D",)}, {"U": ("D",)}))
-            else:
-                _add(lay.routes, (x, fy), RED_COL, ring({"C": ("U",)}, {"D": ("U",)}))
-        _add(lay.routes, (x, yru), RED_COL, ring({"U": ("C",)}))
-        _add(lay.routes, (x, yrl), RED_COL, ring({"D": ("C",)}))
+            _add(lay.routes, (x, fy), RED_COL, down if wy < lay.ny // 2 else up)
+        _add(lay.routes, (x, yru), RED_COL, into_upper)
+        _add(lay.routes, (x, yrl), RED_COL, into_lower)
     # Stage 2: row halves drain to the two inner tiles of each row.
+    right, left = shared({"C": ("R",)}, {"L": ("R",)}), shared({"C": ("L",)}, {"R": ("L",)})
     for y in (yru, yrl):
         for x in range(2, xm):
-            _add(lay.routes, (x, y), RED_ROW, ring({"C": ("R",)}, {"L": ("R",)}))
+            _add(lay.routes, (x, y), RED_ROW, right)
         for x in range(xe + 1, lay.nx + 2):
-            _add(lay.routes, (x, y), RED_ROW, ring({"C": ("L",)}, {"R": ("L",)}))
-        _add(lay.routes, (xm, y), RED_ROW, ring({"L": ("C",)}))
-        _add(lay.routes, (xe, y), RED_ROW, ring({"R": ("C",)}))
+            _add(lay.routes, (x, y), RED_ROW, left)
+        _add(lay.routes, (xm, y), RED_ROW, shared({"L": ("C",)}))
+        _add(lay.routes, (xe, y), RED_ROW, shared({"R": ("C",)}))
     # Stage 3 into the final tile (xm, yru): upper-right comes straight across;
     # the lower pair chains through the lower-left tile and up the merge column.
-    _add(lay.routes, (xe, yru), RED_UP_E, ring({"C": ("L",)}))
-    _add(lay.routes, (xm, yru), RED_UP_E, ring({"R": ("C",)}))
-    _add(lay.routes, (xe, yrl), RED_UP_S, ring({"C": ("L",)}))
-    _add(lay.routes, (xm, yrl), RED_UP_S, ring({"C": ("U",)}, {"R": ("U",)}))
-    _add(lay.routes, (xm, yc), RED_UP_S, ring({"D": ("U",)}))
-    _add(lay.routes, (xm, yru), RED_UP_S, ring({"D": ("C",)}))
+    _add(lay.routes, (xe, yru), RED_UP_E, shared({"C": ("L",)}))
+    _add(lay.routes, (xm, yru), RED_UP_E, shared({"R": ("C",)}))
+    _add(lay.routes, (xe, yrl), RED_UP_S, shared({"C": ("L",)}))
+    _add(lay.routes, (xm, yrl), RED_UP_S, shared({"C": ("U",)}, {"R": ("U",)}))
+    _add(lay.routes, (xm, yc), RED_UP_S, shared({"D": ("U",)}))
+    _add(lay.routes, (xm, yru), RED_UP_S, shared({"D": ("C",)}))
     # Stage 4a: broadcast to every worker, tree mirroring the args broadcast.
-    _add(lay.routes, (xm, yru), RED_BCAST, ring({"C": _spread_outs(lay, "U", False) + ("D",)}))
-    _add(lay.routes, (xm, yc), RED_BCAST, ring({"U": ("D",)}))
-    _add(lay.routes, (xm, yrl), RED_BCAST, ring({"U": _spread_outs(lay, "D", False)}))
+    _add(lay.routes, (xm, yru), RED_BCAST, shared({"C": _spread_outs(lay, "U", False) + ("D",)}))
+    _add(lay.routes, (xm, yc), RED_BCAST, shared({"U": ("D",)}))
+    _add(lay.routes, (xm, yrl), RED_BCAST, shared({"U": _spread_outs(lay, "D", False)}))
     for y, into in ((yru, "U"), (yrl, "D")):
         for x in range(2, lay.nx + 2):
             if x == xm:
                 continue
             outs = tuple(o for o in _row_outs(lay, x, into) if o != "C")
-            _add(lay.routes, (x, y), RED_BCAST, ring({_row_in(lay, x): outs}))
-    _feed_columns(lay, RED_BCAST)
+            _add(lay.routes, (x, y), RED_BCAST, shared({_row_in(lay, x): outs}))
+    _feed_columns(lay, shared, RED_BCAST)
     # Stage 4b: scalar targets travel to the executive instead.
-    _add(lay.routes, (xm, yru), RED_CTRL, ring({"C": ("D",)}))
-    _add(lay.routes, (xm, yc), RED_CTRL, ring({"U": ("R",)}))
-    _add(lay.routes, (xe, yc), RED_CTRL, ring({"L": ("C",)}))
+    _add(lay.routes, (xm, yru), RED_CTRL, shared({"C": ("D",)}))
+    _add(lay.routes, (xm, yc), RED_CTRL, shared({"U": ("R",)}))
+    _add(lay.routes, (xe, yc), RED_CTRL, shared({"L": ("C",)}))
 
 
-def _shift_routes(lay: FabricLayout) -> None:
-    send = [{"C": ("R",)}, {"C": ("D",)}, {"C": ("L",)}, {"C": ("U",)}]
-    recv = [{"L": ("C",)}, {"U": ("C",)}, {"R": ("C",)}, {"D": ("C",)}]
+def _shift_routes(lay: FabricLayout, shared) -> None:
+    send = shared({"C": ("R",)}, {"C": ("D",)}, {"C": ("L",)}, {"C": ("U",)})
+    recv = shared({"L": ("C",)}, {"U": ("C",)}, {"R": ("C",)}, {"D": ("C",)})
     for wx, wy in lay.workers():
         xy = lay.fabric_of(wx, wy)
         a, b = (send, recv) if lay.phase(wx, wy) == 0 else (recv, send)
-        _add(lay.routes, xy, SHIFT_A, ring(*a))
-        _add(lay.routes, xy, SHIFT_B, ring(*b))
+        _add(lay.routes, xy, SHIFT_A, a)
+        _add(lay.routes, xy, SHIFT_B, b)
     # Vertical pass-through across the three-strip for column shifts.
+    through = shared({"U": ("D",), "D": ("U",)})
     for x in range(2, lay.nx + 2):
         for y in (lay.yru, lay.yc, lay.yrl):
             for color in (SHIFT_A, SHIFT_B):
-                _add(lay.routes, (x, y), color, ring({"U": ("D",), "D": ("U",)}))
+                _add(lay.routes, (x, y), color, through)
 
 
-def _worker_local_routes(lay: FabricLayout) -> None:
+def _worker_local_routes(lay: FabricLayout, shared) -> None:
+    loop = shared({"C": ("C",)})
     for wx, wy in lay.workers():
-        _add(lay.routes, lay.fabric_of(wx, wy), LOOPBACK, ring({"C": ("C",)}))
+        _add(lay.routes, lay.fabric_of(wx, wy), LOOPBACK, loop)
 
 
 def _role_params(lay: FabricLayout) -> None:

@@ -379,16 +379,20 @@ def diff_results(g: IRGraph, a: RefResult, b: RefResult, *,
             out.append(f"{ml.name}: shape {va.shape} vs {vb.shape}")
             continue
         if ml.dtype is DType.I16 or mlid not in a.tainted:
-            same = np.array_equal(va, vb)
+            same = np.array_equal(va, vb, equal_nan=True)
         else:
-            same = np.allclose(va, vb, rtol=rel, atol=ABS_TOL)
+            same = np.allclose(va, vb, rtol=rel, atol=ABS_TOL, equal_nan=True)
         if not same:
             if va.ndim == 0:
                 out.append(f"{ml.name}: {va!r} vs {vb!r}")
             else:
+                fa, fb = va.astype(np.float64), vb.astype(np.float64)
+                # equal positions, NaN or inf on both sides among them, keep
+                # gap 0 and are not subtracted; argmax ranks a NaN gap first
+                gap = np.zeros(fa.shape)
+                np.subtract(fa, fb, out=gap, where=~((fa == fb) | (np.isnan(fa) & np.isnan(fb))))
                 idx = tuple(int(i) for i in np.unravel_index(
-                    int(np.argmax(np.abs(va.astype(np.float64) - vb.astype(np.float64)))),
-                    va.shape))
+                    int(np.argmax(np.abs(gap))), va.shape))
                 out.append(f"{ml.name}: values differ, worst at {idx}: "
                            f"{float(va[idx])!r} vs {float(vb[idx])!r}")
     if a.loop_trips != b.loop_trips:

@@ -306,7 +306,6 @@ MALFORMED_NUMBERS = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="the parser's int()/float() raise an unlocated ValueError")
 @pytest.mark.parametrize("name", sorted(MALFORMED_NUMBERS))
 def test_malformed_number_is_a_located_error(tmp_path, capsys, name):
     text, diag = MALFORMED_NUMBERS[name]
@@ -315,7 +314,6 @@ def test_malformed_number_is_a_located_error(tmp_path, capsys, name):
     assert err.splitlines()[0] == diag
 
 
-@pytest.mark.xfail(strict=True, reason="diff_results compares without equal_nan")
 def test_diff_of_equal_nans_exits_0(tmp_path, capsys):
     src = tmp_path / "nan.mach"
     src.write_text("la A[2,2,4] f32 = zeros\nout la B[2,2,4] f32\nB = A / A\n")

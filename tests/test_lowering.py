@@ -490,7 +490,6 @@ A += A
                 assert worker[x, y, entry.address] == mask_bit(entry.sig, x, y)
 
 
-@pytest.mark.xfail(strict=True, reason="each tile builds its own ring tuples")
 def test_equal_rings_are_one_object():
     lay = build_layout(16, 16)
     rings = [rr for per_tile in lay.routes.values() for rr in per_tile.values()]

@@ -325,7 +325,6 @@ def nan_results():
     return g, a, b, B, s
 
 
-@pytest.mark.xfail(strict=True, reason="diff_results compares without equal_nan")
 def test_diff_nan_on_both_sides_agrees():
     # B compares exactly, the reduction result s to tolerance
     g, a, b, _, _ = nan_results()
@@ -340,7 +339,6 @@ def test_diff_nan_against_a_number_is_a_mismatch():
     assert [m.split(":")[0] for m in msgs] == ["B", "s"]
 
 
-@pytest.mark.xfail(strict=True, reason="the worst-index search ranks equal NaN and inf positions")
 def test_diff_worst_index_skips_equal_positions():
     g, a, b, B, _ = nan_results()
     # NaN and inf on both sides are equal there; only (1, 1, 2) differs
