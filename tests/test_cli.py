@@ -11,6 +11,7 @@ import pytest
 from machlite import cli
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.lexer import tokenize
+from machlite.fuzz import gen_source
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
@@ -276,7 +277,6 @@ TOKEN_EDGES = [
 
 
 def token_inputs():
-    from machlite.fuzz import gen_source
     yield from (p.read_text() for p in PROGRAMS)
     yield from (gen_source(seed) for seed in range(1000))
     for seed in range(4):
