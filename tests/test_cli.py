@@ -319,3 +319,31 @@ def test_diff_of_equal_nans_exits_0(tmp_path, capsys):
     src.write_text("la A[2,2,4] f32 = zeros\nout la B[2,2,4] f32\nB = A / A\n")
     assert cli.main(["diff", str(src)]) == 0
     assert capsys.readouterr() == ("all variables within tolerance\n", "")
+
+
+# only worker (0, 0) of the 2x2 grid holds the value out of range
+DATA_FAULTS = {
+    "gather_index": (
+        "la s[2,2,8] f32 = rand\nla i[2,2,2] i16 = [9, 0, 0, 1, 2, 3, 4, 5]\n"
+        "out la d[2,2,2] f32\nd = take(s, i)\n",
+        "gather index 9 outside window of 8 elements at PE (0, 0), element 0"),
+    "scatter_index": (
+        "la s[2,2,2] f32 = rand\nla i[2,2,2] i16 = [1, 8, 0, 1, 2, 3, 4, 5]\n"
+        "la d[2,2,8] f32 = rand\nput(d, i, s)\n",
+        "scatter index 8 outside window of 8 elements at PE (0, 0), element 1"),
+    "dynamic_stop": (
+        "la a[2,2,8] f32 = rand\nla b[2,2,8] f32 = rand\nls n i16 = [9, 2, 8, 0]\n"
+        "a[:, :, 0:n] = b[:, :, 0:n] * 2.0\n",
+        "dynamic stop 9 outside [0, 8] for axis of extent 8 at PE (0, 0)"),
+}
+
+
+@pytest.mark.parametrize("backend", ["ref", "sim"])
+@pytest.mark.parametrize("name", sorted(DATA_FAULTS))
+def test_data_fault_is_the_same_on_both_backends(tmp_path, capsys, monkeypatch,
+                                                 name, backend):
+    monkeypatch.setenv("MACHLITE_COLOR", "0")
+    text, msg = DATA_FAULTS[name]
+    code, err = cli_exit(tmp_path, capsys, text, "run", "--backend", backend,
+                         "--grid", "2x2")
+    assert (code, err.splitlines()) == (1, [f"error: {msg}"])

@@ -255,10 +255,39 @@ FORMS = {
     "reduce_into_uninitialized_uls": (
         "la b[4,4,8] f32 = rand\nuls u f32\nla c[4,4,8] f32 = rand\n"
         "reduce(b, u)\nc *= u\n"),
+    # every source element is read before any element is written
+    "put_aliased_source": (
+        "la a[4,4,8] f32 = rand\nla i[4,4,4] i16 = randint(0, 4)\n"
+        "put(a[:, :, 2:6], i, a[:, :, 0:4])\n"),
+    "copy_overlapping_windows": (
+        "la a[4,4,8] f32 = rand\na[:, :, 0:7] = a[:, :, 1:8]\n"
+        "a[:, :, 1:8] = a[:, :, 0:7]\n"),
+    # the expression temporary holds the dynamic window
+    "dynamic_stop_expression": (
+        "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\nla c[4,4,8] f32 = rand\n"
+        "ls nn i16 = 5\na[:, :, 0:nn] = b[:, :, 0:nn] + c[:, :, 0:nn] * 2.0\n"),
+    "dynamic_stop_expression_rank4": (
+        "la a[4,4,4,8] f32 = rand\nla b[4,4,4,8] f32 = rand\n"
+        "la c[4,4,4,8] f32 = rand\nls nn i16 = 5\n"
+        "a[:, :, 0:2, 1:nn] = b[:, :, 0:2, 1:nn] + c[:, :, 0:2, 1:nn] * 2.0\n"),
+}
+
+FORM_DEFECTS = {
+    "put_aliased_source": (
+        "the simulator's scatter reads each source element after the writes "
+        "before it"),
+    "dynamic_stop_expression": (
+        "the expression temporary is sized to the static stop but written at "
+        "the dynamic one"),
+    "dynamic_stop_expression_rank4": (
+        "the expression temporary is sized to the static stop but written at "
+        "the dynamic one"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FORMS))
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=FORM_DEFECTS[n]))
+    if n in FORM_DEFECTS else n for n in sorted(FORMS)])
 def test_dsl_form_agrees(name):
     assert check(compile_source(FORMS[name]), SimConfig(trace=False)) == []
 
