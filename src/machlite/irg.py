@@ -8,6 +8,7 @@ inside the loop appears as an `sg_export` node before the loop and an
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.semantic import (
     Access,
+    MemAxis,
     TAssign,
     TBin,
     TDeviceFor,
@@ -195,9 +197,7 @@ class _Builder:
         if region is not None and op not in CONTROLLER_OPS:
             attrs["region"] = region
         # a shared dynamic stop becomes a trailing per-worker length operand
-        dyn = attrs.pop("dyn_var", None)
-        if dest_slice is not None and dest_slice.dyn:
-            dyn = dest_slice.dyn
+        dyn = dest_slice.dyn if dest_slice is not None else None
         for a in args:
             if isinstance(a, MemArg) and a.access is not None and a.access.dyn:
                 dyn = a.access.dyn
@@ -233,29 +233,33 @@ class _Builder:
         assert isinstance(t, TBin)
         node = self.emit_binop(t, graph, None, region)
         ml = self.root.memlocs[node.result_index]
-        return MemArg(ml.id, None, klass_of_memloc(ml))
+        return MemArg(ml.id, node.dest_slice, klass_of_memloc(ml))
 
     def emit_binop(self, t: TBin, graph: IRGraph, dest, region) -> IRNode:
         a = self.arg_of(t.lhs, graph, region)
         b = self.arg_of(t.rhs, graph, region)
-        attrs = {}
-        if dest is None:
-            dest_ml, dest_slice = self.temp_for(t, region), None
-            dyn = expr_dyn(t)
-            if t.klass == "vector" and dyn:
-                attrs = {"dyn_var": dyn}
-        else:
-            dest_ml, dest_slice = dest
+        dest_ml, dest_slice = self.temp_for(t) if dest is None else dest
         return self.emit(graph, BIN_OPS[t.op], [a, b], dest_ml, dest_slice,
-                         attrs, region=region)
+                         region=region)
 
-    def temp_for(self, t, region) -> MemLoc:
+    def temp_for(self, t) -> tuple[MemLoc, Access | None]:
+        """The temporary an expression is written to, and the window it is
+        written and read through: the whole temporary for a static count;
+        under a dynamic stop, the operands' window, their leading memory
+        axes plus the last axis's start, dynamic stop and extent."""
         if t.klass == "vector":
-            ln = vec_len(t)
-            return self.temp("worker", t.dtype, ln * t.dtype.words, (ln,))
+            acc = next((a for a in expr_accesses(t) if a.dyn), None)
+            if acc is None:
+                ln = vec_len(t)
+                return self.temp("worker", t.dtype, ln * t.dtype.words, (ln,)), None
+            mem = tuple(MemAxis(0, ax.static_len, ax.static_len)
+                        for ax in acc.mem[:-1]) + acc.mem[-1:]
+            shape = tuple(ax.extent for ax in mem)
+            ml = self.temp("worker", t.dtype, math.prod(shape) * t.dtype.words, shape)
+            return ml, Access(ml.name, VarKind.LA, t.dtype, mem=mem)
         if t.klass == "pescalar":
-            return self.temp("worker", t.dtype, t.dtype.words)
-        return self.temp("controller", t.dtype, t.dtype.words)
+            return self.temp("worker", t.dtype, t.dtype.words), None
+        return self.temp("controller", t.dtype, t.dtype.words), None
 
     def emit_gather(self, t, graph: IRGraph, dest, region) -> IRNode:
         if dest is None:
@@ -366,11 +370,6 @@ class _Builder:
         for s in self.typed.stmts:
             self.build_stmt(s, self.root)
         return self.root
-
-
-def expr_dyn(t) -> str | None:
-    """The dynamic stop an expression's operands share, if any."""
-    return next((acc.dyn for acc in expr_accesses(t) if acc.dyn), None)
 
 
 def build(typed: TypedProgram, inits: dict[str, np.ndarray]) -> IRGraph:

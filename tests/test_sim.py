@@ -276,12 +276,6 @@ FORM_DEFECTS = {
     "put_aliased_source": (
         "the simulator's scatter reads each source element after the writes "
         "before it"),
-    "dynamic_stop_expression": (
-        "the expression temporary is sized to the static stop but written at "
-        "the dynamic one"),
-    "dynamic_stop_expression_rank4": (
-        "the expression temporary is sized to the static stop but written at "
-        "the dynamic one"),
 }
 
 
