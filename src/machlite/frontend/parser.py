@@ -5,6 +5,8 @@ diagnostic list rather than raising on malformed input.
 """
 from __future__ import annotations
 
+import math
+
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.lexer import Token, tokenize
 from machlite.frontend.syntax import (
@@ -35,6 +37,15 @@ _CMP_OPS = (">", "<", ">=", "<=", "==", "!=")
 
 class _ParseAbort(Exception):
     pass
+
+
+def _as_float(v: int | float) -> float:
+    """A literal's value as a float; an integer beyond the float range
+    becomes an infinity, which is outside every dtype's range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _shown(t: Token) -> str:
@@ -81,6 +92,16 @@ class Parser:
         self.sink.error(f"expected {want!r}, found {_shown(t)}", t.loc)
         raise _ParseAbort
 
+    def int_value(self, tok: Token) -> int:
+        """The value of an integer token; Python converts no more than
+        `sys.get_int_max_str_digits()` digits."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.sink.error(f"integer literal of {len(tok.text)} digits is too long",
+                            tok.loc)
+            raise _ParseAbort from None
+
     def skip_newlines(self) -> None:
         while self.accept("newline"):
             pass
@@ -126,9 +147,9 @@ class Parser:
         name = self.expect("ident")
         shape: tuple[int, ...] = ()
         if self.accept("op", "["):
-            dims = [int(self.expect("int").text)]
+            dims = [self.int_value(self.expect("int"))]
             while self.accept("op", ","):
-                dims.append(int(self.expect("int").text))
+                dims.append(self.int_value(self.expect("int")))
             self.expect("op", "]")
             shape = tuple(dims)
         dtype_tok = self.next()
@@ -160,10 +181,10 @@ class Parser:
             while self.accept("op", ","):
                 values.append(self.parse_signed_number())
             self.expect("op", "]")
-            return InitSpec("literal", values=tuple(float(v) for v in values))
+            return InitSpec("literal", values=tuple(_as_float(v) for v in values))
         if t.kind in ("int", "float") or t.text == "-":
             v = self.parse_signed_number()
-            return InitSpec("constant", value=float(v), is_int=isinstance(v, int))
+            return InitSpec("constant", value=_as_float(v), is_int=isinstance(v, int))
         self.sink.error(f"expected an initializer, found {t.text!r}", t.loc)
         raise _ParseAbort
 
@@ -172,7 +193,8 @@ class Parser:
         if not neg:
             self.accept("op", "+")
         tok = self.expect("int")
-        return -int(tok.text) if neg else int(tok.text)
+        v = self.int_value(tok)
+        return -v if neg else v
 
     def parse_signed_number(self) -> int | float:
         neg = bool(self.accept("op", "-"))
@@ -180,7 +202,7 @@ class Parser:
             self.accept("op", "+")
         t = self.next()
         if t.kind == "int":
-            v: int | float = int(t.text)
+            v: int | float = self.int_value(t)
         elif t.kind == "float":
             v = float(t.text)
         else:
@@ -253,7 +275,7 @@ class Parser:
         self.expect("keyword", "in")
         if self.accept("keyword", "range"):
             self.expect("op", "(")
-            extent = int(self.expect("int").text)
+            extent = self.int_value(self.expect("int"))
             self.expect("op", ")")
             body = self.parse_block()
             self.expect_end_of_stmt()
@@ -352,7 +374,7 @@ class Parser:
             return e
         if t.kind in ("int", "float") or t.text == "-":
             v = self.parse_signed_number()
-            return Lit(float(v), isinstance(v, int), t.loc)
+            return Lit(_as_float(v), isinstance(v, int), t.loc)
         if self.accept("keyword", "take"):
             self.expect("op", "(")
             src = self.parse_ref()
@@ -378,7 +400,7 @@ class Parser:
         t = self.peek()
         if t.kind in ("int", "float") or t.text == "-":
             v = self.parse_signed_number()
-            return Lit(float(v), isinstance(v, int), t.loc)
+            return Lit(_as_float(v), isinstance(v, int), t.loc)
         if t.kind == "ident":
             return self.parse_ref()
         self.sink.error(f"expected a scalar operand, found {_shown(t)}", t.loc)
@@ -399,18 +421,18 @@ class Parser:
         # forms: INT | [start]:[stop][:step] with stop optionally an identifier
         start: int | None = None
         if self.peek().kind == "int" and not self.at_colon_next():
-            return AxisSlice(index=int(self.next().text))
+            return AxisSlice(index=self.int_value(self.next()))
         if self.peek().kind == "int":
-            start = int(self.next().text)
+            start = self.int_value(self.next())
         self.expect("op", ":")
         stop: int | str | None = None
         if self.peek().kind == "int":
-            stop = int(self.next().text)
+            stop = self.int_value(self.next())
         elif self.peek().kind == "ident":
             stop = self.next().text
         step: int | None = None
         if self.accept("op", ":"):
-            step = int(self.expect("int").text)
+            step = self.int_value(self.expect("int"))
         return AxisSlice(start, stop, step)
 
     def at_colon_next(self) -> bool:

@@ -227,6 +227,17 @@ class GridConfig:
     ny: int
 
 
+# the values a literal of each dtype may take
+LITERAL_RANGES = {DType.I16: (-32768, 32767), DType.F32: (-3.4028235e38, 3.4028235e38)}
+
+
+def out_of_range(value: float, dt: DType) -> str | None:
+    """What is wrong with a literal `value` of dtype `dt`, or None if it
+    is a value of the dtype."""
+    lo, hi = LITERAL_RANGES[dt]
+    return None if lo <= value <= hi else f"outside the {dt.value} range [{lo!r}, {hi!r}]"
+
+
 def declared_shape(d: TensorDecl, grid: GridConfig) -> tuple[int, ...]:
     """Shape of a declared variable and of its initializer: an ls has one
     value per worker, every other kind its declared shape (a gs or uls is
@@ -354,10 +365,21 @@ class Analyzer:
             if len(init.values) != need:
                 self.sink.error(
                     f"literal init for '{d.name}' has {len(init.values)} values, expected {need}", d.loc)
-        if init.form == "randint" and init.lo >= init.hi:
-            self.sink.error(f"randint bounds for '{d.name}' are empty", d.loc)
+        if init.form == "randint":
+            # drawn as i16 whatever the dtype
+            bad = (out_of_range(init.lo, DType.I16)
+                   or out_of_range(init.hi - 1, DType.I16))
+            if init.lo >= init.hi:
+                self.sink.error(f"randint bounds for '{d.name}' are empty", d.loc)
+            elif bad:
+                self.sink.error(f"randint bounds for '{d.name}' are {bad}", d.loc)
         if d.dtype is DType.I16 and init.form == "constant" and not init.is_int:
             self.sink.error(f"i16 '{d.name}' initialized with a float constant", d.loc)
+        elif init.form in ("constant", "literal"):
+            values = init.values if init.form == "literal" else (init.value,)
+            bad = next(filter(None, (out_of_range(v, d.dtype) for v in values)), None)
+            if bad:
+                self.sink.error(f"initializer of '{d.name}' is {bad}", d.loc)
 
     # -- reference resolution ----------------------------------------------
 
@@ -496,6 +518,8 @@ class Analyzer:
             dt = ctx_dtype or (DType.I16 if e.is_int else DType.F32)
             if dt is DType.I16 and not e.is_int:
                 self.sink.error("float literal in an i16 context", e.loc)
+            elif bad := out_of_range(e.value, dt):
+                self.sink.error(f"literal is {bad}", e.loc)
             return TLit(e.value, dt)
         if isinstance(e, Ref):
             return self.resolve_ref(e)
@@ -801,6 +825,10 @@ class Analyzer:
             self.sink.error("exit_if operand dtypes differ", s.loc)
             return None
         dt = dts.pop() if dts else lhs.dtype
+        for o in (s.lhs, s.rhs):
+            if isinstance(o, Lit) and (bad := out_of_range(o.value, dt)):
+                self.sink.error(f"literal is {bad}", o.loc)
+                return None
         if isinstance(lhs, TLit):
             lhs = TLit(lhs.value, dt)
         if isinstance(rhs, TLit):

@@ -48,6 +48,8 @@ TWO_LA = "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\n"
 INDEX = TWO_LA + "la i[4,4,8] i16 = randint(0, 8)\n"
 WORKERS = "participates on ((0, 2, 1), (0, 4, 1)), statement region is ((0, 4, 1), (0, 4, 1))"
 SAME_WORKERS = "; slices must select the same workers"
+I16_RANGE = "[-32768, 32767]"
+F32_RANGE = "[-3.4028235e+38, 3.4028235e+38]"
 ANALYZER_RULES = {
     "take_index_read_before_write": (
         "la a[4,4,8] f32 = rand\nla i[4,4,8] i16\nout la d[4,4,8] f32\nd = take(a, i)\n",
@@ -103,6 +105,30 @@ ANALYZER_RULES = {
         "uls s f32 = 1.0\nls t f32 = rand\nshift(s, t, row, 1)\n",
         "3:1: error: shift() destination 's' is a uls, which must hold one value "
         "on every worker"),
+    # a literal is a value of its dtype
+    "i16_literal_range": (
+        "la a[4,4,8] i16 = zeros\na += 70000\n",
+        f"2:6: error: literal is outside the i16 range {I16_RANGE}"),
+    "i16_initializer_range": (
+        "la a[4,4,8] i16 = 70000\n",
+        f"1:4: error: initializer of 'a' is outside the i16 range {I16_RANGE}"),
+    "i16_literal_list_range": (
+        "la a[4,4,1] i16 = zeros\nls n i16 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
+        "13, 14, -32769]\n",
+        f"2:4: error: initializer of 'n' is outside the i16 range {I16_RANGE}"),
+    "randint_bounds_range": (
+        "la a[4,4,8] f32 = randint(0, 32769)\n",
+        f"1:4: error: randint bounds for 'a' are outside the i16 range {I16_RANGE}"),
+    "f32_literal_range": (
+        "la a[4,4,8] f32 = rand\na += 1e999\n",
+        f"2:6: error: literal is outside the f32 range {F32_RANGE}"),
+    "f32_initializer_range": (
+        "la a[4,4,8] f32 = -3.5e38\n",
+        f"1:4: error: initializer of 'a' is outside the f32 range {F32_RANGE}"),
+    "exit_if_literal_range": (
+        "la a[4,4,8] f32 = rand\nga g[2] i16 = [1, 2]\nfor v in g {\n"
+        "    exit_if v > 32768\n    a += 1.0\n}\n",
+        f"4:17: error: literal is outside the i16 range {I16_RANGE}"),
 }
 
 
@@ -303,6 +329,11 @@ MALFORMED_NUMBERS = {
     "exponent_without_digits": ("a += 1e\n", "2:6: error: malformed number '1e'"),
     "exponent_sign_without_digits": ("a += 1e+\n", "2:6: error: malformed number '1e+'"),
     "superscript_digit": ("a += \u00b2\n", "2:6: error: malformed number '\u00b2'"),
+    # Python converts at most 4300 digits by default
+    "integer_over_the_digit_limit": (
+        "a += 1" + "0" * 5000 + "\n", "2:6: error: integer literal of 5001 digits is too long"),
+    "integer_beyond_the_float_range": (
+        "a += 1" + "0" * 400 + "\n", f"2:6: error: literal is outside the f32 range {F32_RANGE}"),
 }
 
 
