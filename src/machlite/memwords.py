@@ -13,10 +13,11 @@ The data mapping: a worker variable's logical array has shape
 `(nx, ny, *mem_shape)` and tile (x, y) holds `arr[x, y]` in C order at its
 planned word address; a controller variable's array sits at its address in
 the one controller image.  `word_view` is the only code that applies this
-rule; the initial image builder, the planned reference run and the
-simulator readout all go through it.  Addresses are absolute: the
-controller image spans a whole tile's `WORKER_WORDS`, and its planned
-variables sit above the code.
+rule; the initial image builder, the planned reference run, the
+simulator kernels (which read and write every operand through a view of
+their tile's image) and the simulator readout all go through it.
+Addresses are absolute: the controller image spans a whole tile's
+`WORKER_WORDS`, and its planned variables sit above the code.
 """
 from __future__ import annotations
 

@@ -11,13 +11,15 @@ calls `sleep(n, then)`: it enters the one timed wait, `asleep`, which makes
 no progress until the cycle `until`, then enters the state `then`, runs it
 once and counts that tick as progress.
 
-Worker kernels decode their argument words directly: element addresses are
-computed from base/start/length words, never from the source graph, so the
-simulator exercises the broadcast encoding end to end.  A worker's
+Worker kernels decode their argument words directly: each operand's
+base/start/length words become an immediate or a live view of the tile's
+image through `memwords.word_view`, never a lookup in the source graph, so
+the simulator exercises the broadcast encoding end to end.  A worker's
 `dispatch` decides once per task which steps the task's RPC kind runs.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from collections import deque
 
@@ -25,7 +27,8 @@ import numpy as np
 
 from ..diagnostics import SimFault
 from ..frontend.syntax import DType
-from ..memwords import CMPS, alu, decode_words, encode_words, fold_sum, np_dtype
+from ..memwords import (
+    CMPS, alu, decode_words, encode_words, fold_sum, np_dtype, word_view)
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
@@ -112,31 +115,10 @@ class Cpu:
 class MemCpu(Cpu):
     image: np.ndarray           # this tile's uint16 word memory
 
-    def read_words(self, addr: int, n: int) -> np.ndarray:
-        return self.image[addr:addr + n]
-
-    def write_words(self, addr: int, words) -> None:
-        w = np.asarray(words, dtype=np.uint16)
-        self.image[addr:addr + len(w)] = w
-
-    def read_value(self, addr: int, dt: DType):
-        return decode_words(self.read_words(addr, dt.words), dt, ())[()]
-
-    def write_value(self, addr: int, val, dt: DType) -> None:
-        self.write_words(addr, encode_words(np.asarray(val), dt))
-
-    @staticmethod
-    def word_index(offs, dt: DType) -> np.ndarray:
-        """The image indices of the words of the elements at `offs`."""
-        idx = np.asarray(offs, dtype=np.int64)
-        return (idx[:, None] + np.arange(dt.words)).reshape(-1)
-
-    def read_vec(self, offs, dt: DType) -> np.ndarray:
-        words = self.image[self.word_index(offs, dt)]
-        return decode_words(words, dt, (len(offs),))
-
-    def write_vec(self, offs, arr, dt: DType) -> None:
-        self.image[self.word_index(offs, dt)] = encode_words(np.asarray(arr), dt)
+    def at(self, addr: int, dt: DType, shape=()) -> np.ndarray:
+        """The `dt` elements of `shape` stored from word `addr` on, as a
+        live view of the image: writing the view writes the image."""
+        return word_view(self.image, addr, math.prod(shape) * dt.words, dt, shape)
 
 
 # --- executive ---------------------------------------------------------------
@@ -171,7 +153,7 @@ class ExecCpu(MemCpu):
         tag, v = ref
         if tag == "i":
             return decode_words(np.asarray(v, dtype=np.uint16), dt, ())[()]
-        return self.read_value(v, dt)
+        return self.at(v, dt)
 
     def wake(self) -> bool:
         if self.wake_queue:
@@ -201,7 +183,7 @@ class ExecCpu(MemCpu):
             return False
         self.recv_buf.append(w)
         if len(self.recv_buf) == self.recv_dt.words:
-            self.write_words(self.recv_addr, self.recv_buf)
+            self.image[self.recv_addr:self.recv_addr + len(self.recv_buf)] = self.recv_buf
             self.state = "run"
         return True
 
@@ -232,7 +214,7 @@ class ExecCpu(MemCpu):
             sec = self.m.vm.sections[ins.section]
             splice_words = []
             for _pos, width, addr in sec.splices:
-                splice_words.extend(int(v) for v in self.read_words(addr, width))
+                splice_words.extend(self.image[addr:addr + width].tolist())
             self.wake_queue = deque([ins.section, len(splice_words)] + splice_words)
             self.go_section = ins.section
             self.state = "wake"
@@ -247,15 +229,13 @@ class ExecCpu(MemCpu):
             return True
         dt = DType(ins.dtype)
         if op == "mov":
-            self.write_value(ins.dst, self.operand(ins.a, dt), dt)
+            self.at(ins.dst, dt)[...] = self.operand(ins.a, dt)
         elif op == "bin":
             val = alu(ins.binop, dt, self.operand(ins.a, dt), self.operand(ins.b, dt))
-            self.write_value(ins.dst, val, dt)
+            self.at(ins.dst, dt)[...] = val
         elif op == "load_ga":
-            tag, v = ins.a
-            idx = int(v[0]) if tag == "i" else int(self.read_value(v, DType.I16))
-            src = ins.base + idx * ins.width
-            self.write_words(ins.dst, self.read_words(src, ins.width))
+            src = ins.base + int(self.operand(ins.a, DType.I16)) * ins.width
+            self.image[ins.dst:ins.dst + ins.width] = self.image[src:src + ins.width]
         elif op == "cmp_br":
             a = self.operand(ins.a, dt)
             b = self.operand(ins.b, dt)
@@ -517,46 +497,41 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     # --- operand decoding ----------------------------------------------------
 
-    def fault(self, msg: str):
-        raise SimFault(msg)
-
     def dyn_len(self, start: int, extent: int) -> int:
         v = self.dyn_stop
         if not start <= v <= extent:
-            self.fault(f"dynamic stop {v} outside [{start}, {extent}] "
-                       f"for axis of extent {extent} at PE ({self.wx}, {self.wy})")
+            raise SimFault(f"dynamic stop {v} outside [{start}, {extent}] "
+                           f"for axis of extent {extent} at PE ({self.wx}, {self.wy})")
         return v - start
 
-    def operand(self, spec, w, dt, n_default):
-        """Decode one operand into ('imm', v) | ('scalar', addr) | ('vec', offsets)."""
-        ww = dt.words
+    def operand(self, spec, w, dt, n):
+        """Decode one operand's argument words into an immediate or a live
+        view of its elements: 0-d for `as`, 1-D for `ar` (of length n),
+        `aw1` and `ad1`, a strided 2-D window for `aw2` and `ad2`."""
         tok = spec.token
         if tok == "ai":
-            return ("imm", decode_words(np.asarray(w, dtype=np.uint16), dt, ())[()])
+            return decode_words(np.asarray(w, dtype=np.uint16), dt, ())[()]
         if tok == "as":
-            return ("scalar", w[0])
+            return self.at(w[0], dt)
         if tok == "ar":
-            base = w[0]
-            return ("vec", [base + j * ww for j in range(n_default)])
+            return self.at(w[0], dt, (n,))
         if tok in ("aw1", "ad1"):
             base, start, x = w
             ln = self.dyn_len(start, x) if tok == "ad1" else x
-            return ("vec", [base + (start + j) * ww for j in range(ln)])
+            return self.at(base + start * dt.words, dt, (ln,))
         base, dim1, s0, l0, s1, x = w
         l1 = self.dyn_len(s1, x) if tok == "ad2" else x
-        return ("vec", [base + ((s0 + i) * dim1 + (s1 + j)) * ww
-                        for i in range(l0) for j in range(l1)])
+        return self.at(base + s0 * dim1 * dt.words, dt, (l0, dim1))[:, s1:s1 + l1]
 
-    def fetch(self, parsed, dt, n):
-        kind, v = parsed
-        if kind == "imm":
-            return v
-        if kind == "scalar":
-            return self.read_value(v, dt)
-        if len(v) != n:
-            self.fault(f"operand length {len(v)} does not match iteration "
-                       f"count {n} at PE ({self.wx}, {self.wy})")
-        return self.read_vec(v, dt)
+    def fetch(self, op, n: int):
+        """An immediate or a scalar as it is; a vector flat, once its
+        length is the iteration count n."""
+        if not np.ndim(op):
+            return op
+        if op.size != n:
+            raise SimFault(f"operand length {op.size} does not match iteration "
+                           f"count {n} at PE ({self.wx}, {self.wy})")
+        return op.reshape(-1)
 
     def _take(self, it, spec):
         return [next(it) for _ in range(spec.words)]
@@ -591,12 +566,12 @@ class WorkerCpu(FieldCpu, MemCpu):
         dstw = self._take(it, rd.dst) if rd.dst else None
         mask_addr = next(it)
         n_static = next(it) if rd.kind in MASKED_KINDS else None
-        self.dyn_stop = _i16(self.image[next(it)]) if rd.has_dyn else None
+        self.dyn_stop = int(self.at(next(it), DType.I16)) if rd.has_dyn else None
         mask = int(self.image[mask_addr])
         setup = self.m.cfg.rpc_setup_cycles
         if rd.kind == "reduce_send":
             if mask:
-                self.red_parsed = self.operand(rd.srcs[0], srcs[0], self.op_dt, 0)
+                self.red_src = self.operand(rd.srcs[0], srcs[0], self.op_dt, 0)
                 self.sleep(setup, "begin_reduce")
             else:
                 zero = np.zeros((), dtype=np_dtype(self.op_dt))
@@ -607,31 +582,28 @@ class WorkerCpu(FieldCpu, MemCpu):
             return True
         dt = self.op_dt
         if rd.kind == "map":
-            dparsed = self.operand(rd.dst, dstw, dt, n_static)
-            self.n = len(dparsed[1]) if dparsed[0] == "vec" else 1
+            self.map_dst = self.operand(rd.dst, dstw, dt, n_static)
+            self.n = self.map_dst.size
             self.map_srcs = [self.operand(s, wv, dt, self.n)
                              for s, wv in zip(rd.srcs, srcs)]
-            self.map_dst = dparsed
             self.sleep(setup, "begin_map")
             return True
-        # gather family
+        # gather family: the indices address the source window of a
+        # gather, the destination window of a scatter
         idx_dt = DType.I16
         if rd.kind == "scatter":
-            self.g_idx = self.operand(rd.srcs[1], srcs[1], idx_dt, 0)
-            self.n = len(self.g_idx[1])
+            idx = self.operand(rd.srcs[1], srcs[1], idx_dt, 0)
+            self.n = idx.size
             self.g_src = self.operand(rd.srcs[0], srcs[0], dt, self.n)
-            self.g_dst = self.operand(rd.dst, dstw, dt, n_static)
-            self.g_move = "scatter_one"
+            self.g_dst = self.g_window = self.operand(rd.dst, dstw, dt, n_static)
         else:
             self.g_dst = self.operand(rd.dst, dstw, dt, n_static)
-            self.n = len(self.g_dst[1]) if self.g_dst[0] == "vec" else 1
-            self.g_idx = self.operand(rd.srcs[1], srcs[1], idx_dt, self.n)
-            self.g_src = self.operand(rd.srcs[0], srcs[0], dt, n_static)
-            self.g_move = "gather_one"
-        self.g_mul_vals = (self.fetch(self.operand(rd.srcs[2], srcs[2], dt, self.n),
-                                      dt, self.n)
-                           if rd.kind == "gather_mul" else None)
-        self.idx_vals = [int(v) for v in self.fetch(self.g_idx, idx_dt, self.n)]
+            self.n = self.g_dst.size
+            idx = self.operand(rd.srcs[1], srcs[1], idx_dt, self.n)
+            self.g_src = self.g_window = self.operand(rd.srcs[0], srcs[0], dt, n_static)
+        self.g_mul = (self.fetch(self.operand(rd.srcs[2], srcs[2], dt, self.n), self.n)
+                      if rd.kind == "gather_mul" else None)
+        self.idx_vals = self.fetch(idx, self.n).tolist()
         self.sleep(setup, "begin_gather")
         return True
 
@@ -639,28 +611,19 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.sleep(max(self.n, 1), "finish_map")
 
     def finish_map(self) -> None:
-        dt = self.op_dt
-        vals = [self.fetch(p, dt, self.n) for p in self.map_srcs]
-        res = alu(self.rd.op, dt, *vals)
-        res = np.broadcast_to(np.asarray(res), (self.n,))
-        kind, v = self.map_dst
-        if kind == "vec":
-            self.write_vec(v, res, dt)
-        else:
-            self.write_value(v, res[0], dt)
+        res = alu(self.rd.op, self.op_dt, *(self.fetch(p, self.n) for p in self.map_srcs))
+        dst = self.map_dst
+        dst[...] = np.broadcast_to(res, (self.n,)).reshape(dst.shape)
         self.retire()
 
     def begin_reduce(self) -> None:
-        kind, v = self.red_parsed
-        self.red_n = 1 if kind == "scalar" else len(v)
-        self.sleep(max(self.red_n, 1), "finish_reduce")
+        self.sleep(max(self.red_src.size, 1), "finish_reduce")
 
     def finish_reduce(self) -> None:
-        vals = self.fetch(self.red_parsed, self.op_dt, self.red_n)
-        self.queue_partial(fold_sum(vals, self.op_dt))
+        self.queue_partial(fold_sum(self.red_src, self.op_dt))
 
     def queue_partial(self, value) -> None:
-        words = [int(w) for w in encode_words(np.asarray(value), self.op_dt)]
+        words = encode_words(np.asarray(value), self.op_dt).tolist()
         self.stream_out(RED_COL, words, RESET if self.col_end else ADVANCE)
 
     def red_recv(self) -> bool:
@@ -669,7 +632,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             return False
         self.buf.append(w)
         if len(self.buf) == self.op_dt.words:
-            self.write_words(self.dst_addr, self.buf)
+            self.image[self.dst_addr:self.dst_addr + len(self.buf)] = self.buf
             self.retire()
         return True
 
@@ -680,7 +643,6 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.retire()
             return
         self.g_k = 0
-        self.g_out = []
         self.state = "index_out"
 
     def index_out(self) -> bool:
@@ -692,41 +654,39 @@ class WorkerCpu(FieldCpu, MemCpu):
         return True
 
     def index_back(self) -> bool:
-        """Take index g_k back and move element g_k by it with g_move."""
+        """Take index g_k back and check it against the window; once the
+        last is back, move the elements."""
         w = self.pop(LOOPBACK)
         if w is None:
             return False
         self.occ += 1
-        getattr(self, self.g_move)(_i16(w), self.g_k)
+        j, size = _i16(w), self.g_window.size
+        if not 0 <= j < size:
+            kind = "scatter" if self.rd.kind == "scatter" else "gather"
+            raise SimFault(f"{kind} index {j} outside window of {size} elements "
+                           f"at PE ({self.wx}, {self.wy}), element {self.g_k}")
         self.g_k += 1
-        if self.g_k == self.n:
-            self.retire()
-        else:
+        if self.g_k < self.n:
             self.state = "index_out"
+            return True
+        self.move()
+        self.retire()
         return True
 
-    def gather_one(self, j: int, k: int) -> None:
-        dt = self.op_dt
-        s_offs = self.g_src[1]
-        if not 0 <= j < len(s_offs):
-            self.fault(f"gather index {j} outside window of {len(s_offs)} "
-                       f"elements at PE ({self.wx}, {self.wy}), element {k}")
-        v = self.read_vec([s_offs[j]], dt)[0]
-        if self.g_mul_vals is not None:
-            with np.errstate(over="ignore"):
-                v = np.asarray(v * self.g_mul_vals[k], dtype=v.dtype)[()]
-        self.g_out.append(v)
-        if k + 1 == self.n:
-            self.write_vec(self.g_dst[1][:self.n], self.g_out, dt)
-
-    def scatter_one(self, j: int, k: int) -> None:
-        dt = self.op_dt
-        d_offs = self.g_dst[1]
-        if not 0 <= j < len(d_offs):
-            self.fault(f"scatter index {j} outside window of {len(d_offs)} "
-                       f"elements at PE ({self.wx}, {self.wy}), element {k}")
-        src_v = self.read_vec([self.g_src[1][k]], dt)[0]
-        self.write_vec([d_offs[j]], [src_v], dt)
+    def move(self) -> None:
+        """Move every element at once, reading every source before any
+        write."""
+        src, dst = self.g_src.reshape(-1), self.g_dst
+        if self.rd.kind == "scatter":
+            last = dict(zip(self.idx_vals, range(self.n)))   # the last write wins
+            out = dst.flatten()
+            out[list(last)] = src[list(last.values())]
+        else:
+            out = src[self.idx_vals]
+            if self.g_mul is not None:
+                with np.errstate(over="ignore"):
+                    out = out * self.g_mul
+        dst[...] = out.reshape(dst.shape)
 
     # --- shift ---------------------------------------------------------------
 
@@ -752,15 +712,10 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.sh_receiving = receiving
         self.sh_need = n * dt.words if receiving else 0
         self.sh_rcv: list = []
-        if sending:
-            src = self.operand(rd.srcs[0], sw, dt, n)
-            offs = src[1] if src[0] == "vec" else [sw[0]]
-            self.sh_snd = [int(v) for v in self.image[self.word_index(offs, dt)]]
-        else:
-            self.sh_snd = []
+        self.sh_snd = (encode_words(self.operand(rd.srcs[0], sw, dt, n), dt).tolist()
+                       if sending else [])
         self.sh_si = 0
-        dstp = self.operand(rd.dst, dw, dt, n)
-        self.sh_dst = dstp[1] if dstp[0] == "vec" else [dw[0]]
+        self.sh_dst = self.operand(rd.dst, dw, dt, n)
         self.sleep(self.m.cfg.rpc_setup_cycles, "shift_begin")
         return True
 
@@ -807,8 +762,9 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.occ += 1
         if si == len(snd) and len(rcv) == self.sh_need:
             if self.sh_receiving:
-                self.image[self.word_index(self.sh_dst, self.op_dt)] = \
-                    np.asarray(rcv, dtype=np.uint16)
+                dst = self.sh_dst
+                dst[...] = decode_words(np.asarray(rcv, dtype=np.uint16), self.op_dt,
+                                        dst.shape)
             self.retire()
             return True
         return prog

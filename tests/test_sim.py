@@ -272,16 +272,8 @@ FORMS = {
         "a[:, :, 0:2, 1:nn] = b[:, :, 0:2, 1:nn] + c[:, :, 0:2, 1:nn] * 2.0\n"),
 }
 
-FORM_DEFECTS = {
-    "put_aliased_source": (
-        "the simulator's scatter reads each source element after the writes "
-        "before it"),
-}
 
-
-@pytest.mark.parametrize("name", [
-    pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=FORM_DEFECTS[n]))
-    if n in FORM_DEFECTS else n for n in sorted(FORMS)])
+@pytest.mark.parametrize("name", sorted(FORMS))
 def test_dsl_form_agrees(name):
     assert check(compile_source(FORMS[name]), SimConfig(trace=False)) == []
 
