@@ -8,7 +8,6 @@ inside the loop appears as an `sg_export` node before the loop and an
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,7 +254,7 @@ class _Builder:
             mem = tuple(MemAxis(0, ax.static_len, ax.static_len)
                         for ax in acc.mem[:-1]) + acc.mem[-1:]
             shape = tuple(ax.extent for ax in mem)
-            ml = self.temp("worker", t.dtype, math.prod(shape) * t.dtype.words, shape)
+            ml = self.temp("worker", t.dtype, int(np.prod(shape)) * t.dtype.words, shape)
             return ml, Access(ml.name, VarKind.LA, t.dtype, mem=mem)
         if t.klass == "pescalar":
             return self.temp("worker", t.dtype, t.dtype.words), None
