@@ -371,9 +371,7 @@ DATA_FAULTS = {
 
 @pytest.mark.parametrize("backend", ["ref", "sim"])
 @pytest.mark.parametrize("name", sorted(DATA_FAULTS))
-def test_data_fault_is_the_same_on_both_backends(tmp_path, capsys, monkeypatch,
-                                                 name, backend):
-    monkeypatch.setenv("MACHLITE_COLOR", "0")
+def test_data_fault_is_the_same_on_both_backends(tmp_path, capsys, name, backend):
     text, msg = DATA_FAULTS[name]
     code, err = cli_exit(tmp_path, capsys, text, "run", "--backend", backend,
                          "--grid", "2x2")
