@@ -12,7 +12,7 @@ import numpy as np
 
 from ..memwords import encode_words
 from .layout import COLOR_NAMES
-from .rpc import MASKED_KINDS, RpcDef
+from .rpc import RpcDef
 from .sections import Instr
 from .vmprog import VMachineProgram
 
@@ -60,11 +60,8 @@ def _instr_line(i: int, ins: Instr) -> str:
 
 
 def _rpc_line(d: RpcDef) -> str:
-    srcs = ",".join(f"{s.token}/{s.words}" for s in d.srcs) or "-"
-    dst = f"{d.dst.token}/{d.dst.words}" if d.dst else "-"
     tail = f" target={d.target}" if d.target else ""
-    return (f"{d.rid} {d.name} kind={d.kind} op={d.op or '-'} dt={d.dtype} "
-            f"srcs={srcs} dst={dst} arity={d.arity}{tail}")
+    return f"{d.rid} {d.name} kind={d.kind} op={d.op or '-'} dt={d.dtype}{tail}"
 
 
 def _ring_str(rr) -> str:
@@ -77,22 +74,8 @@ def _ring_str(rr) -> str:
 def _kernel_body(d: RpcDef) -> list[str]:
     """Readable restatement of what the worker does for one RPC."""
     out = [f"  recv ctrl; recv args[{d.arity}]"]
-    at = 0
-    for k, s in enumerate(d.srcs):
-        out.append(f"  src{k} {s.token} args[{at}:{at + s.words}]")
-        at += s.words
-    if d.dst is not None:
-        out.append(f"  dst {d.dst.token} args[{at}:{at + d.dst.words}]")
-        at += d.dst.words
-    if d.kind in MASKED_KINDS:
-        out.append(f"  mask @args[{at}]; len args[{at + 1}]")
-        at += 2
-    if d.kind == "reduce_send":
-        out.append(f"  mask @args[{at}]")
-        at += 1
-    if d.has_dyn:
-        out.append(f"  dyn_stop @args[{at}]")
-        at += 1
+    for name, (spec, s) in d.frame.items():
+        out.append(f"  {name} {spec.token} args[{s.start}:{s.stop}]")
     act = {
         "map": f"  apply {d.op}.{d.dtype} over len*mask elements",
         "gather": "  loopback indexes; 2 cycles per element",

@@ -1,4 +1,4 @@
-"""Remote-procedure definitions and argument-word encoding.
+"""Remote-procedure definitions and their argument frames.
 
 Every distinct (operation, dtype, operand encoding) signature becomes one RPC.
 The control vector carries dense RPC ids; the argument vector carries 16-bit
@@ -12,15 +12,17 @@ words the kernels consume.  Operand encodings, one token per operand:
   ad1  rank-1 window, dynamic stop: [base, start, extent]
   ad2  rank-2 window, dynamic stop on the last axis: [base, dim1, start0, len0, start1, extent1]
 
-Kernels with an `ad` operand take one extra trailing word: the address of the
-per-worker length scalar.  Masked kernels take a mask address plus a shared
-static length.  Workers resolve every address against their own memory, so a
-single broadcast serves the whole field.
+An RPC's argument frame, the ordered named words one task of it takes, is
+declared once, by `RpcDef.frame` (built from `KIND_FIELDS`): the lowering
+encodes every task through `encode_frame`, the worker decodes it through
+`decode_frame`, and the worker listing prints it field by field.  Workers
+resolve every address against their own memory, so a single broadcast serves
+the whole field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,9 +30,6 @@ from ..frontend.syntax import DType
 from ..memwords import encode_words, np_dtype
 
 TOKEN_WORDS = {"as": 1, "ar": 1, "aw1": 3, "ad1": 3, "aw2": 6, "ad2": 6}
-
-# kinds with a mask word and a shared length word
-MASKED_KINDS = {"map", "gather", "gather_mul", "scatter"}
 
 
 @dataclass(frozen=True)
@@ -43,23 +42,75 @@ class OperandSpec:
         return self.token in ("ad1", "ad2")
 
 
+WORD = OperandSpec("ai", 1)     # a one-word i16 value
+ADDR = OperandSpec("as", 1)     # the address of a scalar in worker memory
+
+# the fields each kind takes after its operands: the address of the worker
+# mask and the static length it runs over; a shift's length, step and
+# worker region
+MASKED = (("mask", ADDR), ("len", WORD))
+KIND_FIELDS = {
+    "map": MASKED, "gather": MASKED, "gather_mul": MASKED, "scatter": MASKED,
+    "shift": tuple((name, WORD) for name in ("len", "dx", "dy", "x0", "x1", "y0", "y1")),
+    "reduce_send": (("mask", ADDR),),
+    "reduce_bcast": (),
+}
+
+
 @dataclass(frozen=True)
 class RpcDef:
     name: str
     rid: int
-    kind: str                   # map | gather | gather_mul | scatter | shift
-                                # | reduce_send | reduce_bcast | exit stubs use kind
+    kind: str                   # a key of KIND_FIELDS
     op: str                     # add/sub/mul/div/copy/fill or '' for protocol kinds
     dtype: str                  # 'f32' | 'i16'
     srcs: tuple                 # OperandSpec per source operand
     dst: OperandSpec | None
     target: str = ""            # reduce_send: 'uls' | 'gs'
-    arity: int = 0
+    # the argument frame, name -> (OperandSpec, slice of the task's words),
+    # in word order: one field per operand (src0..srcN, dst), then the
+    # kind's fields, then dyn_stop, the address of the per-worker stop, if
+    # an operand has one
+    frame: dict = field(init=False, repr=False, compare=False)
+    arity: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fields = [(f"src{k}", s) for k, s in enumerate(self.srcs)]
+        if self.dst is not None:
+            fields.append(("dst", self.dst))
+        fields += KIND_FIELDS[self.kind]
+        if self.has_dyn:
+            fields.append(("dyn_stop", ADDR))
+        frame, at = {}, 0
+        for name, spec in fields:
+            frame[name] = (spec, slice(at, at + spec.words))
+            at += spec.words
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "arity", at)
 
     @property
     def has_dyn(self) -> bool:
         ops = self.srcs + ((self.dst,) if self.dst else ())
-        return any(o.dyn for o in ops if isinstance(o, OperandSpec))
+        return any(o.dyn for o in ops)
+
+
+def encode_frame(rd: RpcDef, **fields) -> list[int]:
+    """The words of one task of `rd`: every field of its frame in order,
+    each given as exactly its width in words, and no other field."""
+    if fields.keys() != rd.frame.keys():
+        raise ValueError(f"{rd.name}: fields {sorted(fields)}, frame {list(rd.frame)}")
+    words: list[int] = []
+    for name, (spec, _) in rd.frame.items():
+        if len(fields[name]) != spec.words:
+            raise ValueError(f"{rd.name}: field {name} has {len(fields[name])} words, "
+                             f"not {spec.words}")
+        words.extend(fields[name])
+    return words
+
+
+def decode_frame(rd: RpcDef, words) -> dict:
+    """The fields of one task of `rd`: name -> its words."""
+    return {name: words[s] for name, (_, s) in rd.frame.items()}
 
 
 def operand_spec(ml, access, *, sized: bool) -> OperandSpec:
@@ -140,12 +191,12 @@ class RpcTable:
         self.by_name: dict[str, RpcDef] = {}
         self.defs: list[RpcDef] = []
 
-    def intern(self, kind, op, dt, srcs, dst, target="", arity=0) -> RpcDef:
+    def intern(self, kind, op, dt, srcs, dst, target="") -> RpcDef:
         name = rpc_name(kind, op, dt, srcs, dst, target)
         hit = self.by_name.get(name)
         if hit is not None:
             return hit
-        d = RpcDef(name, len(self.defs), kind, op, dt, tuple(srcs), dst, target, arity)
+        d = RpcDef(name, len(self.defs), kind, op, dt, tuple(srcs), dst, target)
         self.by_name[name] = d
         self.defs.append(d)
         return d

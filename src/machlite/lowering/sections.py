@@ -20,7 +20,7 @@ from ..frontend.syntax import DType
 from ..irg import IRGraph, IRNode, ImmArg, MemArg, node_placement
 from . import rpc as rpcmod
 from .masks import MaskTable
-from .rpc import OperandSpec, RpcTable, operand_spec, operand_words
+from .rpc import ADDR, OperandSpec, RpcTable, encode_frame, operand_spec, operand_words
 
 
 @dataclass
@@ -59,7 +59,7 @@ class GraphLowerer:
         self.rpcs = RpcTable()
         self.sections: list[Section] = []
         self.instrs: list[Instr] = []
-        self.run: list[tuple] = []          # pending (rpcdef, words, splices)
+        self.run: list[tuple] = []          # pending (rpcdef, words, spliced, node id)
         self.loop_exit_patches: list[list[int]] = []
 
     # --- operand helpers ---------------------------------------------------
@@ -102,17 +102,17 @@ class GraphLowerer:
         spec = operand_spec(ml, a.access, sized=sized)
         return spec, operand_words(spec, ml, a.access, self.plan)
 
-    def src_spec_words(self, a, at: int):
-        """Encode one source; a controller scalar becomes a spliced immediate."""
+    def src_spec_words(self, a):
+        """Encode one source: its spec, its words and, for a controller
+        scalar spliced in as an immediate, the scalar's address."""
         if isinstance(a, ImmArg):
             words = rpcmod.imm_words(a.value, a.dtype)
             return OperandSpec("ai", len(words)), words, None
         if a.klass == "gs":
-            ml = self.g.memlocs[a.mlid]
-            width = ml.dtype.words
-            return OperandSpec("ai", width), [0] * width, (at, width, self.addr(a.mlid))
+            width = self.g.memlocs[a.mlid].dtype.words
+            return OperandSpec("ai", width), [0] * width, self.addr(a.mlid)
         if a.klass == "pescalar":
-            return OperandSpec("as", 1), [self.addr(a.mlid)], None
+            return ADDR, [self.addr(a.mlid)], None
         spec, words = self.vec_spec_words(a, sized=False)
         return spec, words, None
 
@@ -120,26 +120,19 @@ class GraphLowerer:
 
     def queue_map(self, n: IRNode) -> None:
         args, dyn = self.node_dyn_split(n)
-        dml = self.g.memlocs[n.result_index]
-        dt = dml.dtype
-        words: list[int] = []
-        splices: list[tuple] = []
-        specs: list[OperandSpec] = []
-        for a in args:
-            spec, w, sp = self.src_spec_words(a, len(words))
+        dt = self.g.memlocs[n.result_index].dtype.value
+        specs, fields, spliced = [], {}, []
+        for k, a in enumerate(args):
+            spec, fields[f"src{k}"], addr = self.src_spec_words(a)
             specs.append(spec)
-            if sp is not None:
-                splices.append(sp)
-            words.extend(w)
-        dspec, dwords = self.dst_spec_words(n, sized=False)
-        words.extend(dwords)
-        words.append(self.mask_word(n))
-        words.append(self.static_len(n))
+            if addr is not None:
+                spliced.append((f"src{k}", addr))
+        dspec, fields["dst"] = self.dst_spec_words(n, sized=False)
+        fields.update(mask=[self.mask_word(n)], len=[self.static_len(n)])
         if dyn is not None:
-            words.append(self.addr(dyn.mlid))
-        rd = self.rpcs.intern("map", n.op_name, dt.value, specs, dspec,
-                              arity=len(words))
-        self.queue(rd, words, splices, n)
+            fields["dyn_stop"] = [self.addr(dyn.mlid)]
+        rd = self.rpcs.intern("map", n.op_name, dt, specs, dspec)
+        self.queue(rd, n, fields, spliced)
 
     def dst_spec_words(self, n: IRNode, *, sized: bool):
         dml = self.g.memlocs[n.result_index]
@@ -147,83 +140,68 @@ class GraphLowerer:
         return spec, operand_words(spec, dml, n.dest_slice, self.plan)
 
     def queue_gather(self, n: IRNode) -> None:
-        args = n.args
-        dml = self.g.memlocs[n.result_index]
-        dt = dml.dtype.value
+        dt = self.g.memlocs[n.result_index].dtype.value
         op = n.op_name
-        words: list[int] = []
-        specs: list[OperandSpec] = []
-        # source window is explicitly sized for gather; destination for scatter
-        spec, w = self.vec_spec_words(args[0], sized=(op != "scatter"))
-        specs.append(spec)
-        words.extend(w)
-        # scatter iterates as many elements as the index window holds, so the
-        # index must be sized there; gather takes its count from the dest
-        spec, w = self.vec_spec_words(args[1], sized=(op == "scatter"))
-        specs.append(spec)
-        words.extend(w)
-        if op == "gather_mul":
-            spec, w = self.vec_spec_words(args[2], sized=False)
+        # the window the indices address (a gather's source, a scatter's
+        # destination) is explicitly sized; so is a scatter's index, as it
+        # iterates as many elements as that holds, while a gather takes its
+        # count from the destination
+        sized = (op != "scatter", op == "scatter", False)
+        specs, fields = [], {}
+        # a scatter's third argument is its destination
+        for k, a in enumerate(n.args[:3 if op == "gather_mul" else 2]):
+            spec, fields[f"src{k}"] = self.vec_spec_words(a, sized=sized[k])
             specs.append(spec)
-            words.extend(w)
-        dspec, dwords = self.dst_spec_words(n, sized=(op == "scatter"))
-        words.extend(dwords)
-        words.append(self.mask_word(n))
-        words.append(self.static_len(n))
-        rd = self.rpcs.intern(op, op, dt, specs, dspec, arity=len(words))
-        self.queue(rd, words, [], n)
+        dspec, fields["dst"] = self.dst_spec_words(n, sized=(op == "scatter"))
+        fields.update(mask=[self.mask_word(n)], len=[self.static_len(n)])
+        self.queue(self.rpcs.intern(op, op, dt, specs, dspec), n, fields)
 
     def queue_shift(self, n: IRNode) -> None:
-        dml = self.g.memlocs[n.result_index]
-        dt = dml.dtype.value
-        sspec, swords = self.vec_spec_words(n.args[0], sized=False)
-        dspec, dwords = self.dst_spec_words(n, sized=False)
+        dt = self.g.memlocs[n.result_index].dtype.value
+        sspec, src0 = self.vec_spec_words(n.args[0], sized=False)
+        dspec, dst = self.dst_spec_words(n, sized=False)
         axis, off = n.attrs["axis"], n.attrs["offset"]
         dx, dy = (off, 0) if axis == "row" else (0, off)
         (x0, x1, _), (y0, y1, _) = n.dest_slice.pe
-        words = swords + dwords + [self.static_len(n)]
-        words += [w & 0xFFFF for w in (dx, dy)]
-        words += [x0, x1, y0, y1]
-        rd = self.rpcs.intern("shift", "shift", dt, [sspec], dspec, arity=len(words))
-        self.queue(rd, words, [], n)
+        rd = self.rpcs.intern("shift", "shift", dt, [sspec], dspec)
+        self.queue(rd, n, dict(src0=src0, dst=dst, len=[self.static_len(n)],
+                               dx=[dx & 0xFFFF], dy=[dy & 0xFFFF],
+                               x0=[x0], x1=[x1], y0=[y0], y1=[y1]))
 
     def queue_reduce(self, n: IRNode) -> bool:
         """Queue the send (and for uls targets the receive); True for gs targets."""
         src = n.args[0]
         sml = self.g.memlocs[src.mlid]
         dt = sml.dtype.value
-        dml = self.g.memlocs[n.result_index]
-        to_gs = dml.placement == "controller"
-        target = "gs" if to_gs else "uls"
+        to_gs = self.g.memlocs[n.result_index].placement == "controller"
         if sml.mem_shape:
             spec, words = self.vec_spec_words(src, sized=True)
         else:
-            spec, words = OperandSpec("as", 1), [self.addr(src.mlid)]
-        words = list(words)
-        words.append(self.mask_word(n))
+            spec, words = ADDR, [self.addr(src.mlid)]
         rd = self.rpcs.intern("reduce_send", "reduce", dt, [spec], None,
-                              target=target, arity=len(words))
-        self.queue(rd, words, [], n)
+                              target="gs" if to_gs else "uls")
+        self.queue(rd, n, dict(src0=words, mask=[self.mask_word(n)]))
         if not to_gs:
-            recv = self.rpcs.intern("reduce_bcast", "reduce", dt, [], None,
-                                    arity=1)
-            self.queue(recv, [self.addr(n.result_index)], [], n)
+            recv = self.rpcs.intern("reduce_bcast", "reduce", dt, [], ADDR)
+            self.queue(recv, n, dict(dst=[self.addr(n.result_index)]))
         return to_gs
 
-    def queue(self, rd, words, splices, n: IRNode) -> None:
-        assert len(words) == rd.arity, (rd.name, len(words), rd.arity)
-        self.run.append((rd, words, splices, n.id))
+    def queue(self, rd, n: IRNode, fields: dict, spliced=()) -> None:
+        """Queue one task of `rd`; `spliced` names the fields, each with its
+        controller scalar's address, whose words are spliced in at broadcast."""
+        self.run.append((rd, encode_frame(rd, **fields), spliced, n.id))
 
     def flush(self) -> None:
         if not self.run:
             return
         sec = Section(index=len(self.sections))
-        for rd, words, splices, nid in self.run:
+        for rd, words, spliced, nid in self.run:
             base = len(sec.args_vector)
             sec.ctrl_vector.append(rd.rid)
             sec.args_vector.extend(words)
-            sec.splices.extend((base + pos, width, addr)
-                               for pos, width, addr in splices)
+            for name, addr in spliced:
+                spec, s = rd.frame[name]
+                sec.splices.append((base + s.start, spec.words, addr))
             sec.node_ids.append(nid)
         self.run = []
         self.sections.append(sec)

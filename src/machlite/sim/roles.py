@@ -32,7 +32,7 @@ from ..memwords import (
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
-from ..lowering.rpc import MASKED_KINDS
+from ..lowering.rpc import decode_frame
 from .router import ADVANCE, RESET, data
 
 # shift ring state per (dx, dy): E, S, W, N
@@ -533,9 +533,6 @@ class WorkerCpu(FieldCpu, MemCpu):
                            f"count {n} at PE ({self.wx}, {self.wy})")
         return op.reshape(-1)
 
-    def _take(self, it, spec):
-        return [next(it) for _ in range(spec.words)]
-
     # --- dispatch ------------------------------------------------------------
 
     def ctrl(self) -> bool:
@@ -550,28 +547,24 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.state = "ctrl"
 
     def dispatch(self, words: list) -> bool:
-        """Decode the task's argument words and enter the first state of
-        its RPC kind."""
+        """Decode the task's argument words through its RPC's frame and
+        enter the first state of its kind."""
         rd = self.rd
         self.op_dt = DType(rd.dtype)
+        f = decode_frame(rd, words)
         if rd.kind == "reduce_bcast":
-            self.dst_addr = words[0]
+            self.dst_addr = f["dst"][0]
             self.buf = []
             self.state = "red_recv"
             return True
         if rd.kind == "shift":
-            return self.dispatch_shift(words)
-        it = iter(words)
-        srcs = [self._take(it, s) for s in rd.srcs]
-        dstw = self._take(it, rd.dst) if rd.dst else None
-        mask_addr = next(it)
-        n_static = next(it) if rd.kind in MASKED_KINDS else None
-        self.dyn_stop = int(self.at(next(it), DType.I16)) if rd.has_dyn else None
-        mask = int(self.image[mask_addr])
+            return self.dispatch_shift(f)
+        self.dyn_stop = int(self.at(f["dyn_stop"][0], DType.I16)) if rd.has_dyn else None
+        mask = int(self.image[f["mask"][0]])
         setup = self.m.cfg.rpc_setup_cycles
         if rd.kind == "reduce_send":
             if mask:
-                self.red_src = self.operand(rd.srcs[0], srcs[0], self.op_dt, 0)
+                self.red_src = self.operand(rd.srcs[0], f["src0"], self.op_dt, 0)
                 self.sleep(setup, "begin_reduce")
             else:
                 zero = np.zeros((), dtype=np_dtype(self.op_dt))
@@ -581,27 +574,28 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.retire()
             return True
         dt = self.op_dt
+        n_static = f["len"][0]
         if rd.kind == "map":
-            self.map_dst = self.operand(rd.dst, dstw, dt, n_static)
+            self.map_dst = self.operand(rd.dst, f["dst"], dt, n_static)
             self.n = self.map_dst.size
-            self.map_srcs = [self.operand(s, wv, dt, self.n)
-                             for s, wv in zip(rd.srcs, srcs)]
+            self.map_srcs = [self.operand(s, f[f"src{k}"], dt, self.n)
+                             for k, s in enumerate(rd.srcs)]
             self.sleep(setup, "begin_map")
             return True
         # gather family: the indices address the source window of a
         # gather, the destination window of a scatter
         idx_dt = DType.I16
         if rd.kind == "scatter":
-            idx = self.operand(rd.srcs[1], srcs[1], idx_dt, 0)
+            idx = self.operand(rd.srcs[1], f["src1"], idx_dt, 0)
             self.n = idx.size
-            self.g_src = self.operand(rd.srcs[0], srcs[0], dt, self.n)
-            self.g_dst = self.g_window = self.operand(rd.dst, dstw, dt, n_static)
+            self.g_src = self.operand(rd.srcs[0], f["src0"], dt, self.n)
+            self.g_dst = self.g_window = self.operand(rd.dst, f["dst"], dt, n_static)
         else:
-            self.g_dst = self.operand(rd.dst, dstw, dt, n_static)
+            self.g_dst = self.operand(rd.dst, f["dst"], dt, n_static)
             self.n = self.g_dst.size
-            idx = self.operand(rd.srcs[1], srcs[1], idx_dt, self.n)
-            self.g_src = self.g_window = self.operand(rd.srcs[0], srcs[0], dt, n_static)
-        self.g_mul = (self.fetch(self.operand(rd.srcs[2], srcs[2], dt, self.n), self.n)
+            idx = self.operand(rd.srcs[1], f["src1"], idx_dt, self.n)
+            self.g_src = self.g_window = self.operand(rd.srcs[0], f["src0"], dt, n_static)
+        self.g_mul = (self.fetch(self.operand(rd.srcs[2], f["src2"], dt, self.n), self.n)
                       if rd.kind == "gather_mul" else None)
         self.idx_vals = self.fetch(idx, self.n).tolist()
         self.sleep(setup, "begin_gather")
@@ -690,14 +684,10 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     # --- shift ---------------------------------------------------------------
 
-    def dispatch_shift(self, words: list) -> bool:
+    def dispatch_shift(self, f: dict) -> bool:
         rd = self.rd
-        it = iter(words)
-        sw = self._take(it, rd.srcs[0])
-        dw = self._take(it, rd.dst)
-        n = next(it)
-        dx, dy = _i16(next(it)), _i16(next(it))
-        x0, x1, y0, y1 = next(it), next(it), next(it), next(it)
+        (n,), (x0,), (x1,), (y0,), (y1,) = f["len"], f["x0"], f["x1"], f["y0"], f["y1"]
+        dx, dy = _i16(f["dx"][0]), _i16(f["dy"][0])
         self.dyn_stop = None
         wx, wy = self.wx, self.wy
         inside = x0 <= wx < x1 and y0 <= wy < y1
@@ -712,10 +702,10 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.sh_receiving = receiving
         self.sh_need = n * dt.words if receiving else 0
         self.sh_rcv: list = []
-        self.sh_snd = (encode_words(self.operand(rd.srcs[0], sw, dt, n), dt).tolist()
+        self.sh_snd = (encode_words(self.operand(rd.srcs[0], f["src0"], dt, n), dt).tolist()
                        if sending else [])
         self.sh_si = 0
-        self.sh_dst = self.operand(rd.dst, dw, dt, n)
+        self.sh_dst = self.operand(rd.dst, f["dst"], dt, n)
         self.sleep(self.m.cfg.rpc_setup_cycles, "shift_begin")
         return True
 

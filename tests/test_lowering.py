@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import graph_of, LISTING1
+from helpers import FORMS, graph_of, LISTING1
 from oracles import expected_section_layout
 from machlite import irg, memplan, refinterp
 from machlite.diagnostics import CompileError
+from machlite.fuzz import gen_source
+from machlite.lowering import sections
 from machlite.lowering import (
     assign_sections,
     build_layout,
@@ -22,7 +25,12 @@ from machlite.lowering import (
 )
 from machlite.lowering.emit import emit_text
 from machlite.lowering.layout import REDUCE, RESP, SPINE, WORKER
+from machlite.lowering.rpc import (
+    KIND_FIELDS, OperandSpec, RpcTable, decode_frame, encode_frame)
 from machlite.memwords import WORKER_WORDS, word_view
+from machlite.pipeline import compile_source
+
+PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
 
 def lowered(src: str, nx: int = 4, ny: int = 4, seed: int = 0):
@@ -226,6 +234,79 @@ shift(B[0:3, 1:4, :], A[0:3, 1:4, :], row, 1)
     words = vm.sections[0].args_vector
     # trailing geometry: len, dx, dy, x0, x1, y0, y1
     assert words[-7:] == [3, 1, 0, 0, 3, 1, 4]
+
+
+# --- the argument frame -----------------------------------------------------
+
+def test_frame_round_trips_every_emitted_task(monkeypatch):
+    """Decoding the words of every task that the programs, the FORMS cases
+    and fuzz sources 0-999 lower to gives back the fields it was encoded
+    from, and every kind is among them."""
+    tasks = []
+
+    def recording(rd, **fields):
+        words = encode_frame(rd, **fields)
+        tasks.append((rd, fields, words))
+        return words
+
+    monkeypatch.setattr(sections, "encode_frame", recording)
+    sources = [p.read_text() for p in PROGRAMS] + list(FORMS.values())
+    for text in sources:
+        compile_source(text)
+    for seed in range(1000):
+        compile_source(gen_source(seed), seed=seed)
+    for rd, fields, words in tasks:
+        assert len(words) == rd.arity
+        got = decode_frame(rd, words)
+        assert list(got) == list(rd.frame)
+        assert {k: list(v) for k, v in got.items()} == {k: list(v) for k, v in fields.items()}
+    assert {rd.kind for rd, _, _ in tasks} == set(KIND_FIELDS)
+    assert any(rd.has_dyn for rd, _, _ in tasks)
+
+
+def flat_add():
+    ar = OperandSpec("ar", 1)
+    return RpcTable().intern("map", "add", "f32", [ar, ar], ar)
+
+
+def test_frame_of_a_map():
+    rd = flat_add()
+    assert list(rd.frame) == ["src0", "src1", "dst", "mask", "len"]
+    assert rd.arity == 5
+    words = encode_frame(rd, src0=[10], src1=[20], dst=[30], mask=[40], len=[8])
+    assert words == [10, 20, 30, 40, 8]
+
+
+@pytest.mark.parametrize("fields", [
+    dict(src0=[10], src1=[20], dst=[30], mask=[40]),                     # no len
+    dict(src0=[10], src1=[20], dst=[30], mask=[40], len=[8], dx=[1]),    # extra
+    dict(src0=[10, 11], src1=[20], dst=[30], mask=[40], len=[8]),        # too wide
+    dict(src0=[10], src1=[20], dst=[30], mask=[], len=[8]),              # too narrow
+], ids=["missing", "extra", "wide", "narrow"])
+def test_encoder_rejects_a_frame_mismatch(fields):
+    with pytest.raises(ValueError):
+        encode_frame(flat_add(), **fields)
+
+
+def worker_kernels(path: Path) -> dict[str, list[str]]:
+    """The field names each RPC of the program's worker listing names."""
+    kernels: dict[str, list[str]] = {}
+    body = None
+    for line in emit_text(compile_source(path.read_text()).vm)["worker.asm"].splitlines():
+        if line.startswith("  "):
+            body.append(line.split()[0])
+        elif line[:1].isdigit():
+            body = kernels[line.split()[1]] = []
+    return kernels
+
+
+def test_worker_listing_names_every_field():
+    root = PROGRAMS[0].parent
+    shift = worker_kernels(root / "stencil.mach")["ar_ar_shift_f32"]
+    assert shift[1:] == ["src0", "dst", "len", "dx", "dy", "x0", "x1", "y0", "y1",
+                         "exchange"]
+    bcast = worker_kernels(root / "reductions.mach")["reduce_bcast_f32"]
+    assert bcast[1:] == ["dst", "recv"]
 
 
 # --- distribution -----------------------------------------------------------

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import FORMS
 from machlite.fuzz import gen_source
 from machlite.irg import ordered_walk
 from machlite.lowering.emit import emit_text
@@ -232,45 +233,6 @@ def test_initial_state_matches_golden():
             h.update(f"{image.dtype}:{image.shape}".encode())
             h.update(image.tobytes())
     assert h.hexdigest() == INIT_STATE_GOLDEN
-
-
-# DSL forms that neither programs/ nor the fuzzer produce
-FORMS = {
-    "take_in_expression": (
-        "la a[4,4,8] i16 = randint(0, 8)\nla b[4,4,8] i16 = randint(0, 9)\n"
-        "la c[4,4,8] i16 = randint(0, 9)\nc = take(b, a) + c\n"),
-    "nested_temporaries": (
-        "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\nla c[4,4,8] f32 = rand\n"
-        "c = (a + b) * a - c\n"),
-    "ga_element_load": (
-        "la a[4,4,8] f32 = rand\nga g[3] f32 = rand\ngs s f32 = 0.0\n"
-        "s = g[1]\na *= g[2]\n"),
-    "per_worker_scalar": (
-        "la a[4,4,8] f32 = rand\nls p f32 = rand\nls q f32 = rand\nq = p * p + q\n"),
-    "fill_and_copy": (
-        "la a[4,4,8] f32 = rand\nuls u f32 = 2.5\nls q f32 = rand\nq = u\na = 3.0\n"),
-    "range_loop": "la a[4,4,8] f32 = rand\nfor i in range(3) {\n    a += 1.0\n}\n",
-    "reduce_into_uninitialized_gs": (
-        "la b[4,4,8] f32 = rand\ngs t f32\nreduce(b, t)\n"),
-    "reduce_into_uninitialized_uls": (
-        "la b[4,4,8] f32 = rand\nuls u f32\nla c[4,4,8] f32 = rand\n"
-        "reduce(b, u)\nc *= u\n"),
-    # every source element is read before any element is written
-    "put_aliased_source": (
-        "la a[4,4,8] f32 = rand\nla i[4,4,4] i16 = randint(0, 4)\n"
-        "put(a[:, :, 2:6], i, a[:, :, 0:4])\n"),
-    "copy_overlapping_windows": (
-        "la a[4,4,8] f32 = rand\na[:, :, 0:7] = a[:, :, 1:8]\n"
-        "a[:, :, 1:8] = a[:, :, 0:7]\n"),
-    # the expression temporary holds the dynamic window
-    "dynamic_stop_expression": (
-        "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\nla c[4,4,8] f32 = rand\n"
-        "ls nn i16 = 5\na[:, :, 0:nn] = b[:, :, 0:nn] + c[:, :, 0:nn] * 2.0\n"),
-    "dynamic_stop_expression_rank4": (
-        "la a[4,4,4,8] f32 = rand\nla b[4,4,4,8] f32 = rand\n"
-        "la c[4,4,4,8] f32 = rand\nls nn i16 = 5\n"
-        "a[:, :, 0:2, 1:nn] = b[:, :, 0:2, 1:nn] + c[:, :, 0:2, 1:nn] * 2.0\n"),
-}
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
