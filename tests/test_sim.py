@@ -44,14 +44,14 @@ FUZZ_MAX_NODES = 40
 
 # name -> (default-config cycles, sha256 of the emitted asm listing)
 GOLDEN = {
-    "dynwin": (280, "4ca7607ff47f60e240e0dfdb42409edc2616a58aa8676355f90f93fec5908919"),
-    "elementwise": (419, "ffa628df028362968d3924e65e62f3d3cbac1181ed50e32473f9eaa95791837e"),
-    "indirection": (329, "9cb8ee1436b9a5cbc70ffe7bb0ee7f09fd55b8415bd2b70dc51b309abc34afc1"),
-    "listing1": (718, "f5f98d3aa3aceef9d087a86bcc6e8b142cffd6bbf1b84c302d697e3f66ebc596"),
-    "loops": (545, "27a9b7326e921b0aaa6e310a5cf2c2cae2c0049bf5f6ba2565318af321ff1d2e"),
-    "mixed": (762, "f0740fbf09a46cd8a6d22e3cf626bf2853165303c5a5c7fd75b497147b4da3c5"),
-    "reductions": (504, "e5df9a45b1cbbd22f1fb90ca3455d0f25282dc2927424ed4ad20246ed57cac24"),
-    "stencil": (734, "439a943647a6e98d5870401937929344fdb9df3b62ed9fe65a70b0f3d14a0935"),
+    "dynwin": (280, "f07b7fc9415643b207ad2522355897d71febbf4817e51016215fd6e376cf9eeb"),
+    "elementwise": (419, "5cb4cac2bdc8620c9cec87ce6cee0aad82b59842388e54a5221d3e23c0294e90"),
+    "indirection": (329, "5ca35b954ec1aaf09811742e870d55ace29f40283d2e855b4173b66ddb0a4500"),
+    "listing1": (718, "bcce4f7701983f2e1996095e64d133a4661b4f2a268734bfc568bc3df92474a1"),
+    "loops": (545, "b1a335268c6fe3e5920c19976acaa63a4200c57dcd0edfe3e3e3ae3670b5b5f4"),
+    "mixed": (762, "59a9e24fe65bf09eb1e609f01a4f11a4f4ac32cda699657af5d95af20391dcae"),
+    "reductions": (504, "b0c55d9dea8a62a8ce81c31ae03288ecd7e5713e6effc66980dde4aac9df4543"),
+    "stencil": (734, "da6038d8bfcd95a7e46791fc3f4b2b62b569e9da8a9b75f30f11e7d3d43f9745"),
 }
 
 # hop latency 3 needs control_path_latency >= 3h + 3 = 12
@@ -219,7 +219,7 @@ def test_fuzz_seed_agrees(seed):
 
 # sha256 over the `--emit asm` listing and the `build_images()` bytes of
 # every program and of fuzz seeds 0-199 as `machlite fuzz` compiles them
-INIT_STATE_GOLDEN = "8bffb8d7036c41f3bc731e3ab5474282e4714609bfe1e1484bd7617dec941a79"
+INIT_STATE_GOLDEN = "50599e4613ab17b9f3427e6c052f337ba809c796665fe67b7eb49a198fc58cc5"
 
 
 def test_initial_state_matches_golden():
