@@ -129,10 +129,26 @@ ANALYZER_RULES = {
         "la a[4,4,8] f32 = rand\nga g[2] i16 = [1, 2]\nfor v in g {\n"
         "    exit_if v > 32768\n    a += 1.0\n}\n",
         f"4:17: error: literal is outside the i16 range {I16_RANGE}"),
+    # the DSL has no implicit casts, so a float literal is never an i16
+    "exit_if_float_literal": (
+        "la a[4,4,8] f32 = rand\nga g[2] i16 = [1, 2]\nfor v in g {\n"
+        "    exit_if v >= 1.5\n    a += 1.0\n}\n",
+        "4:18: error: float literal in an i16 context"),
+    "i16_literal_list_float": (
+        "la a[4,4,1] i16 = [1.5, 2.7, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]\n",
+        "1:4: error: float initializer of 'a' in an i16 context"),
+    "i16_ga_literal_list_float": (
+        "ga g[3] i16 = [1.5, 2, 3]\n",
+        "1:4: error: float initializer of 'g' in an i16 context"),
 }
+# accepted today, and run with the literal truncated
+LITERAL_DEFECTS = {"exit_if_float_literal", "i16_literal_list_float",
+                   "i16_ga_literal_list_float"}
 
 
-@pytest.mark.parametrize("name", sorted(ANALYZER_RULES))
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=pytest.mark.xfail(strict=True)) if n in LITERAL_DEFECTS else n
+    for n in sorted(ANALYZER_RULES)])
 def test_analyzer_rule_is_a_located_error(tmp_path, capsys, name):
     text, diag = ANALYZER_RULES[name]
     code, err = cli_exit(tmp_path, capsys, text, "compile", "--grid", "4x4")
