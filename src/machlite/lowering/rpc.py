@@ -12,12 +12,10 @@ words the kernels consume.  Operand encodings, one token per operand:
   ad1  rank-1 window, dynamic stop: [base, start, extent]
   ad2  rank-2 window, dynamic stop on the last axis: [base, dim1, start0, len0, start1, extent1]
 
-An RPC's argument frame, the ordered named words one task of it takes, is
-declared once, by `RpcDef.frame` (built from `KIND_FIELDS`): the lowering
-encodes every task through `encode_frame`, the worker decodes it through
-`decode_frame`, and the worker listing prints it field by field.  Workers
-resolve every address against their own memory, so a single broadcast serves
-the whole field.
+An RPC's argument frame, the named words one task takes, is declared once in
+`RpcDef.frame`; tasks are encoded by `encode_frame`, decoded by the worker
+through `decode_frame` and listed field by field.  Workers resolve every
+address against their own memory, so a single broadcast serves the whole field.
 """
 
 from __future__ import annotations
@@ -67,10 +65,9 @@ class RpcDef:
     srcs: tuple                 # OperandSpec per source operand
     dst: OperandSpec | None
     target: str = ""            # reduce_send: 'uls' | 'gs'
-    # the argument frame, name -> (OperandSpec, slice of the task's words),
-    # in word order: one field per operand (src0..srcN, dst), then the
-    # kind's fields, then dyn_stop, the address of the per-worker stop, if
-    # an operand has one
+    # the argument frame, name -> (OperandSpec, slice of the task's words)
+    # in word order: one field per operand (src0..srcN, dst), the kind's
+    # fields, then dyn_stop, the per-worker stop's address, if an operand has one
     frame: dict = field(init=False, repr=False, compare=False)
     arity: int = field(init=False, repr=False, compare=False)
 
@@ -79,7 +76,7 @@ class RpcDef:
         if self.dst is not None:
             fields.append(("dst", self.dst))
         fields += KIND_FIELDS[self.kind]
-        if self.has_dyn:
+        if any(spec.dyn for _, spec in fields):
             fields.append(("dyn_stop", ADDR))
         frame, at = {}, 0
         for name, spec in fields:
@@ -87,11 +84,6 @@ class RpcDef:
             at += spec.words
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "arity", at)
-
-    @property
-    def has_dyn(self) -> bool:
-        ops = self.srcs + ((self.dst,) if self.dst else ())
-        return any(o.dyn for o in ops)
 
 
 def encode_frame(rd: RpcDef, **fields) -> list[int]:
@@ -142,9 +134,7 @@ def operand_spec(ml, access, *, sized: bool) -> OperandSpec:
 def operand_words(spec: OperandSpec, ml, access, plan) -> list[int]:
     base = plan.address_words(ml.id) if ml.placement == "worker" else None
     assert base is not None, "vector operands live in worker memory"
-    if spec.token == "as":
-        return [base]
-    if spec.token == "ar":
+    if spec.token in ("as", "ar"):
         return [base]
     rank = len(ml.mem_shape)
     axes = access.mem if access is not None and access.mem else None

@@ -11,11 +11,12 @@ calls `sleep(n, then)`: it enters the one timed wait, `asleep`, which makes
 no progress until the cycle `until`, then enters the state `then`, runs it
 once and counts that tick as progress.
 
-Worker kernels decode their argument words directly: each operand's
-base/start/length words become an immediate or a live view of the tile's
-image through `memwords.word_view`, never a lookup in the source graph, so
-the simulator exercises the broadcast encoding end to end.  A worker's
-`dispatch` decides once per task which steps the task's RPC kind runs.
+A worker's `dispatch` decodes each task's argument words through its RPC's
+frame (`lowering.rpc.decode_frame`) and decides once per task which steps
+the kind runs.  Each operand's base/start/length words become an immediate
+or a live view of the tile's image through `memwords.word_view`, never a
+lookup in the source graph, so the simulator exercises the broadcast
+encoding end to end.
 """
 from __future__ import annotations
 
@@ -559,7 +560,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             return True
         if rd.kind == "shift":
             return self.dispatch_shift(f)
-        self.dyn_stop = int(self.at(f["dyn_stop"][0], DType.I16)) if rd.has_dyn else None
+        self.dyn_stop = int(self.at(f["dyn_stop"][0], DType.I16)) if "dyn_stop" in f else None
         mask = int(self.image[f["mask"][0]])
         setup = self.m.cfg.rpc_setup_cycles
         if rd.kind == "reduce_send":

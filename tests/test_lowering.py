@@ -215,7 +215,7 @@ A[:, :, 0:n] = B[:, :, 0:n] * 2.0
 """
     g, plan, vm = lowered(src, 2, 2)
     d = next(d for d in vm.rpcs.defs if d.kind == "map")
-    assert d.has_dyn
+    assert "dyn_stop" in d.frame
     assert any(s.token == "ad1" for s in d.srcs) or d.dst.token == "ad1"
     sec = vm.sections[0]
     # the trailing args word is the per-worker stop variable's address
@@ -261,7 +261,7 @@ def test_frame_round_trips_every_emitted_task(monkeypatch):
         assert list(got) == list(rd.frame)
         assert {k: list(v) for k, v in got.items()} == {k: list(v) for k, v in fields.items()}
     assert {rd.kind for rd, _, _ in tasks} == set(KIND_FIELDS)
-    assert any(rd.has_dyn for rd, _, _ in tasks)
+    assert any("dyn_stop" in rd.frame for rd, _, _ in tasks)
 
 
 def flat_add():
