@@ -181,7 +181,8 @@ class Parser:
             while self.accept("op", ","):
                 values.append(self.parse_signed_number())
             self.expect("op", "]")
-            return InitSpec("literal", values=tuple(_as_float(v) for v in values))
+            return InitSpec("literal", values=tuple(_as_float(v) for v in values),
+                            ints=tuple(isinstance(v, int) for v in values))
         if t.kind in ("int", "float") or t.text == "-":
             v = self.parse_signed_number()
             return InitSpec("constant", value=_as_float(v), is_int=isinstance(v, int))

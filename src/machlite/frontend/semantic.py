@@ -373,13 +373,13 @@ class Analyzer:
                 self.sink.error(f"randint bounds for '{d.name}' are empty", d.loc)
             elif bad:
                 self.sink.error(f"randint bounds for '{d.name}' are {bad}", d.loc)
-        if d.dtype is DType.I16 and init.form == "constant" and not init.is_int:
-            self.sink.error(f"i16 '{d.name}' initialized with a float constant", d.loc)
-        elif init.form in ("constant", "literal"):
-            values = init.values if init.form == "literal" else (init.value,)
-            bad = next(filter(None, (out_of_range(v, d.dtype) for v in values)), None)
-            if bad:
-                self.sink.error(f"initializer of '{d.name}' is {bad}", d.loc)
+        if init.form in ("constant", "literal"):
+            lits = (zip(init.values, init.ints) if init.form == "literal"
+                    else [(init.value, init.is_int)])
+            for value, is_int in lits:
+                if not self.check_literal(value, is_int, d.dtype,
+                                          f"initializer of '{d.name}'", d.loc):
+                    break
 
     # -- reference resolution ----------------------------------------------
 
@@ -513,13 +513,23 @@ class Analyzer:
 
     # -- expressions --------------------------------------------------------
 
+    def check_literal(self, value: float, is_int: bool, dt: DType, what: str,
+                      loc: Loc) -> bool:
+        """The one literal rule: a literal written as `value` (an integer if
+        `is_int`) is a value of its context's dtype `dt`; with no implicit
+        casts, a float literal is never an i16.  False after the error."""
+        if dt is DType.I16 and not is_int:
+            self.sink.error(f"float {what} in an i16 context", loc)
+        elif bad := out_of_range(value, dt):
+            self.sink.error(f"{what} is {bad}", loc)
+        else:
+            return True
+        return False
+
     def type_expr(self, e, ctx_dtype: DType | None, loc: Loc):
         if isinstance(e, Lit):
             dt = ctx_dtype or (DType.I16 if e.is_int else DType.F32)
-            if dt is DType.I16 and not e.is_int:
-                self.sink.error("float literal in an i16 context", e.loc)
-            elif bad := out_of_range(e.value, dt):
-                self.sink.error(f"literal is {bad}", e.loc)
+            self.check_literal(e.value, e.is_int, dt, "literal", e.loc)
             return TLit(e.value, dt)
         if isinstance(e, Ref):
             return self.resolve_ref(e)
@@ -805,7 +815,7 @@ class Analyzer:
     def check_exit_if(self, s: ExitIf) -> TExitIf | None:
         def operand(o):
             if isinstance(o, Lit):
-                return TLit(o.value, DType.I16 if o.is_int else DType.F32)
+                return o                # typed below, in the comparison's dtype
             t = self.resolve_ref(o)
             if t is None:
                 return None
@@ -816,23 +826,15 @@ class Analyzer:
                 self.note_read(t.access.var, s.loc)
             return t
 
-        lhs = operand(s.lhs)
-        rhs = operand(s.rhs)
-        if lhs is None or rhs is None:
+        ops = [operand(s.lhs), operand(s.rhs)]
+        if any(o is None for o in ops):
             return None
-        dts = {t.dtype for t in (lhs, rhs) if isinstance(t, TRef)}
+        dts = {o.dtype for o in ops if isinstance(o, TRef)}
         if len(dts) > 1:
             self.sink.error("exit_if operand dtypes differ", s.loc)
             return None
-        dt = dts.pop() if dts else lhs.dtype
-        for o in (s.lhs, s.rhs):
-            if isinstance(o, Lit) and (bad := out_of_range(o.value, dt)):
-                self.sink.error(f"literal is {bad}", o.loc)
-                return None
-        if isinstance(lhs, TLit):
-            lhs = TLit(lhs.value, dt)
-        if isinstance(rhs, TLit):
-            rhs = TLit(rhs.value, dt)
+        dt = dts.pop() if dts else (DType.I16 if all(o.is_int for o in ops) else DType.F32)
+        lhs, rhs = (self.type_expr(o, dt, s.loc) if isinstance(o, Lit) else o for o in ops)
         return TExitIf(lhs, s.cmp, rhs, s.loc)
 
     def check_field_stmt(self, s):

@@ -45,6 +45,7 @@ class InitSpec:
     lo: int = 0
     hi: int = 0
     values: tuple[float, ...] = ()
+    ints: tuple[bool, ...] = ()  # literal: whether each value was written as an integer
 
 
 @dataclass(frozen=True)

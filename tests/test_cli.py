@@ -141,14 +141,9 @@ ANALYZER_RULES = {
         "ga g[3] i16 = [1.5, 2, 3]\n",
         "1:4: error: float initializer of 'g' in an i16 context"),
 }
-# accepted today, and run with the literal truncated
-LITERAL_DEFECTS = {"exit_if_float_literal", "i16_literal_list_float",
-                   "i16_ga_literal_list_float"}
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(n, marks=pytest.mark.xfail(strict=True)) if n in LITERAL_DEFECTS else n
-    for n in sorted(ANALYZER_RULES)])
+@pytest.mark.parametrize("name", sorted(ANALYZER_RULES))
 def test_analyzer_rule_is_a_located_error(tmp_path, capsys, name):
     text, diag = ANALYZER_RULES[name]
     code, err = cli_exit(tmp_path, capsys, text, "compile", "--grid", "4x4")
