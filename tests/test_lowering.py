@@ -170,7 +170,9 @@ a += b
     _g, _plan, vm = lowered(src)
     names = [d.name for d in vm.rpcs.defs]
     assert names == ["ar_ar_add_f32"]
-    assert vm.rpcs.defs[0].arity == 5          # src0, src1, dst, mask, length
+    d = vm.rpcs.defs[0]
+    assert list(d.frame) == ["src0", "src1", "dst", "mask", "len"]
+    assert d.arity == 5
 
 
 def test_reduce_to_uls_splits_send_and_receive():
@@ -264,28 +266,17 @@ def test_frame_round_trips_every_emitted_task(monkeypatch):
     assert any("dyn_stop" in rd.frame for rd, _, _ in tasks)
 
 
-def flat_add():
-    ar = OperandSpec("ar", 1)
-    return RpcTable().intern("map", "add", "f32", [ar, ar], ar)
-
-
-def test_frame_of_a_map():
-    rd = flat_add()
-    assert list(rd.frame) == ["src0", "src1", "dst", "mask", "len"]
-    assert rd.arity == 5
-    words = encode_frame(rd, src0=[10], src1=[20], dst=[30], mask=[40], len=[8])
-    assert words == [10, 20, 30, 40, 8]
-
-
 @pytest.mark.parametrize("fields", [
-    dict(src0=[10], src1=[20], dst=[30], mask=[40]),                     # no len
-    dict(src0=[10], src1=[20], dst=[30], mask=[40], len=[8], dx=[1]),    # extra
-    dict(src0=[10, 11], src1=[20], dst=[30], mask=[40], len=[8]),        # too wide
-    dict(src0=[10], src1=[20], dst=[30], mask=[], len=[8]),              # too narrow
+    dict(src0=[10], src1=[20], dst=[30], mask=[40]),
+    dict(src0=[10], src1=[20], dst=[30], mask=[40], len=[8], dx=[1]),
+    dict(src0=[10, 11], src1=[20], dst=[30], mask=[40], len=[8]),
+    dict(src0=[10], src1=[20], dst=[30], mask=[], len=[8]),
 ], ids=["missing", "extra", "wide", "narrow"])
 def test_encoder_rejects_a_frame_mismatch(fields):
+    ar = OperandSpec("ar", 1)
+    rd = RpcTable().intern("map", "add", "f32", [ar, ar], ar)
     with pytest.raises(ValueError):
-        encode_frame(flat_add(), **fields)
+        encode_frame(rd, **fields)
 
 
 def worker_kernels(path: Path) -> dict[str, list[str]]:
