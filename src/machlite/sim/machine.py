@@ -173,7 +173,7 @@ class Machine:
         if ready > cycle:
             return False
         if w == ADVANCE:
-            q.popleft()
+            del q[0]
             r.step_ring(color)
             self.absorbed[color] += 1
             self.in_flight -= 1
@@ -192,7 +192,7 @@ class Machine:
         for dq, _nb in targets:
             if len(dq) >= depth:
                 return False
-        q.popleft()
+        del q[0]
         used[color] = u | mask
         self.in_flight += len(targets) - 1
         rdy = cycle + self.hop_latency

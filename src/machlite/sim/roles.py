@@ -17,11 +17,16 @@ the kind runs.  Each operand's base/start/length words become an immediate
 or a live view of the tile's image through `memwords.word_view`, never a
 lookup in the source graph, so the simulator exercises the broadcast
 encoding end to end.
+
+A shift keeps its words packed, 2 B each, in `array("H")`: the sender's
+copy of its source, taken at dispatch, and the receiver's preallocated
+buffer of `sh_need` words.
 """
 from __future__ import annotations
 
 import math
 import weakref
+from array import array
 from collections import deque
 
 import numpy as np
@@ -88,7 +93,7 @@ class Cpu:
             return None
         self.delivered[color] += 1
         self.m.in_flight -= 1
-        return q.popleft()
+        return q.pop(0)
 
     def sleep(self, n: int, then: str) -> None:
         """Wait n cycles, then run state `then`; a timer wakes the
@@ -408,8 +413,8 @@ class FieldCpu(Cpu):
         super().__init__(m, xy)
         self.state = "ctrl"
         self.rd = None
-        self.task_q: deque = deque()
-        self.arg_q: deque = deque()
+        self.task_q: list = []
+        self.arg_q: list = []
         self.queued_arity = 0          # argument words the queued tasks take
         self.defs = m.vm.rpcs.defs
         self.table = m.vm.task_table_size
@@ -440,12 +445,15 @@ class FieldCpu(Cpu):
         if not self.task_q:
             return None
         rd = self.defs[self.task_q[0]]
-        if len(self.arg_q) < rd.arity:
+        n = rd.arity
+        if len(self.arg_q) < n:
             return None
-        self.task_q.popleft()
-        self.queued_arity -= rd.arity
+        del self.task_q[0]
+        self.queued_arity -= n
         self.rd = rd
-        return [self.arg_q.popleft() for _ in range(rd.arity)]
+        words = self.arg_q[:n]
+        del self.arg_q[:n]
+        return words
 
     def tick(self) -> bool:
         ob = self.outbox
@@ -462,14 +470,14 @@ class FieldCpu(Cpu):
         """Enter state `send` with the 16-bit `words`, then `marker`, to push
         on `color`."""
         self.push_color = color
-        self.stream = deque(words)
+        self.stream = list(words)
         if marker is not None:
             self.stream.append(marker)
         self.state = "send"
 
     def send(self) -> bool:
         if self.stream and self.push(self.push_color, self.stream[0]):
-            self.stream.popleft()
+            del self.stream[0]
             if not self.stream:
                 self.retire()
             return True
@@ -702,9 +710,13 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.sh_sending = sending
         self.sh_receiving = receiving
         self.sh_need = n * dt.words if receiving else 0
-        self.sh_rcv: list = []
-        self.sh_snd = (encode_words(self.operand(rd.srcs[0], f["src0"], dt, n), dt).tolist()
-                       if sending else [])
+        self.sh_rcv = array("H", [0]) * self.sh_need
+        self.sh_ri = 0
+        self.sh_snd = array("H")
+        if sending:
+            # a copy taken at dispatch: shift(A, A, ...) writes the words it sends
+            src = encode_words(self.operand(rd.srcs[0], f["src0"], dt, n), dt)
+            self.sh_snd.frombytes(src.astype(np.uint16).tobytes())
         self.sh_si = 0
         self.sh_dst = self.operand(rd.dst, f["dst"], dt, n)
         self.sleep(self.m.cfg.rpc_setup_cycles, "shift_begin")
@@ -740,22 +752,23 @@ class WorkerCpu(FieldCpu, MemCpu):
 
     def shift_xfer(self) -> bool:
         prog = False
-        snd, si, rcv = self.sh_snd, self.sh_si, self.sh_rcv
+        snd, si, ri = self.sh_snd, self.sh_si, self.sh_ri
         if si < len(snd) and self.push(self.send_color, snd[si]):
             si = self.sh_si = si + 1
             prog = True
-        if len(rcv) < self.sh_need:
+        if ri < self.sh_need:
             w = self.pop(self.recv_color)
             if w is not None:
-                rcv.append(w)
+                self.sh_rcv[ri] = w
+                ri = self.sh_ri = ri + 1
                 prog = True
         if prog:
             self.occ += 1
-        if si == len(snd) and len(rcv) == self.sh_need:
+        if si == len(snd) and ri == self.sh_need:
             if self.sh_receiving:
                 dst = self.sh_dst
-                dst[...] = decode_words(np.asarray(rcv, dtype=np.uint16), self.op_dt,
-                                        dst.shape)
+                dst[...] = decode_words(np.frombuffer(self.sh_rcv, dtype=np.uint16),
+                                        self.op_dt, dst.shape)
             self.retire()
             return True
         return prog

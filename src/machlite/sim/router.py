@@ -20,10 +20,14 @@ A router moves at most one wavelet per (color, input port) per cycle.  A move
 requires every destination queue to have room; multicast is all-or-nothing.
 Input channels are served, and output ports arbitrated, in color order and
 then C, L, R, U, D port order.
+
+FIFOs and delivery queues are plain lists, taken from the head with
+`del q[0]` or `q.pop(0)`.  Every move and every processor push checks the
+destination against `fifo_depth`, so no list holds more than that many
+entries, and a short list is far cheaper than a `deque`, whose empty form
+already holds a 64-slot block: a fabric has several queues per tile.
 """
 from __future__ import annotations
-
-from collections import deque
 
 PORTS = ("C", "L", "R", "U", "D")
 PORT_BIT = {p: 1 << i for i, p in enumerate(PORTS)}
@@ -58,7 +62,7 @@ class Router:
         # color -> ring of states ((in_port, (out, ...)), ...), as laid out
         self.rings = rings
         self.ring_idx = {c: 0 for c in self.rings}
-        self.fifos: dict[tuple, deque] = {}
+        self.fifos: dict[tuple, list] = {}
         # (color, port, fifo) of every input channel, in service order
         self.chans: list[tuple] = []
         # (color, input port) -> (port mask, targets) of the current ring
@@ -66,20 +70,20 @@ class Router:
         # the machine on first use (see Machine.resolve), dropped for a
         # color when its ring steps
         self.routes: dict[tuple, tuple] = {}
-        self.outbox: dict[int, deque] = {}
+        self.outbox: dict[int, list] = {}
 
-    def fifo(self, color: int, port: str) -> deque:
+    def fifo(self, color: int, port: str) -> list:
         q = self.fifos.get((color, port))
         if q is None:
-            q = self.fifos[(color, port)] = deque()
+            q = self.fifos[(color, port)] = []
             self.chans.append((color, port, q))
             self.chans.sort(key=lambda ch: (ch[0], PORTS.index(ch[1])))
         return q
 
-    def delivery(self, color: int) -> deque:
+    def delivery(self, color: int) -> list:
         q = self.outbox.get(color)
         if q is None:
-            q = self.outbox[color] = deque()
+            q = self.outbox[color] = []
         return q
 
     def step_ring(self, color: int) -> None:

@@ -79,4 +79,13 @@ FORMS = {
         "la a[4,4,4,8] f32 = rand\nla b[4,4,4,8] f32 = rand\n"
         "la c[4,4,4,8] f32 = rand\nls nn i16 = 5\n"
         "a[:, :, 0:2, 1:nn] = b[:, :, 0:2, 1:nn] + c[:, :, 0:2, 1:nn] * 2.0\n"),
+    # a shift whose destination overlaps its source: every worker sends the
+    # words it held before the shift
+    "shift_in_place": "la A[4,4,2] f32 = rand\nshift(A, A, col, 1)\n",
+    "shift_overlapping_windows": (
+        "la A[4,4,6] i16 = randint(0, 9)\n"
+        "shift(A[:, :, 1:5], A[:, :, 0:4], row, -1)\n"),
+    "shift_overlapping_windows_rank4": (
+        "la A[4,4,3,5] f32 = rand\n"
+        "shift(A[:, :, 0:3, 1:5], A[:, :, 0:3, 0:4], row, 1)\n"),
 }

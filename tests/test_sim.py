@@ -11,7 +11,8 @@ start images of the programs and of fuzz seeds 0-199.  A schedule golden
 pins, for two programs, what the benchmark tracer counts: `try_move`
 calls, moves and per-role ticks.  A stall oracle reruns the programs with
 processor ticks withheld at random, which may change cycles but must not
-change outputs.
+change outputs.  A memory test bounds what the simulator allocates per
+tile beyond the memory images.
 
 The long campaign (fuzz seeds 0-299 under every variant, each variant's
 cycles, `stats()` and outputs pinned by one sha256) is marked `slow` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from machlite.pipeline import check, compile_source, run_reference
 from machlite.refinterp import diff_results
 from machlite.sim import ADVANCE, RESET, Machine, SimConfig, data, describe
 from machlite.sim.machine import DeadlockError
-from machlite.sim.roles import WorkerCpu
+from machlite.sim.roles import FieldCpu, WorkerCpu
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
@@ -303,18 +305,26 @@ def test_setup_longer_than_the_deadlock_window_is_no_deadlock(path):
 @pytest.mark.parametrize("name", ["listing1", "stencil"])
 def test_live_sets_track_the_fabric_every_cycle(name, variant):
     """Stepped cycle by cycle, with no jump to a timer; after every cycle
-    the in-flight count is the number of wavelets in the fabric, a router
-    outside the live set holds none, and a processor outside the live set
-    is idle with nothing delivered or is blocked, and a tick of it would
-    make no progress."""
+    the in-flight count is the number of wavelets in the fabric, no FIFO or
+    delivery queue holds more than `fifo_depth` entries and no field tile
+    more than `task_table_size` queued tasks, a router outside the live set
+    holds none, and a processor outside the live set is idle with nothing
+    delivered or is blocked, and a tick of it would make no progress."""
     path = next(p for p in PROGRAMS if p.stem == name)
-    m = Machine(program(path).vm, SimConfig(trace=False, **VARIANTS.get(variant, {})))
+    cfg = SimConfig(trace=False, **VARIANTS.get(variant, {}))
+    m = Machine(program(path).vm, cfg)
+    table = m.vm.task_table_size
+    field = [cpu for cpu in m.cpus if isinstance(cpu, FieldCpu)]
     while not m.done:
         m.step()
         assert m.in_flight == sum(r.occupancy() for r in m.routers.values())
         for r in m.tiles:
+            for q in [*r.fifos.values(), *r.outbox.values()]:
+                assert len(q) <= cfg.fifo_depth, (m.cycle, r.x, r.y)
             if r.index not in m.live_routers:
                 assert not any(r.fifos.values()), (m.cycle, r.x, r.y)
+        for cpu in field:
+            assert len(cpu.task_q) <= table, (m.cycle, cpu.xy)
         assert not m.blocked & m.live_cpus
         for i, cpu in enumerate(m.cpus):
             if i in m.live_cpus:
@@ -409,6 +419,23 @@ def test_finished_stall_machine_is_freed_without_the_cycle_collector(name):
     vm = stall_bundle(name).vm
     assert_freed_without_the_cycle_collector(
         lambda: StallMachine(vm, SimConfig(trace=False), 1, rates=(0.5,)))
+
+
+@pytest.mark.parametrize("name", ["listing1", "stencil"])
+def test_simulator_state_per_tile_is_small(name):
+    """Beyond the memory images, a machine and its run allocate under
+    7 KiB per tile at their peak, as tracemalloc counts it: queues bounded
+    by `fifo_depth` are short lists and shift words are packed 2 B each."""
+    vm = program(next(p for p in PROGRAMS if p.stem == name)).vm
+    tracemalloc.start()
+    try:
+        m = Machine(vm, SimConfig(trace=False))
+        m.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    images = m.worker_image.nbytes + m.ctrl_image.nbytes
+    assert (peak - images) / len(m.tiles) < 7 * 1024
 
 
 def test_stuck_worker_deadlocks():
