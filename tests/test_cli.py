@@ -105,6 +105,28 @@ ANALYZER_RULES = {
         "uls s f32 = 1.0\nls t f32 = rand\nshift(s, t, row, 1)\n",
         "3:1: error: shift() destination 's' is a uls, which must hold one value "
         "on every worker"),
+    "shift_step": (
+        TWO_LA + "shift(a[0:4:2, :, :], b[0:4:2, :, :], row, 1)\n",
+        "3:1: error: shift regions must be contiguous (step 1)"),
+    # an la of one element per worker, so that the element counts agree
+    "shift_la_with_ls": (
+        "la c[4,4,1] f32 = rand\nls t f32 = rand\nshift(c, t, row, 1)\n",
+        "3:1: error: shift operands must both be la or both ls"),
+    "shift_offset": (
+        TWO_LA + "shift(a, b, row, 2)\n",
+        "3:1: error: shift offset must be +1 or -1"),
+    "shift_axis": (
+        TWO_LA + "shift(a, b, diag, 1)\n",
+        "3:13: error: expected 'row' or 'col', found 'diag'"),
+    "reduce_target_kind": (
+        TWO_LA + "ls t f32 = rand\nreduce(a, t)\n",
+        "4:1: error: reduce() target must be a uls or gs variable"),
+    "reduce_target_dtype": (
+        TWO_LA + "gs s i16 = 0\nreduce(a, s)\n",
+        "4:1: error: reduce() target dtype differs from the source"),
+    "take_destination_dynamic_stop": (
+        INDEX + "ls n i16 = 4\na[:, :, 0:n] = take(b, i)\n",
+        "5:1: error: take() does not support dynamic stops: 'a' stops at 'n'"),
     # a literal is a value of its dtype
     "i16_literal_range": (
         "la a[4,4,8] i16 = zeros\na += 70000\n",
