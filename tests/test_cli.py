@@ -12,6 +12,7 @@ from machlite import cli
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.lexer import tokenize
 from machlite.fuzz import gen_source
+from machlite.pipeline import check, compile_source
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
@@ -173,7 +174,112 @@ def test_analyzer_rule_is_a_located_error(tmp_path, capsys, name):
     assert err.splitlines() == [diag]
 
 
-SMALL_LA = "la a[2,2,4] f32{init}\nla b[4,4,4] f32 = rand\n"
+# The form walk: each operand of each field form, one at a time, becomes a
+# variable `x` of one kind while the other operands keep their base.  Every
+# la holds one element per worker, so element counts agree with an ls.
+WALK_DECLS = ("la a[4,4,1] f32 = rand\nla b[4,4,1] f32 = rand\n"
+              "la i[4,4,1] i16 = randint(0, 1)\nls t f32 = rand\nls v f32 = rand\n"
+              "gs s f32 = 1.0\nls n i16 = 1\n")
+# an ls, uls, gs or dynamic-stop `x` takes its operand's base dtype
+WALK_KINDS = {
+    "la_f32": ("la x[4,4,1] f32 = rand", "x"),
+    "la_i16": ("la x[4,4,1] i16 = randint(0, 1)", "x"),
+    "ls": ("ls x {dt} = 1", "x"),
+    "uls": ("uls x {dt} = 1", "x"),
+    "gs": ("gs x {dt} = 1", "x"),
+    "la_dyn": ("la x[4,4,1] {dt} = zeros", "x[:, :, 0:n]"),
+}
+OK = None
+KIND = "{f}() operand 'x' must be an la slice"
+KIND_LS = "{f}() operand 'x' must be an la or ls slice"
+INDEX = "{f}() index 'x' must be an i16 la slice"
+DYN = "{f}() does not support dynamic stops: 'x' stops at 'n'"
+PAIR = "shift operands must both be la or both ls"
+TARGET = "reduce() target must be a uls or gs variable"
+
+
+def dtypes(first: str, second: str) -> str:
+    return f"{{f}}() operand dtypes differ: {first}, {second}"
+
+
+# base -> (form, statement, base operands (name, dtype), and per operand
+# the outcome for each kind of WALK_KINDS, in order); the expression forms
+# assign to `d`, which takes the dtype of the first operand
+WALK = {
+    "take": ("take", "la d[4,4,1] {dt}\nd = take({0}, {1})\n",
+             (("a", "f32"), ("i", "i16")), (
+                 (OK, OK, KIND, KIND, KIND, DYN),
+                 (INDEX, OK, INDEX, INDEX, INDEX, DYN))),
+    "gather_mul": ("gather_mul", "la d[4,4,1] {dt}\nd = gather_mul({0}, {1}, {2})\n",
+                   (("a", "f32"), ("i", "i16"), ("b", "f32")), (
+                       (OK, dtypes("'x' is i16", "'b' is f32"), KIND, KIND, KIND, DYN),
+                       (INDEX, OK, INDEX, INDEX, INDEX, DYN),
+                       (OK, dtypes("'a' is f32", "'x' is i16"), KIND, KIND, KIND, DYN))),
+    "put": ("put", "put({0}, {1}, {2})\n",
+            (("a", "f32"), ("i", "i16"), ("b", "f32")), (
+                (OK, dtypes("'x' is i16", "'b' is f32"), KIND, KIND, KIND, DYN),
+                (INDEX, OK, INDEX, INDEX, INDEX, DYN),
+                (OK, dtypes("'a' is f32", "'x' is i16"), KIND, KIND, KIND, DYN))),
+    "shift_la": ("shift", "shift({0}, {1}, row, 1)\n",
+                 (("a", "f32"), ("b", "f32")), (
+                     (OK, dtypes("'x' is i16", "'b' is f32"), PAIR, PAIR, KIND_LS, DYN),
+                     (OK, dtypes("'a' is f32", "'x' is i16"), PAIR, PAIR, KIND_LS, DYN))),
+    "shift_ls": ("shift", "shift({0}, {1}, col, -1)\n",
+                 (("t", "f32"), ("v", "f32")), (
+                     (PAIR, dtypes("'x' is i16", "'v' is f32"), OK,
+                      "shift() destination 'x' is a uls, which must hold one value "
+                      "on every worker", KIND_LS, DYN),
+                     (PAIR, dtypes("'t' is f32", "'x' is i16"), OK, OK, KIND_LS, DYN))),
+    # the target is a name, so it takes no dynamic stop
+    "reduce": ("reduce", "reduce({0}, {1})\n",
+               (("a", "f32"), ("s", "f32")), (
+                   (OK, "reduce() target dtype differs from the source",
+                    KIND, KIND, KIND, DYN),
+                   (TARGET, TARGET, TARGET, OK, OK))),
+}
+
+
+def walk_cells():
+    """(base, form, operand position, kind, source text, expected message
+    or None) for every cell of WALK."""
+    for base, (form, stmt, operands, outcomes) in WALK.items():
+        for pos, expected in enumerate(outcomes):
+            for kind, want in zip(WALK_KINDS, expected):
+                decl, ref = WALK_KINDS[kind]
+                ops = [name for name, _ in operands]
+                ops[pos] = ref
+                first_dt = "i16" if (pos, kind) == (0, "la_i16") else operands[0][1]
+                text = (WALK_DECLS + decl.format(dt=operands[pos][1]) + "\n"
+                        + stmt.format(*ops, dt=first_dt))
+                if want is not None:
+                    lines = text.splitlines()
+                    loc = f"{len(lines)}:{lines[-1].index(form) + 1}"
+                    want = f"{loc}: error: {want.format(f=form)}"
+                yield base, form, pos, kind, text, want
+
+
+def test_field_form_walk(tmp_path, capsys):
+    """Every accepted cell compiles and both backends agree on it; every
+    rejected cell exits 1 with its one located message, which names the
+    form, and `x` too where a shared operand rule rejects it."""
+    cells = list(walk_cells())
+    assert len(cells) == 83
+    assert sum(want is None for *_, want in cells) == 17
+    wrong = []
+    for base, form, pos, kind, text, want in cells:
+        if want is None:
+            report = check(compile_source(text, 4, 4))
+            if report:
+                wrong.append((base, pos, kind, report))
+            continue
+        assert form in want
+        code, err = cli_exit(tmp_path, capsys, text, "compile", "--grid", "4x4")
+        if (code, err.splitlines()) != (1, [want]):
+            wrong.append((base, pos, kind, code, err))
+    assert wrong == []
+
+
+SMALL_LA ="la a[2,2,4] f32{init}\nla b[4,4,4] f32 = rand\n"
 RUNS = [("compile",), ("run", "--backend", "ref"), ("run", "--backend", "sim"), ("diff",)]
 
 
