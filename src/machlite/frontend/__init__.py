@@ -4,17 +4,14 @@ from machlite.frontend.syntax import (
     AxisSlice,
     Assign,
     BinOp,
+    Call,
     DeviceFor,
     ExitIf,
-    GatherMul,
     InitSpec,
     Lit,
     Pragma,
-    Put,
     RangeFor,
-    Reduce,
     Ref,
-    Shift,
     SourceProgram,
     TensorDecl,
     VarKind,
@@ -27,18 +24,15 @@ __all__ = [
     "AxisSlice",
     "Assign",
     "BinOp",
+    "Call",
     "DeviceFor",
     "ExitIf",
-    "GatherMul",
     "GridConfig",
     "InitSpec",
     "Lit",
     "Pragma",
-    "Put",
     "RangeFor",
-    "Reduce",
     "Ref",
-    "Shift",
     "SourceProgram",
     "TensorDecl",
     "TypedProgram",

@@ -9,12 +9,13 @@ from __future__ import annotations
 import re
 
 from machlite.diagnostics import DiagnosticSink, Loc
+from machlite.frontend.syntax import FIELD_FORMS
 
 KEYWORDS = {
     "gs", "ga", "ls", "uls", "la",
     "f32", "i16",
     "for", "in", "range",
-    "exit_if", "reduce", "shift", "take", "put", "gather_mul",
+    "exit_if", *FIELD_FORMS,
     "row", "col",
     "zeros", "rand", "randint",
     "out", "tmp",

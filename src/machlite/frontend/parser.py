@@ -10,23 +10,20 @@ import math
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.lexer import Token, tokenize
 from machlite.frontend.syntax import (
+    FIELD_FORMS,
     Assign,
     AxisSlice,
     BinOp,
+    Call,
     DeviceFor,
     DType,
     ExitIf,
-    GatherMul,
     InitSpec,
     Lit,
     Pragma,
-    Put,
     RangeFor,
-    Reduce,
     Ref,
-    Shift,
     SourceProgram,
-    Take,
     TensorDecl,
     VarKind,
 )
@@ -259,12 +256,8 @@ class Parser:
                 return self.parse_for()
             if t.text == "exit_if":
                 return self.parse_exit_if()
-            if t.text == "reduce":
-                return self.parse_reduce()
-            if t.text == "shift":
-                return self.parse_shift()
-            if t.text == "put":
-                return self.parse_put()
+            if t.text in FIELD_FORMS and not FIELD_FORMS[t.text].expr:
+                return self.parse_call()
         if t.kind == "ident":
             return self.parse_assign()
         self.sink.error(f"expected a statement, found {_shown(t)}", t.loc)
@@ -297,47 +290,37 @@ class Parser:
         self.expect_end_of_stmt()
         return ExitIf(lhs, cmp_tok.text, rhs, kw.loc)
 
-    def parse_reduce(self):
-        kw = self.expect("keyword", "reduce")
+    def parse_call(self) -> Call:
+        """A field form: its keyword, then one argument per role of its
+        FIELD_FORMS entry; a statement form then ends its statement."""
+        kw = self.next()
+        form = FIELD_FORMS[kw.text]
         self.expect("op", "(")
-        src = self.parse_ref()
-        self.expect("op", ",")
-        target = self.expect("ident")
+        args = []
+        for k, role in enumerate(form.roles):
+            if k:
+                self.expect("op", ",")
+            args.append(self.parse_arg(role))
         self.expect("op", ")")
-        self.expect_end_of_stmt()
-        return Reduce(src, target.text, kw.loc)
-
-    def parse_shift(self):
-        kw = self.expect("keyword", "shift")
-        self.expect("op", "(")
-        dst = self.parse_ref()
-        self.expect("op", ",")
-        src = self.parse_ref()
-        self.expect("op", ",")
-        axis_tok = self.next()
-        if axis_tok.text not in ("row", "col"):
-            self.sink.error(f"expected 'row' or 'col', found {axis_tok.text!r}", axis_tok.loc)
-            raise _ParseAbort
-        self.expect("op", ",")
-        offset = self.parse_signed_int()
-        self.expect("op", ")")
-        self.expect_end_of_stmt()
-        if offset not in (1, -1):
+        if not form.expr:
+            self.expect_end_of_stmt()
+        if "offset" in form.roles and args[form.roles.index("offset")] not in (1, -1):
             self.sink.error("shift offset must be +1 or -1", kw.loc)
             raise _ParseAbort
-        return Shift(dst, src, axis_tok.text, offset, kw.loc)
+        return Call(kw.text, tuple(args), kw.loc)
 
-    def parse_put(self):
-        kw = self.expect("keyword", "put")
-        self.expect("op", "(")
-        dst = self.parse_ref()
-        self.expect("op", ",")
-        idx = self.parse_ref()
-        self.expect("op", ",")
-        src = self.parse_ref()
-        self.expect("op", ")")
-        self.expect_end_of_stmt()
-        return Put(dst, idx, src, kw.loc)
+    def parse_arg(self, role: str):
+        if role == "target":
+            return self.expect("ident").text
+        if role == "offset":
+            return self.parse_signed_int()
+        if role == "axis":
+            t = self.next()
+            if t.text not in ("row", "col"):
+                self.sink.error(f"expected 'row' or 'col', found {t.text!r}", t.loc)
+                raise _ParseAbort
+            return t.text
+        return self.parse_ref()
 
     def parse_assign(self):
         dst = self.parse_ref()
@@ -376,22 +359,8 @@ class Parser:
         if t.kind in ("int", "float") or t.text == "-":
             v = self.parse_signed_number()
             return Lit(_as_float(v), isinstance(v, int), t.loc)
-        if self.accept("keyword", "take"):
-            self.expect("op", "(")
-            src = self.parse_ref()
-            self.expect("op", ",")
-            idx = self.parse_ref()
-            self.expect("op", ")")
-            return Take(src, idx, t.loc)
-        if self.accept("keyword", "gather_mul"):
-            self.expect("op", "(")
-            src = self.parse_ref()
-            self.expect("op", ",")
-            idx = self.parse_ref()
-            self.expect("op", ",")
-            other = self.parse_ref()
-            self.expect("op", ")")
-            return GatherMul(src, idx, other, t.loc)
+        if t.text in FIELD_FORMS and FIELD_FORMS[t.text].expr:
+            return self.parse_call()
         if t.kind == "ident":
             return self.parse_ref()
         self.sink.error(f"expected an expression, found {_shown(t)}", t.loc)

@@ -4,22 +4,9 @@ Produces a TypedProgram whose statements carry fully resolved accesses:
 PE-grid participation regions plus per-axis memory windows.  Compile-time
 range loops are unrolled here; device loops over GA stay structured.
 
-The field forms (take, gather_mul, put, shift and reduce) share one set of
-operand rules, `Analyzer.check_operands`, checked in this order at the
-form's location; the first rule that fails ends the check:
-
-- each operand is an la slice (shift also takes ls and uls slices), and
-  the index of take, gather_mul and put is an i16 la slice;
-- the operands have one dtype (the index is i16 by the rule above);
-- every operand with a PE region selects the statement's region, the
-  destination's (`Analyzer.check_region`, which assignments run too);
-- no operand uses a dynamic stop;
-- the index and the operands moved element for element have one element
-  count (the table a gather reads or a scatter writes may differ).
-
-Each message names the form and the operand.  Checks that belong to one
-form keep their own code: the shift step and la/ls pairing, the reduce
-target, the uls-destination rules and read-before-write.
+The field forms (take, gather_mul, put, shift and reduce) are declared
+once, in `syntax.FIELD_FORMS`; `Analyzer.check_operands` reads a form's
+roles and checks the shared operand rules that `syntax.FieldForm` lists.
 """
 from __future__ import annotations
 
@@ -28,22 +15,19 @@ from dataclasses import dataclass, field, replace
 
 from machlite.diagnostics import DiagnosticSink, Loc
 from machlite.frontend.syntax import (
+    FIELD_FORMS,
     Assign,
     AxisSlice,
     BinOp,
+    Call,
     DeviceFor,
     DType,
     ExitIf,
-    GatherMul,
     InitSpec,
     Lit,
-    Put,
     RangeFor,
-    Reduce,
     Ref,
-    Shift,
     SourceProgram,
-    Take,
     TensorDecl,
     VarKind,
 )
@@ -533,18 +517,11 @@ class Analyzer:
             return TLit(e.value, dt)
         if isinstance(e, Ref):
             return self.resolve_ref(e)
-        if isinstance(e, Take):
-            ops = self.resolve_operands(e.src, e.idx)
-            if ops is None or not self.check_operands("take()", e.loc, (),
-                                                      table=ops[0], idx=ops[1]):
+        if isinstance(e, Call):
+            ops = self.resolve_operands(e)
+            if ops is None or not self.check_operands(e.form, e.loc, ops):
                 return None
-            return TTake(*ops, "vector", ops[0].dtype)
-        if isinstance(e, GatherMul):
-            ops = self.resolve_operands(e.src, e.idx, e.other)
-            if ops is None or not self.check_operands("gather_mul()", e.loc, ops[2:],
-                                                      table=ops[0], idx=ops[1]):
-                return None
-            return TGatherMul(*ops, "vector", ops[0].dtype)
+            return (TTake if e.form == "take" else TGatherMul)(*ops, "vector", ops[0].dtype)
         if isinstance(e, BinOp):
             lhs = self.type_expr(e.lhs, ctx_dtype, e.loc)
             rhs = self.type_expr(e.rhs, ctx_dtype, e.loc)
@@ -584,49 +561,50 @@ class Analyzer:
             return dts.pop()
         return lhs.dtype  # all literals
 
-    # -- operand rules (see the module docstring) -----------------------------
+    # -- operand rules (see syntax.FieldForm) ---------------------------------
 
-    def resolve_operands(self, *refs: Ref) -> list[Access] | None:
-        """The accesses of a form's operands; every operand is resolved so
-        that all their errors are reported, and None returned if any failed."""
-        typed = [self.resolve_ref(r) for r in refs]
+    def resolve_operands(self, call: Call) -> list[Access] | None:
+        """The accesses of a field form's references, in source order; every
+        one is resolved so that all their errors are reported, and None
+        returned if any failed."""
+        typed = [self.resolve_ref(a) for a in call.args if isinstance(a, Ref)]
         if any(t is None for t in typed):
             return None
         return [t.access for t in typed]
 
-    def check_operands(self, form: str, loc: Loc, elems, table: Access | None = None,
-                       idx: Access | None = None, stmt=None, ls_ok: bool = False) -> bool:
-        """The shared operand rules of a field form.  `elems` are the operands
-        moved element for element, `table` the array a gather reads or a
-        scatter writes, `idx` the index; `stmt` is the typed statement whose
-        region the operands must select (None for an expression)."""
-        values = ([table] if table else []) + list(elems)
-        kinds = (VarKind.LA, VarKind.LS, VarKind.ULS) if ls_ok else (VarKind.LA,)
-        bad = next((acc for acc in values if acc.kind not in kinds), None)
+    def check_operands(self, name: str, loc: Loc, ops: list[Access], stmt=None) -> bool:
+        """The shared operand rules of the field form `name` on the accesses
+        `ops` of its references, in source order; `stmt` is the typed
+        statement whose destination's region applies (None for an
+        expression)."""
+        form, what = FIELD_FORMS[name], f"{name}()"
+        idx = next((a for r, a in zip(form.refs, ops) if r == "idx"), None)
+        values = [a for r, a in zip(form.refs, ops) if r != "idx"]
+        bad = next((acc for acc in values if acc.kind not in form.kinds), None)
         if bad is not None:
-            self.sink.error(f"{form} operand '{bad.var}' must be an "
-                            f"{'la or ls' if ls_ok else 'la'} slice", loc)
+            self.sink.error(f"{what} operand '{bad.var}' must be an "
+                            f"{'la' if form.kinds == (VarKind.LA,) else 'la or ls'} slice", loc)
         bad_idx = idx is not None and (idx.kind is not VarKind.LA or idx.dtype is not DType.I16)
         if bad_idx:
-            self.sink.error(f"{form} index '{idx.var}' must be an i16 la slice", loc)
+            self.sink.error(f"{what} index '{idx.var}' must be an i16 la slice", loc)
         if bad is not None or bad_idx:
             return False
         first = values[0]
         for acc in values[1:]:
             if acc.dtype is not first.dtype:
                 self.sink.error(
-                    f"{form} operand dtypes differ: '{first.var}' is {first.dtype.value}, "
+                    f"{what} operand dtypes differ: '{first.var}' is {first.dtype.value}, "
                     f"'{acc.var}' is {acc.dtype.value}", loc)
                 return False
-        if stmt is not None and not self.check_region(stmt, loc):
+        if form.region and not self.check_region(stmt, loc):
             return False
-        if not self.check_static(form, [a for a in (table, idx, *elems) if a is not None], loc):
+        if not self.check_static(what, ops, loc):
             return False
-        counted = ([idx] if idx else []) + list(elems)
+        counted = [a for r, a in zip(form.refs, ops) if r != "table"]
         for acc in counted[1:]:
             if acc.mem_len != counted[0].mem_len:
                 self.sink.error(
-                    f"{form} element counts differ: '{counted[0].var}' has "
+                    f"{what} element counts differ: '{counted[0].var}' has "
                     f"{counted[0].mem_len}, '{acc.var}' has {acc.mem_len}", loc)
                 return False
         return True
@@ -665,7 +643,7 @@ class Analyzer:
                 self.sink.error("exit_if is only allowed inside a device loop", s.loc)
                 return None
             return self.check_exit_if(s)
-        if isinstance(s, (Reduce, Shift, Put)):
+        if isinstance(s, Call):
             return self.check_field_stmt(s)
         raise TypeError(f"unexpected statement {s!r}")
 
@@ -749,9 +727,8 @@ class Analyzer:
             if len(dyns) > 1:
                 self.sink.error("all operands must share a single dynamic stop", s.loc)
                 return None
-            if isinstance(texpr, (TTake, TGatherMul)) and not self.check_static(
-                    "take()" if isinstance(texpr, TTake) else "gather_mul()",
-                    [dst.access], s.loc):
+            if isinstance(expr, Call) and not self.check_static(
+                    f"{expr.form}()", [dst.access], s.loc):
                 return None
             if dyns:
                 # every LA operand must use the shared dynamic stop, on an
@@ -837,20 +814,24 @@ class Analyzer:
         lhs, rhs = (self.type_expr(o, dt, s.loc) if isinstance(o, Lit) else o for o in ops)
         return TExitIf(lhs, s.cmp, rhs, s.loc)
 
-    def check_field_stmt(self, s):
+    def check_field_stmt(self, s: Call):
         """A reduce, shift or put: the shared operand rules, then the form's
         own checks and the reads and writes it makes."""
-        if isinstance(s, Reduce):
-            ops = self.resolve_operands(s.src)
-            if ops is None or not self.check_operands("reduce()", s.loc, ops):
-                return None
-            (src,) = ops
+        ops = self.resolve_operands(s)
+        if ops is None:
+            return None
+        t = (TShift(*ops, *s.args[2:], s.loc) if s.form == "shift"
+             else TPut(*ops, s.loc) if s.form == "put" else None)
+        if not self.check_operands(s.form, s.loc, ops, t):
+            return None
+        if s.form == "reduce":
+            (src,), target = ops, s.args[1]
             self.note_read(src.var, s.loc)
-            if s.target in self.loop_vars:
-                self.sink.error(f"reduce() target '{s.target}' is a loop variable, "
+            if target in self.loop_vars:
+                self.sink.error(f"reduce() target '{target}' is a loop variable, "
                                 "not a uls or gs variable", s.loc)
                 return None
-            info = self.lookup(s.target, s.loc)
+            info = self.lookup(target, s.loc)
             if info is None:
                 return None
             d = info.decl
@@ -862,13 +843,7 @@ class Analyzer:
                 return None
             info.written = True  # a reduce writes its whole target
             return TReduce(Access(d.name, d.kind, d.dtype), src, s.loc)
-        if isinstance(s, Shift):
-            ops = self.resolve_operands(s.dst, s.src)
-            if ops is None:
-                return None
-            t = TShift(*ops, s.axis, s.offset, s.loc)
-            if not self.check_operands("shift()", s.loc, ops, stmt=t, ls_ok=True):
-                return None
+        if s.form == "shift":
             (_, _, xst), (_, _, yst) = t.dst.pe
             if xst != 1 or yst != 1:
                 self.sink.error("shift regions must be contiguous (step 1)", s.loc)
@@ -883,12 +858,6 @@ class Analyzer:
             self.note_read(t.src.var, s.loc)
             self.first_write_ok(t.dst.var, None)
             return t
-        ops = self.resolve_operands(s.dst, s.idx, s.src)
-        if ops is None:
-            return None
-        t = TPut(*ops, s.loc)
-        if not self.check_operands("put()", s.loc, [t.src], table=t.dst, idx=t.idx, stmt=t):
-            return None
         for acc in (t.src, t.idx, t.dst):  # a scatter keeps the elements it skips
             self.note_read(acc.var, s.loc)
         self.vars[t.dst.var].written = True

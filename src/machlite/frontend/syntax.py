@@ -96,21 +96,69 @@ class BinOp:
 
 
 @dataclass(frozen=True)
-class Take:
-    src: Ref
-    idx: Ref
-    loc: Loc = _loc_field()
+class FieldForm:
+    """How a field form is written and which operands it takes.
+
+    `roles` names each argument in source order.  A `table` (the array a
+    gather reads or a scatter writes), an `idx` (the index) and an `elem`
+    (an operand moved element for element) are references; an `axis`
+    (row or col), an `offset` (+1 or -1) and a `target` (a variable's
+    name) are not.  `kinds` are the variable kinds that every reference
+    but the index may be, `region` whether the destination's region rule
+    applies, and `expr` whether the form is an expression rather than a
+    statement.
+
+    The analyzer checks the shared operand rules of a form
+    (`Analyzer.check_operands`) in this order at the form's location; the
+    first rule that fails ends the check:
+
+    - each reference but the index is a slice of one of `kinds`, and the
+      index is an i16 la slice;
+    - the references but the index have one dtype;
+    - with `region`, every reference with a PE region selects the
+      destination's (`Analyzer.check_region`, which assignments run too);
+    - no reference uses a dynamic stop;
+    - the index and the `elem` references have one element count (the
+      table may differ).
+
+    Each message names the form and the operand.  Checks that belong to
+    one form keep their own code: the shift step and la/ls pairing, the
+    reduce target, the uls-destination rules and read-before-write.
+    """
+
+    roles: tuple[str, ...]
+    kinds: tuple[VarKind, ...] = (VarKind.LA,)
+    region: bool = False
+    expr: bool = False
+
+    @property
+    def refs(self) -> tuple[str, ...]:
+        """The roles of the references, in source order."""
+        return tuple(r for r in self.roles if r in ("table", "idx", "elem"))
+
+
+FIELD_FORMS = {
+    "take": FieldForm(("table", "idx"), expr=True),
+    "gather_mul": FieldForm(("table", "idx", "elem"), expr=True),
+    "put": FieldForm(("table", "idx", "elem"), region=True),
+    "shift": FieldForm(("elem", "elem", "axis", "offset"),
+                       (VarKind.LA, VarKind.LS, VarKind.ULS), region=True),
+    "reduce": FieldForm(("elem", "target")),
+}
 
 
 @dataclass(frozen=True)
-class GatherMul:
-    src: Ref
-    idx: Ref
-    other: Ref
+class Call:
+    """A field form `form(args)`: one argument per role of
+    `FIELD_FORMS[form]`, a Ref for a reference and the written name or
+    number otherwise."""
+
+    form: str
+    args: tuple
     loc: Loc = _loc_field()
 
 
-Expr = "Ref | Lit | BinOp | Take | GatherMul"
+Expr = "Ref | Lit | BinOp | Call"
 
 
 @dataclass(frozen=True)
@@ -142,30 +190,6 @@ class ExitIf:
     lhs: object  # Ref | Lit
     cmp: str
     rhs: object
-    loc: Loc = _loc_field()
-
-
-@dataclass(frozen=True)
-class Reduce:
-    src: Ref
-    target: str
-    loc: Loc = _loc_field()
-
-
-@dataclass(frozen=True)
-class Shift:
-    dst: Ref
-    src: Ref
-    axis: str  # "row" | "col"
-    offset: int  # +1 | -1
-    loc: Loc = _loc_field()
-
-
-@dataclass(frozen=True)
-class Put:
-    dst: Ref
-    idx: Ref
-    src: Ref
     loc: Loc = _loc_field()
 
 
