@@ -70,11 +70,6 @@ class VMachineProgram:
 
     def validate(self) -> None:
         errs = []
-        for sec in self.sections:
-            need = sum(self.rpcs.defs[rid].arity for rid in sec.ctrl_vector)
-            if need != len(sec.args_vector):
-                errs.append(f"section {sec.index}: rpc arities total {need} "
-                            f"but args vector has {len(sec.args_vector)} words")
         self._check_distribution(errs)
         self._check_masks(errs)
         self._check_footprint(errs)

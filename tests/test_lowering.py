@@ -151,6 +151,8 @@ def test_listing1_exec_skeleton():
 
 
 def test_args_arity_conservation():
+    """A section's args vector holds exactly its tasks' frames: `encode_frame`
+    sizes each frame, and this checks how `flush` joins them."""
     for src, nx in ((LISTING1, 10), (WITH_GS_ARG, 4), (STRAIGHT5, 4)):
         g = graph_of(src, nx, nx, seed=1)
         vm = lower(g, memplan.plan(g))
