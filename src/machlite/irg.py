@@ -39,6 +39,9 @@ from machlite.memwords import materialize_init
 CONTROLLER_OPS = {"ga_load", "exit_if", "loop", "sg_export", "sg_import"}
 WORKER_FIELD_OPS = {"reduce_sum", "shift", "gather", "scatter", "gather_mul"}
 BIN_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# the element-wise ops: a map RPC on the workers, an instruction on the
+# controller
+MAP_OPS = {"add", "sub", "mul", "div", "copy", "fill"}
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ class _Builder:
         for a in args:
             if isinstance(a, MemArg) and a.access is not None and a.access.dyn:
                 dyn = a.access.dyn
-        if dyn is not None and op in ("add", "sub", "mul", "div", "copy", "fill"):
+        if dyn is not None and op in MAP_OPS:
             acc = Access(dyn, VarKind.LS, DType.I16, pe=region)
             attrs["dyn_len_arg"] = len(args)
             args = list(args) + [MemArg(self.root.by_name[dyn], acc, "pescalar")]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..frontend.syntax import DType
-from ..irg import IRGraph, IRNode, ImmArg, MemArg, node_placement
+from ..irg import MAP_OPS, IRGraph, IRNode, ImmArg, MemArg, node_placement
 from . import rpc as rpcmod
 from .masks import MaskTable
 from .rpc import ADDR, OperandSpec, RpcTable, encode_frame, operand_spec, operand_words
@@ -46,9 +46,6 @@ class Instr:
     target: int = -1
     section: int = -1
     loop_id: int = -1
-
-
-MAP_OPS = {"add", "sub", "mul", "div", "copy", "fill"}
 
 
 class GraphLowerer:
