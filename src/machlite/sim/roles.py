@@ -552,7 +552,12 @@ class WorkerCpu(FieldCpu, MemCpu):
         return self.dispatch(words)
 
     def retire(self) -> None:
+        """End the task: record its occupancy and release its views of the
+        image and its shift buffers."""
         self.m.record_occ(self.wx, self.wy, self.occ)
+        self.map_dst = self.map_srcs = self.red_src = self.idx_vals = None
+        self.g_src = self.g_dst = self.g_window = self.g_mul = None
+        self.sh_dst = self.sh_snd = self.sh_rcv = None
         self.state = "ctrl"
 
     def dispatch(self, words: list) -> bool:

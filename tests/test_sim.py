@@ -25,8 +25,10 @@ import hashlib
 import random
 import tracemalloc
 import weakref
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import FORMS
@@ -436,6 +438,18 @@ def test_simulator_state_per_tile_is_small(name):
         tracemalloc.stop()
     images = m.worker_image.nbytes + m.ctrl_image.nbytes
     assert (peak - images) / len(m.tiles) < 7 * 1024
+
+
+def test_retired_worker_holds_no_task_state():
+    """A worker releases its task's views of the image and its shift
+    buffers when the task retires, so a finished run holds none of them."""
+    m = Machine(program(next(p for p in PROGRAMS if p.stem == "stencil")).vm,
+                SimConfig(trace=False))
+    m.run()
+    workers = [c for c in m.cpus if isinstance(c, WorkerCpu)]
+    held = [(c.xy, name) for c in workers for name, v in vars(c).items()
+            if name != "image" and isinstance(v, (np.ndarray, array))]
+    assert workers and held == []
 
 
 def test_stuck_worker_deadlocks():
