@@ -279,7 +279,7 @@ def test_field_form_walk(tmp_path, capsys):
     assert wrong == []
 
 
-SMALL_LA ="la a[2,2,4] f32{init}\nla b[4,4,4] f32 = rand\n"
+SMALL_LA = "la a[2,2,4] f32{init}\nla b[4,4,4] f32 = rand\n"
 RUNS = [("compile",), ("run", "--backend", "ref"), ("run", "--backend", "sim"), ("diff",)]
 
 
