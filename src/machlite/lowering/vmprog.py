@@ -50,7 +50,8 @@ class VMachineProgram:
     symbols: list[MemSym]
     inits: dict             # mlid -> frozen logical ndarray
     observables: list[int]
-    worker_words: int       # per-tile image size: the plan's worker footprint
+    worker_words: int       # the plan's worker footprint
+    worker_spans: list      # (address, size) of every planned worker span
     worker_node_ids: set = field(default_factory=set)
     loop_ids: list = field(default_factory=list)
     task_table_size: int = 16
@@ -150,15 +151,16 @@ class VMachineProgram:
     # --- initial memory state ----------------------------------------------
 
     def build_images(self):
-        """Initial (worker, controller) memory images.
+        """Initial (worker, controller) memory images, which hold the
+        plan's worker spans and nothing else.
 
         `memwords.initial_images` stores every init at its symbol's
-        address, as the planned reference run does; then every mask word
-        is put in place.  All of it is there before cycle 0.
+        address, as the planned reference run does, and every mask word.
+        All of it is there before cycle 0.
         """
-        worker, ctrl = initial_images(self.nx, self.ny, self.worker_words, (
-            (s.space, s.address, s.size_words, s.dtype, s.shape, self.inits[s.mlid])
-            for s in self.symbols if s.mlid in self.inits))
-        for addr, bits in self.masks.image_bits(self.nx, self.ny).items():
-            worker[:, :, addr] = bits
-        return worker, ctrl
+        grid = (self.nx, self.ny)
+        masks = self.masks.image_bits(*grid)
+        return initial_images(*grid, self.worker_spans, (
+            *((s.space, s.address, s.size_words, s.dtype, s.shape, self.inits[s.mlid])
+              for s in self.symbols if s.mlid in self.inits),
+            *(("worker", addr, 1, DType.I16, grid, bits) for addr, bits in masks.items())))

@@ -177,6 +177,13 @@ class MemPlan:
         e = self.reserved[label]
         return self.base_words[e.space] + e.offset
 
+    def spans(self, space: str) -> list[tuple[int, int]]:
+        """(absolute word address, size) of every span the plan places in
+        `space`: its entries and its reservations (the mask words)."""
+        return sorted((self.base_words[space] + e.offset, e.size_words)
+                      for e in (*self.entries.values(), *self.reserved.values())
+                      if e.space == space)
+
 
 def plan(g: IRGraph, *, worker_budget: int = WORKER_WORDS,
          controller_budget: int = WORKER_WORDS - CONTROLLER_BASE_WORDS) -> MemPlan:

@@ -1,10 +1,11 @@
 """Word semantics shared by the image builder, the reference interpreter and
 the simulator kernels: the numpy dtype of each DSL dtype (`np_dtype`), the
 16-bit ALU (`alu`), compare ops (`CMPS`) and reduction fold (`fold_sum`)
-both backends evaluate with, 16-bit word codecs, the data mapping of a
-logical array into word images (`word_view`), and the initial state:
-declared initializers frozen under the run seed (`materialize_init`) and
-the images both backends start from (`initial_images`).
+both backends evaluate with, 16-bit word codecs, the word memory that holds
+only the planned words (`WordMemory`), the data mapping of a logical array
+into it (`word_view`), and the initial state: declared initializers frozen
+under the run seed (`materialize_init`) and the images both backends start
+from (`initial_images`).
 
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.
@@ -12,14 +13,20 @@ orders are C-order over the declared memory axes.
 The data mapping: a worker variable's logical array has shape
 `(nx, ny, *mem_shape)` and tile (x, y) holds `arr[x, y]` in C order at its
 planned word address; a controller variable's array sits at its address in
-the one controller image.  `word_view` is the only code that applies this
-rule; the initial image builder, the planned reference run, the
-simulator kernels (which read and write every operand through a view of
-their tile's image) and the simulator readout all go through it.
-Addresses are absolute: the controller image spans a whole tile's
-`WORKER_WORDS`, and its planned variables sit above the code.
+the one controller image.  A worker image holds only the words the plan
+places: each variable's span and each mask word, merged into maximal runs.
+A word outside every planned span does not exist, and reaching it raises;
+the gaps the planner's bank alignment leaves take no memory.  `word_view`
+is the only code that applies this rule; the initial image builder, the
+planned reference run, the simulator kernels (which read and write every
+operand through a view of their tile's image) and the simulator readout all
+go through it.  Addresses are absolute: the controller image is one span
+over a whole tile's `WORKER_WORDS`, and its planned variables sit above the
+code.
 """
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -90,16 +97,55 @@ def decode_words(words: np.ndarray, dtype: DType, shape=()) -> np.ndarray:
     return w.view("<i2").reshape(shape)
 
 
-def word_view(image: np.ndarray, addr: int, size: int, dt: DType,
-              shape) -> np.ndarray:
-    """The logical array stored at `image[..., addr:addr + size]`, as a live
-    view of those words: writing the view writes the image.
+class WordMemory:
+    """Word memory that holds only planned words: one zeroed `"<u2"` block
+    per maximal run of the spans it was made from, spans that touch or
+    overlap merged, each block with the leading tile axes `lead` (`(nx, ny)`
+    for worker memory, none for one tile's or the controller's)."""
 
-    The leading axes of `image` index tiles (none for the controller image,
-    `(nx, ny)` for worker images); each tile holds its block of the array.
-    `image` is `"<u2"`, so the view is exact on any host byte order.
+    __slots__ = ("starts", "ends", "blocks")
+
+    def __init__(self, lead: tuple, spans):
+        """`spans` yields `(address, size_words)` per planned span."""
+        runs: list[list[int]] = []
+        for addr, size in sorted(spans):
+            if runs and addr <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], addr + size)
+            else:
+                runs.append([addr, addr + size])
+        self.starts = [a for a, _ in runs]
+        self.ends = [b for _, b in runs]
+        self.blocks = [np.zeros((*lead, b - a), dtype="<u2") for a, b in runs]
+
+    def tile(self, x: int, y: int) -> "WordMemory":
+        """Tile (x, y)'s words, as live views of these blocks."""
+        t = WordMemory.__new__(WordMemory)
+        t.starts, t.ends = self.starts, self.ends
+        t.blocks = [b[x, y] for b in self.blocks]
+        return t
+
+    def words(self, addr: int, size: int) -> np.ndarray:
+        """The `size` words from `addr` on, as a live view of the block
+        that holds them all; a word outside every span raises."""
+        i = bisect_right(self.starts, addr) - 1
+        if i < 0 or addr + size > self.ends[i]:
+            raise IndexError(f"words {addr}..{addr + size - 1} are not all "
+                             f"in one planned span")
+        lo = addr - self.starts[i]
+        return self.blocks[i][..., lo:lo + size]
+
+
+def word_view(image: WordMemory, addr: int, size: int, dt: DType,
+              shape) -> np.ndarray:
+    """The logical array stored in words `addr:addr + size` of `image`, as
+    a live view of those words: writing the view writes the image.
+
+    The leading axes of `image` index tiles (none for the controller image
+    or one tile's, `(nx, ny)` for worker images); each tile holds its block
+    of the array, contiguously.  The words are `"<u2"`, so the view is
+    exact on any host byte order.
     """
-    return image[..., addr:addr + size].view(
+    return image.words(addr, size).view(
         "<f4" if dt is DType.F32 else "<i2").reshape(shape)
 
 
@@ -125,19 +171,21 @@ def materialize_init(init: InitSpec, shape: tuple[int, ...], dtype: DType,
     raise ValueError(f"unknown init form {init.form!r}")
 
 
-def initial_images(nx: int, ny: int, worker_words: int, inits):
+def initial_images(nx: int, ny: int, spans, inits):
     """The (worker, controller) images a run starts from: zeroed, with
     every initializer stored at its address.
 
-    `inits` yields `(space, address, size_words, dtype, shape, init)` per
-    initialized variable: its space (`"worker"` or `"controller"`), its
-    absolute word address and per-tile size, its logical `shape` and its
-    frozen initializer, which a scalar (`uls`) spreads to every worker.
-    The worker image is `(nx, ny, worker_words)`; the controller image is
-    `WORKER_WORDS` long.
+    `spans` yields `(address, size_words)` per planned worker span: the
+    worker image holds those words on each of the `nx` x `ny` tiles, and
+    no other.  `inits` yields `(space, address, size_words, dtype, shape,
+    init)` per initialized variable: its space (`"worker"` or
+    `"controller"`), its absolute word address and per-tile size, its
+    logical `shape` and its frozen initializer, which a scalar (`uls`)
+    spreads to every worker.  The controller image is one span of
+    `WORKER_WORDS`.
     """
-    worker = np.zeros((nx, ny, worker_words), dtype="<u2")
-    ctrl = np.zeros(WORKER_WORDS, dtype="<u2")
+    worker = WordMemory((nx, ny), spans)
+    ctrl = WordMemory((), [(0, WORKER_WORDS)])
     for space, addr, size, dt, shape, init in inits:
         word_view(ctrl if space == "controller" else worker, addr, size, dt,
                   shape)[...] = init

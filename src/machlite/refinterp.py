@@ -49,7 +49,8 @@ class RefResult:
 def memory(g: IRGraph, plan: MemPlan | None = None) -> dict[int, np.ndarray]:
     """Each memloc's logical array, holding its initializer: a fresh array
     (symbolic), or a view of the words at its planned address in the
-    images the simulator starts from (planned)."""
+    images the simulator starts from (planned), which hold the plan's
+    spans and nothing else."""
     if plan is None:
         arrays = {mlid: np.zeros(full_shape(g, ml), dtype=np_dtype(ml.dtype))
                   for mlid, ml in g.memlocs.items()}
@@ -60,7 +61,7 @@ def memory(g: IRGraph, plan: MemPlan | None = None) -> dict[int, np.ndarray]:
                     ml.dtype, full_shape(g, ml))
              for mlid, ml in g.memlocs.items() if mlid in plan.entries}
     worker, ctrl = initial_images(
-        *g.grid, plan.footprint["worker"],
+        *g.grid, plan.spans("worker"),
         (place[mlid] + (init,) for mlid, init in g.inits.items()))
     return {mlid: word_view(ctrl if space == "controller" else worker, *rest)
             for mlid, (space, *rest) in place.items()}

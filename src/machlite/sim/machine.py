@@ -115,7 +115,7 @@ class Machine:
             elif role == WORKER:
                 p = lay.role_params[xy]
                 cpu = WorkerCpu(self, xy, p,
-                                self.worker_image[p["wx"], p["wy"]])
+                                self.worker_image.tile(p["wx"], p["wy"]))
             elif role == REDUCE:
                 cpu = ReduceCpu(self, xy, lay.role_params[xy])
             else:

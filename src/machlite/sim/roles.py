@@ -34,7 +34,8 @@ import numpy as np
 from ..diagnostics import SimFault
 from ..frontend.syntax import DType
 from ..memwords import (
-    CMPS, alu, decode_words, encode_words, fold_sum, np_dtype, word_view)
+    CMPS, WordMemory, alu, decode_words, encode_words, fold_sum, np_dtype,
+    word_view)
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
@@ -119,7 +120,7 @@ class Cpu:
 
 
 class MemCpu(Cpu):
-    image: np.ndarray           # this tile's uint16 word memory
+    image: WordMemory           # this tile's words
 
     def at(self, addr: int, dt: DType, shape=()) -> np.ndarray:
         """The `dt` elements of `shape` stored from word `addr` on, as a
@@ -189,7 +190,7 @@ class ExecCpu(MemCpu):
             return False
         self.recv_buf.append(w)
         if len(self.recv_buf) == self.recv_dt.words:
-            self.image[self.recv_addr:self.recv_addr + len(self.recv_buf)] = self.recv_buf
+            self.image.words(self.recv_addr, len(self.recv_buf))[...] = self.recv_buf
             self.state = "run"
         return True
 
@@ -220,7 +221,7 @@ class ExecCpu(MemCpu):
             sec = self.m.vm.sections[ins.section]
             splice_words = []
             for _pos, width, addr in sec.splices:
-                splice_words.extend(self.image[addr:addr + width].tolist())
+                splice_words.extend(self.image.words(addr, width).tolist())
             self.wake_queue = deque([ins.section, len(splice_words)] + splice_words)
             self.go_section = ins.section
             self.state = "wake"
@@ -241,7 +242,7 @@ class ExecCpu(MemCpu):
             self.at(ins.dst, dt)[...] = val
         elif op == "load_ga":
             src = ins.base + int(self.operand(ins.a, DType.I16)) * ins.width
-            self.image[ins.dst:ins.dst + ins.width] = self.image[src:src + ins.width]
+            self.image.words(ins.dst, ins.width)[...] = self.image.words(src, ins.width)
         elif op == "cmp_br":
             a = self.operand(ins.a, dt)
             b = self.operand(ins.b, dt)
@@ -574,7 +575,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         if rd.kind == "shift":
             return self.dispatch_shift(f)
         self.dyn_stop = int(self.at(f["dyn_stop"][0], DType.I16)) if "dyn_stop" in f else None
-        mask = int(self.image[f["mask"][0]])
+        mask = int(self.image.words(f["mask"][0], 1)[0])
         setup = self.m.cfg.rpc_setup_cycles
         if rd.kind == "reduce_send":
             if mask:
@@ -640,7 +641,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             return False
         self.buf.append(w)
         if len(self.buf) == self.op_dt.words:
-            self.image[self.dst_addr:self.dst_addr + len(self.buf)] = self.buf
+            self.image.words(self.dst_addr, len(self.buf))[...] = self.buf
             self.retire()
         return True
 

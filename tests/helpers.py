@@ -1,6 +1,8 @@
 """Shared fixtures-free helpers for the test suite."""
 from __future__ import annotations
 
+import numpy as np
+
 from machlite import irg
 from machlite.frontend import GridConfig, analyze, parse
 
@@ -25,6 +27,16 @@ def compiled(src: str, nx: int = 4, ny: int = 4, seed: int = 0):
     g = irg.build(typed, inits)
     assert irg.validate(g) == []
     return inits, g
+
+
+def dense(image, shape) -> np.ndarray:
+    """A `memwords.WordMemory` as one `"<u2"` array of `shape`, zero outside
+    its spans: the layout of the dense image that the word memory replaced.
+    Tests only; no run reads it."""
+    out = np.zeros(shape, dtype="<u2")
+    for start, end, block in zip(image.starts, image.ends, image.blocks):
+        out[..., start:end] = block
+    return out
 
 
 LISTING1 = """\

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import FORMS, graph_of, LISTING1
+from helpers import FORMS, dense, graph_of, LISTING1
 from oracles import expected_section_layout
 from machlite import irg, memplan, refinterp
 from machlite.diagnostics import CompileError
+from machlite.frontend.syntax import DType
 from machlite.fuzz import gen_source
 from machlite.lowering import sections
 from machlite.lowering import (
@@ -27,8 +28,10 @@ from machlite.lowering.emit import emit_text
 from machlite.lowering.layout import REDUCE, RESP, SPINE, WORKER
 from machlite.lowering.rpc import (
     KIND_FIELDS, OperandSpec, RpcTable, decode_frame, encode_frame)
-from machlite.memwords import WORKER_WORDS, word_view
+from machlite.memwords import WORKER_WORDS, initial_images, word_view
 from machlite.pipeline import compile_source
+from machlite.sim import Machine, SimConfig
+from machlite.sim.roles import WorkerCpu
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
@@ -523,7 +526,22 @@ def test_footprint_must_hold_every_worker_word():
         dataclasses.replace(vm, worker_words=vm.worker_words - 1).validate()
 
 
-def test_initial_images_match_planned_store():
+def planned_store(g, plan, monkeypatch):
+    """`refinterp.memory(g, plan)` and the (worker, controller) images that
+    its views read."""
+    made = []
+
+    def spy(*args):
+        made.append(initial_images(*args))
+        return made[-1]
+
+    monkeypatch.setattr(refinterp, "initial_images", spy)
+    store = refinterp.memory(g, plan)
+    (images,) = made
+    return store, images
+
+
+def test_initial_images_match_planned_store(monkeypatch):
     src = """\
 la A[4,4,6] f32 = rand
 la B[4,4,3] i16 = randint(0, 5)
@@ -537,31 +555,101 @@ A += A
     plan = memplan.plan(g)
     vm = lower(g, plan)
     worker, ctrl = vm.build_images()
-    planned = refinterp.memory(g, plan)
+    planned, (p_worker, p_ctrl) = planned_store(g, plan, monkeypatch)
     # the worker image spans the plan's footprint, masks included
     assert vm.worker_words == plan.footprint["worker"] == max(
         e.offset + e.size_words for e in [*plan.entries.values(), *plan.reserved.values()]
         if e.space == "worker")
-    assert worker.shape == (4, 4, vm.worker_words)
-    assert ctrl.shape == (WORKER_WORDS,)
-    # the planned views read images equal to these at every init's
-    # absolute address, and hold the values stored there
+    assert worker.ends[-1] == vm.worker_words
+    assert {b.shape[:-1] for b in worker.blocks} == {(4, 4)}
+    assert [b.shape for b in ctrl.blocks] == [(WORKER_WORDS,)]
+    # the planned views read images of the same spans, equal to these at
+    # every init's absolute address, and hold the values stored there
+    for got, want in ((p_worker, worker), (p_ctrl, ctrl)):
+        assert (got.starts, got.ends) == (want.starts, want.ends)
+        assert [b.shape for b in got.blocks] == [b.shape for b in want.blocks]
     for sym in vm.symbols:
         if vm.inits.get(sym.mlid) is None:
             continue
-        image = ctrl if sym.space == "controller" else worker
-        base = planned[sym.mlid].base       # the image the view reads
-        assert base.shape == image.shape, sym.name
-        span = slice(sym.address, sym.address + sym.size_words)
-        assert image[..., span].any(), sym.name
-        assert np.array_equal(base[..., span], image[..., span]), sym.name
+        image, p_image = (ctrl, p_ctrl) if sym.space == "controller" else (worker, p_worker)
+        base = p_image.words(sym.address, sym.size_words)   # the words the view reads
+        assert np.shares_memory(planned[sym.mlid], base), sym.name
+        words = image.words(sym.address, sym.size_words)
+        assert words.any(), sym.name
+        assert np.array_equal(base, words), sym.name
         words = word_view(image, sym.address, sym.size_words, sym.dtype, sym.shape)
         assert np.array_equal(planned[sym.mlid], words), sym.name
     # mask words are in place
+    worker = dense(worker, (4, 4, vm.worker_words))
     for entry in vm.masks.ordered():
         for x in range(4):
             for y in range(4):
                 assert worker[x, y, entry.address] == mask_bit(entry.sig, x, y)
+
+
+def image_bundles(group: str):
+    """(name, bundle) of the 8 programs, the `FORMS` cases or `gen_source`
+    seeds 0-199."""
+    if group == "programs":
+        return [(p.stem, compile_source(p.read_text())) for p in PROGRAMS]
+    if group == "forms":
+        return [(n, compile_source(src)) for n, src in sorted(FORMS.items())]
+    return [(f"seed {s}", compile_source(gen_source(s), seed=s)) for s in range(200)]
+
+
+@pytest.mark.parametrize("group", ["programs", "forms", "fuzz"])
+def test_images_hold_the_planned_words_and_nothing_else(group, monkeypatch):
+    """The worker image holds exactly the words of the worker symbols and
+    the mask words, in maximal runs, as the planned reference store does; a
+    word in a gap raises, and a zero-length view at a symbol's end is
+    empty."""
+    for name, b in image_bundles(group):
+        vm = b.vm
+        worker, _ = vm.build_images()
+        syms = [s for s in vm.symbols if s.space == "worker"]
+        planned = {w for s in syms for w in range(s.address, s.address + s.size_words)}
+        planned |= {e.address for e in vm.masks.ordered()}
+        held = {w for lo, hi in zip(worker.starts, worker.ends) for w in range(lo, hi)}
+        assert held == planned, name
+        assert all(hi < lo for hi, lo in zip(worker.ends, worker.starts[1:])), name
+        assert [b.shape for b in worker.blocks] == [
+            (vm.nx, vm.ny, hi - lo) for lo, hi in zip(worker.starts, worker.ends)], name
+        _, (p_worker, _) = planned_store(b.graph, b.plan, monkeypatch)
+        assert (p_worker.starts, p_worker.ends) == (worker.starts, worker.ends), name
+        m = Machine(vm, SimConfig(trace=False))
+        cpu = next(c for c in m.cpus if isinstance(c, WorkerCpu))
+        gaps = sorted(set(range(vm.worker_words)) - planned)
+        for w in gaps[:1] + gaps[-1:]:
+            with pytest.raises(IndexError, match="not all in one planned span"):
+                word_view(worker, w, 1, DType.I16, (vm.nx, vm.ny))
+            with pytest.raises(IndexError, match="not all in one planned span"):
+                cpu.at(w, DType.I16)
+        for s in syms:
+            end = s.address + s.size_words
+            assert word_view(worker, end, 0, s.dtype, (vm.nx, vm.ny, 0)).size == 0
+            assert cpu.at(end, s.dtype, (0,)).shape == (0,), (name, s.name)
+
+
+def test_bank_gap_words_are_not_held():
+    """Two la of 16 words and one mask word: `a` at 0-15, the mask at 16
+    and `b` on the next bank, at 3072; word 17 is in no planned span."""
+    vm = compile_source(
+        "la a[4,4,8] f32 = rand\nla b[4,4,8] f32 = rand\nga g[4] f32 = rand\n"
+        "for v in g {\n    a[0:2, 0:2, :] += b[0:2, 0:2, :]\n}\n").vm
+    assert [(s.name, s.address) for s in vm.symbols][:2] == [("a", 0), ("b", 3072)]
+    assert [e.address for e in vm.masks.ordered()] == [16]
+    worker, _ = vm.build_images()
+    assert list(zip(worker.starts, worker.ends)) == [(0, 17), (3072, 3088)]
+    assert sum(b.nbytes for b in worker.blocks) == 4 * 4 * 33 * 2
+    m = Machine(vm, SimConfig(trace=False))
+    cpu = next(c for c in m.cpus if isinstance(c, WorkerCpu))
+    for addr, size in ((17, 1), (3071, 1), (16, 2), (3088, 1), (18, 0)):
+        with pytest.raises(IndexError):
+            word_view(worker, addr, size, DType.I16, (4, 4, size))
+        with pytest.raises(IndexError):
+            cpu.at(addr, DType.I16, (size,))
+    assert cpu.at(17, DType.I16, (0,)).shape == (0,)
+    m.run()                         # the run reads and writes planned words only
 
 
 def test_equal_rings_are_one_object():

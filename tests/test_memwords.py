@@ -8,8 +8,10 @@ import pytest
 from machlite.frontend.semantic import GridConfig, declared_shape
 from machlite.frontend.syntax import DType, InitSpec, TensorDecl, VarKind
 from machlite.memwords import (
-    WORKER_WORDS, encode_words, fold_sum, initial_images, materialize_init,
-    word_view)
+    WORKER_WORDS, WordMemory, encode_words, fold_sum, initial_images,
+    materialize_init, word_view)
+
+from helpers import dense
 
 NX, NY, WORDS = 3, 2, 64
 _rng = np.random.default_rng(5)
@@ -31,13 +33,19 @@ CASES = {
 }
 
 
+# a planned span apart from every case's, as a neighbouring variable's
+OTHER_SPAN = (WORDS - 3, 3)
+
+
 def stored(name):
-    """A zeroed image with the case's array written through `word_view`."""
+    """A zeroed word memory that holds the case's span and `OTHER_SPAN`,
+    with the case's array written through `word_view`; also the memory's
+    dense expansion to the image shape."""
     shape, addr, arr, dt = CASES[name]
     arr = np.asarray(arr)
     tiles = len(shape) - 1
     size = int(np.prod(arr.shape[tiles:], dtype=int)) * dt.words
-    image = np.zeros(shape, dtype="<u2")
+    image = WordMemory(shape[:-1], [(addr, size), OTHER_SPAN])
     word_view(image, addr, size, dt, arr.shape)[...] = arr
     return image, addr, size, arr, dt
 
@@ -55,14 +63,16 @@ def test_word_view_never_copies(name):
     # numpy's reshape copies silently where a view cannot express the shape
     image, addr, size, arr, dt = stored(name)
     view = word_view(image, addr, size, dt, arr.shape)
-    assert np.shares_memory(view, image)
+    assert np.shares_memory(view, image.words(addr, size))
     view[...] = 0
-    assert not image.any()
+    assert not any(b.any() for b in image.blocks)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_each_tile_holds_its_block_and_nothing_else(name):
+    shape = CASES[name][0]
     image, addr, size, arr, dt = stored(name)
+    image = dense(image, shape)
     if image.ndim == 1:
         assert np.array_equal(image[addr:addr + size], encode_words(arr, dt))
     else:
@@ -77,17 +87,18 @@ def test_each_tile_holds_its_block_and_nothing_else(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_loaded_array_is_a_copy(name):
     # a readout (`word_view(...).copy()`) aliases no image and no other readout
+    shape = CASES[name][0]
     image, addr, size, arr, dt = stored(name)
-    before = image.copy()
+    before = dense(image, shape)
     got = word_view(image, addr, size, dt, arr.shape).copy()
     again = word_view(image, addr, size, dt, arr.shape).copy()
     got[...] = 1
-    assert np.array_equal(image, before)
+    assert np.array_equal(dense(image, shape), before)
     assert np.array_equal(again, arr)
 
 
 def test_scalar_initializer_spreads_to_every_worker():
-    worker, _ = initial_images(NX, NY, WORDS, [
+    worker, _ = initial_images(NX, NY, [(9, 2)], [
         ("worker", 9, 2, DType.F32, (NX, NY), np.float32(2.5))])
     got = word_view(worker, 9, 2, DType.F32, (NX, NY))
     assert got.shape == (NX, NY) and got.dtype == np.float32
@@ -98,15 +109,46 @@ def test_scalar_initializer_spreads_to_every_worker():
 
 def test_initial_images_hold_each_init_at_its_absolute_address():
     ga = np.arange(5, dtype=np.int16)
-    worker, ctrl = initial_images(NX, NY, WORDS, [
+    # the uls's span and a mask word after it: one run of words; an la
+    # apart from them: a second run
+    worker, ctrl = initial_images(NX, NY, [(40, 6), (11, 1), (9, 2)], [
         ("worker", 9, 2, DType.F32, (NX, NY), np.float32(2.5)),   # a uls
         ("controller", 12_300, 5, DType.I16, (5,), ga),
     ])
-    assert worker.shape == (NX, NY, WORDS) and ctrl.shape == (WORKER_WORDS,)
-    assert worker.dtype.str == ctrl.dtype.str == "<u2"
+    assert [b.shape for b in worker.blocks] == [(NX, NY, 3), (NX, NY, 6)]
+    assert (worker.starts, worker.ends) == ([9, 40], [12, 46])
+    assert [b.shape for b in ctrl.blocks] == [(WORKER_WORDS,)] and ctrl.starts == [0]
+    assert {b.dtype.str for b in worker.blocks + ctrl.blocks} == {"<u2"}
     assert (word_view(worker, 9, 2, DType.F32, (NX, NY)) == 2.5).all()
     assert np.array_equal(word_view(ctrl, 12_300, 5, DType.I16, (5,)), ga)
-    assert np.count_nonzero(worker) == NX * NY and np.count_nonzero(ctrl) == 4
+    assert sum(np.count_nonzero(b) for b in worker.blocks) == NX * NY
+    assert np.count_nonzero(ctrl.blocks[0]) == 4
+
+
+def test_spans_that_touch_or_overlap_are_one_block():
+    image = WordMemory((), [(20, 1), (16, 2), (8, 4), (0, 16), (30, 0)])
+    assert (image.starts, image.ends) == ([0, 20, 30], [18, 21, 30])
+    assert [b.shape for b in image.blocks] == [(18,), (1,), (0,)]
+
+
+def test_a_word_outside_every_span_raises():
+    # two la on two banks and the mask word after the first
+    image = WordMemory((NX, NY), [(3072, 16), (16, 1), (0, 16)])
+    assert (image.starts, image.ends) == ([0, 3072], [17, 3088])
+    tile = image.tile(1, 0)
+    for addr, size in ((17, 1), (3071, 1), (16, 2), (3071, 2), (3088, 1), (18, 0)):
+        with pytest.raises(IndexError, match="not all in one planned span"):
+            word_view(image, addr, size, DType.I16, (NX, NY, size))
+        with pytest.raises(IndexError, match="not all in one planned span"):
+            tile.words(addr, size)
+    # a zero-length window that ends at a span's last word is empty
+    for addr in (17, 3088):
+        assert word_view(image, addr, 0, DType.F32, (NX, NY, 0)).size == 0
+        assert tile.words(addr, 0).shape == (0,)
+    # a tile's words are live views of the memory's blocks
+    tile.words(3072, 16)[...] = 7
+    assert (image.blocks[1][1, 0] == 7).all()
+    assert np.count_nonzero(image.blocks[1]) == 16 and not image.blocks[0].any()
 
 
 def test_reduction_fold_is_sequential_float32_and_wrapping_i16():

@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import FORMS
+from helpers import FORMS, dense
 from machlite.fuzz import gen_source
 from machlite.irg import ordered_walk
 from machlite.lowering.emit import emit_text
+from machlite.memwords import WORKER_WORDS
 from machlite.pipeline import check, compile_source, run_reference
 from machlite.refinterp import diff_results
 from machlite.sim import ADVANCE, RESET, Machine, SimConfig, data, describe
@@ -221,8 +222,10 @@ def test_fuzz_seed_agrees(seed):
     assert check(b, SimConfig(trace=False)) == []
 
 
-# sha256 over the `--emit asm` listing and the `build_images()` bytes of
-# every program and of fuzz seeds 0-199 as `machlite fuzz` compiles them
+# sha256 over the `--emit asm` listing and the `build_images()` words of
+# every program and of fuzz seeds 0-199 as `machlite fuzz` compiles them,
+# each image expanded to its dense layout: (nx, ny, worker_words) and
+# (WORKER_WORDS,) words, zero outside the planned spans
 INIT_STATE_GOLDEN = "50599e4613ab17b9f3427e6c052f337ba809c796665fe67b7eb49a198fc58cc5"
 
 
@@ -233,7 +236,9 @@ def test_initial_state_matches_golden():
     for b in bundles:
         for name, text in emit_text(b.vm).items():
             h.update(f"=== {name} ===\n{text}".encode())
-        for image in b.vm.build_images():
+        worker, ctrl = b.vm.build_images()
+        for image in (dense(worker, (b.vm.nx, b.vm.ny, b.vm.worker_words)),
+                      dense(ctrl, (WORKER_WORDS,))):
             h.update(f"{image.dtype}:{image.shape}".encode())
             h.update(image.tobytes())
     assert h.hexdigest() == INIT_STATE_GOLDEN
@@ -425,10 +430,17 @@ def test_finished_stall_machine_is_freed_without_the_cycle_collector(name):
 
 @pytest.mark.parametrize("name", ["listing1", "stencil"])
 def test_simulator_state_per_tile_is_small(name):
-    """Beyond the memory images, a machine and its run allocate under
-    7 KiB per tile at their peak, as tracemalloc counts it: queues bounded
-    by `fifo_depth` are short lists and shift words are packed 2 B each."""
-    vm = program(next(p for p in PROGRAMS if p.stem == name)).vm
+    """Beyond the words of the memory images, a machine and its run
+    allocate under 7 KiB per tile at their peak, as tracemalloc counts it:
+    queues bounded by `fifo_depth` are short lists and shift words are
+    packed 2 B each.  Each worker's views of its tile's words count."""
+    m, peak = traced_run(program(next(p for p in PROGRAMS if p.stem == name)).vm)
+    images = sum(b.nbytes for b in m.worker_image.blocks + m.ctrl_image.blocks)
+    assert (peak - images) / len(m.tiles) < 7 * 1024
+
+
+def traced_run(vm):
+    """(machine, tracemalloc peak) over `Machine(vm)` and its run."""
     tracemalloc.start()
     try:
         m = Machine(vm, SimConfig(trace=False))
@@ -436,8 +448,33 @@ def test_simulator_state_per_tile_is_small(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    images = m.worker_image.nbytes + m.ctrl_image.nbytes
-    assert (peak - images) / len(m.tiles) < 7 * 1024
+    return m, peak
+
+
+def test_broadcast_machine_per_tile_is_small():
+    """A 32x32 program shaped like the broadcast benchmark: two la of 8
+    f32 a tile, on two banks, and a 4-trip loop that adds on a 2x2 region.
+    Images included, a machine and its run allocate under 5 KiB per tile
+    (3.9 KiB measured; 8.6 KiB when the worker image was dense over the
+    bank gap)."""
+    vm = compile_source(
+        "la a[32,32,8] f32 = rand\nla b[32,32,8] f32 = rand\nga g[4] f32 = rand\n"
+        "for v in g {\n    a[0:2, 0:2, :] += b[0:2, 0:2, :]\n}\n").vm
+    m, peak = traced_run(vm)
+    assert peak / len(m.tiles) < 5 * 1024
+
+
+@pytest.mark.slow
+def test_scaled_grid_machine_per_tile_is_small():
+    """ROADMAP item 6's program at 64x64 (k=16): images included, a machine
+    and its run allocate under 8 KiB per tile (6.0 KiB measured; 11.1 KiB
+    when the worker image was dense over the bank gap)."""
+    vm = compile_source(
+        "la a[64,64,16] f32 = rand\nla b[64,64,16] f32 = rand\ngs acc f32 = 0.0\n"
+        "a += b\nshift(b, a, row, 1)\nreduce(b, acc)\n").vm
+    m, peak = traced_run(vm)
+    assert m.cycle == 403
+    assert peak / len(m.tiles) < 8 * 1024
 
 
 def test_retired_worker_holds_no_task_state():
