@@ -612,7 +612,7 @@ def test_images_hold_the_planned_words_and_nothing_else(group, monkeypatch):
         held = {w for lo, hi in zip(worker.starts, worker.ends) for w in range(lo, hi)}
         assert held == planned, name
         assert all(hi < lo for hi, lo in zip(worker.ends, worker.starts[1:])), name
-        assert [b.shape for b in worker.blocks] == [
+        assert [blk.shape for blk in worker.blocks] == [
             (vm.nx, vm.ny, hi - lo) for lo, hi in zip(worker.starts, worker.ends)], name
         _, (p_worker, _) = planned_store(b.graph, b.plan, monkeypatch)
         assert (p_worker.starts, p_worker.ends) == (worker.starts, worker.ends), name
