@@ -464,6 +464,57 @@ def test_tokens_match_golden():
     assert h.hexdigest() == TOKENS_GOLDEN
 
 
+# blanks in front of what the lexer takes next: the token's column counts
+# them, a comment's does not count the comment, and the eof column counts
+# trailing blanks
+BLANK_FOLDING = {
+    "trailing_blanks_at_eof": (
+        "a = 1   ",
+        [("ident", "a", 1, 1), ("op", "=", 1, 3), ("int", "1", 1, 5),
+         ("newline", "\n", 1, 9), ("eof", "", 1, 9)], []),
+    "blanks_then_comment_at_eof": ("  # c", [("eof", "", 1, 3)], []),
+    "tab_then_comment_at_line_start": (
+        "\t# c\nb\n",
+        [("ident", "b", 2, 1), ("newline", "\n", 2, 2), ("eof", "", 3, 1)], []),
+    "blanks_then_comment_between_lines": (
+        "a\n  # c\nb = 1\n",
+        [("ident", "a", 1, 1), ("newline", "\n", 1, 2), ("ident", "b", 3, 1),
+         ("op", "=", 3, 3), ("int", "1", 3, 5), ("newline", "\n", 3, 6),
+         ("eof", "", 4, 1)], []),
+    "blanks_then_trailing_comment": (
+        "a  # c",
+        [("ident", "a", 1, 1), ("newline", "\n", 1, 4), ("eof", "", 1, 4)], []),
+    "blanks_then_malformed_number": (
+        "a =   1e\n",
+        [("ident", "a", 1, 1), ("op", "=", 1, 3), ("newline", "\n", 1, 9),
+         ("eof", "", 2, 1)], ["1:7: error: malformed number '1e'"]),
+    "blanks_then_non_decimal_digit": (
+        "v =  ²\n",
+        [("ident", "v", 1, 1), ("op", "=", 1, 3), ("newline", "\n", 1, 7),
+         ("eof", "", 2, 1)], ["1:6: error: malformed number '²'"]),
+    "blanks_then_unexpected_character": (
+        "a =   $\n",
+        [("ident", "a", 1, 1), ("op", "=", 1, 3), ("newline", "\n", 1, 8),
+         ("eof", "", 2, 1)], ["1:7: error: unexpected character '$'"]),
+    "only_a_carriage_return": ("\r", [("eof", "", 1, 2)], []),
+    "line_of_only_a_carriage_return": (
+        "a\n\r\nb\r\n",
+        [("ident", "a", 1, 1), ("newline", "\n", 1, 2), ("ident", "b", 3, 1),
+         ("newline", "\n", 3, 3), ("eof", "", 4, 1)], []),
+    "blank_lines_then_indented_word": (
+        " \t\r\n\r\n  a",
+        [("ident", "a", 3, 3), ("newline", "\n", 3, 4), ("eof", "", 3, 4)], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLANK_FOLDING))
+def test_blank_folding(name):
+    text, tokens, diags = BLANK_FOLDING[name]
+    sink = DiagnosticSink()
+    got = [(t.kind, t.text, t.loc.line, t.loc.col) for t in tokenize(text, sink)]
+    assert (got, [str(d) for d in sink.items]) == (tokens, diags)
+
+
 MALFORMED_NUMBERS = {
     "exponent_without_digits": ("a += 1e\n", "2:6: error: malformed number '1e'"),
     "exponent_sign_without_digits": ("a += 1e+\n", "2:6: error: malformed number '1e+'"),
