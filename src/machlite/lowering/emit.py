@@ -3,15 +3,18 @@
 emit_text produces one pseudo-assembly file per role plus a layout file.
 The exec file lists the program state (instructions, sections, symbols, init
 data, masks); the worker file carries the RPC table. The other files are
-derived views of the same state.
+derived views of the same state; `paint.txt` depends on the layout alone, so
+it is made once per shared layout.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..memwords import encode_words
-from .layout import COLOR_NAMES
+from .layout import COLOR_NAMES, LAYOUT_CACHE_SIZE, FabricLayout
 from .rpc import RpcDef
 from .sections import Instr
 from .vmprog import VMachineProgram
@@ -184,7 +187,12 @@ def emit_merge(vm: VMachineProgram) -> str:
 
 
 def emit_paint(vm: VMachineProgram) -> str:
-    lay = vm.layout
+    return _paint(vm.layout)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _paint(lay: FabricLayout) -> str:
+    """The listing of a layout, made once per shared layout."""
     L = ["; fabric layout", f"[grid] {lay.gw} {lay.gh} workers {lay.nx} {lay.ny} "
          f"resp {lay.n_resp}"]
     L.append("[roles]")

@@ -13,10 +13,17 @@ the center, flanked by response tiles working outward in drain order
 Routes are expressed per tile per color as a ring of states; a state maps an
 input port to one or more output ports.  Ports: C (the tile's own processor),
 L, R (x-1, x+1), U, D (y-1, y+1).
+
+A layout depends on (nx, ny, n_resp) alone: a program adds only RPCs,
+sections and memory.  So a layout is a frozen value shared per
+(nx, ny, n_resp): `build_layout` builds it on the first request for that key
+and returns the same object after, and every program and machine on the
+grid reads it and none mutates it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..diagnostics import CompileError, Diagnostic
@@ -74,8 +81,14 @@ def _ring_pool():
     return shared
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FabricLayout:
+    """Tile roles, colour routes and role parameters of one worker grid.
+
+    A frozen value shared per (nx, ny, n_resp) (see `build_layout`):
+    assigning a field raises, and no holder mutates its maps, lists or rings.
+    Equality is identity, as for any value made once per key.
+    """
     nx: int
     ny: int
     n_resp: int
@@ -113,21 +126,29 @@ def _add(routes, xy, color, rr):
     routes.setdefault(xy, {})[color] = rr
 
 
+# layouts kept; a compile pass over many programs meets a handful of grids
+LAYOUT_CACHE_SIZE = 32
+
+
 def build_layout(nx: int, ny: int, n_resp: int = 4) -> FabricLayout:
+    """The shared layout of an nx x ny worker field with n_resp response
+    tiles: built on the first request for the key, the same object after."""
+    return _layout(nx, ny, n_resp)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(nx: int, ny: int, n_resp: int) -> FabricLayout:
     if nx < 2 or ny < 2 or nx % 2 or ny % 2:
         raise CompileError([Diagnostic(f"worker grid {nx}x{ny} must be even and at least 2x2")])
     if n_resp < 2 or n_resp % 2:
         raise CompileError([Diagnostic(f"response tile count {n_resp} must be even and at least 2")])
-    lay = FabricLayout(nx=nx, ny=ny, n_resp=n_resp)
-    lay.gw, lay.gh = nx + 4, ny + 3
-    half = ny // 2
-    lay.yru, lay.yc, lay.yrl = half, half + 1, half + 2
-    lay.xm = 2 + nx // 2 - 1
-    lay.xe = lay.xm + 1
+    half, xm = ny // 2, 2 + nx // 2 - 1
     per_side = n_resp // 2
-    if lay.xm - per_side < 0 or lay.xe + per_side >= lay.gw:
+    if xm - per_side < 0 or xm + 1 + per_side >= nx + 4:
         raise CompileError([Diagnostic(
             f"{n_resp} response tiles do not fit the control row of a {nx}x{ny} field")])
+    lay = FabricLayout(nx=nx, ny=ny, n_resp=n_resp, gw=nx + 4, gh=ny + 3,
+                       yru=half, yc=half + 1, yrl=half + 2, xm=xm, xe=xm + 1)
 
     roles, routes, params = lay.roles, lay.routes, lay.role_params
     for x in range(lay.gw):
