@@ -63,7 +63,7 @@ def lower(g: IRGraph, plan: MemPlan, *, n_resp: int = 4,
     prog = VMachineProgram(
         nx=nx, ny=ny, n_resp=n_resp, layout=layout, instrs=instrs,
         sections=sections, chunks=chunks, rpcs=rpcs, masks=masks,
-        symbols=symbols, inits=dict(g.inits), observables=observables(g),
+        symbols=symbols, inits=dict(g.inits), observables=observables(g, plan),
         worker_words=plan.footprint["worker"], worker_spans=plan.spans("worker"),
         worker_node_ids=worker_nodes(g), loop_ids=loop_ids,
         task_table_size=task_table_size, resp_capacity=resp_capacity)

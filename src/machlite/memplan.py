@@ -132,12 +132,14 @@ def lifespans(g: IRGraph) -> dict[int, tuple[int, int]]:
     return out
 
 
-def observables(g: IRGraph) -> list[int]:
+def observables(g: IRGraph, plan: MemPlan | None = None) -> list[int]:
     """The memlocs a run reports, in id order: every variable (not an
-    expression temporary) that has a lifespan."""
-    spans = lifespans(g)
+    expression temporary) that has a lifespan.  A plan of `g` has an entry
+    for exactly the memlocs with a lifespan, so given one this runs no
+    liveness pass."""
+    live = lifespans(g) if plan is None else plan.entries
     return [mlid for mlid, ml in sorted(g.memlocs.items())
-            if ml.kind != "temporary" and mlid in spans]
+            if ml.kind != "temporary" and mlid in live]
 
 
 def alignment_of(ml) -> int:

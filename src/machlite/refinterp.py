@@ -351,7 +351,7 @@ def run(g: IRGraph, plan: MemPlan | None = None) -> RefResult:
     interp = _Interp(g, arrays)
     interp.run()
     # both modes report the same observable set, as copies that alias no image
-    values = {mlid: arrays[mlid].copy() for mlid in observables(g)}
+    values = {mlid: arrays[mlid].copy() for mlid in observables(g, plan)}
     return RefResult(values, interp.loop_trips, reduce_taint(g))
 
 
