@@ -1,8 +1,9 @@
 """Tokenizer for mach-lite source text.
 
-One compiled pattern, matched at each position, picks the next token: a
-comment, a line end, blanks, a number, a word or an operator.  A character
-that none of them takes is reported and skipped.
+One compiled pattern, matched at each position, skips blanks and picks the
+next token: a comment, a line end, a number, a word or an operator, so a
+token costs one match.  A character that none of them takes is reported and
+skipped; blanks at the end of the source match as the empty `end`.
 """
 from __future__ import annotations
 
@@ -31,15 +32,15 @@ OPERATORS = [
 # `\d` is a decimal digit and `\w` an `isalnum` character or `_`.  A word
 # match whose first character is not `isalpha` or `_`, and a number followed
 # by a digit that is not decimal (`²`), go to the `other` branch.
-_TOKEN = re.compile("|".join([
+_TOKEN = re.compile(r"[ \t\r]*(?:" + "|".join([
     r"(?P<comment>#[^\n]*)",
     r"(?P<newline>\n)",
-    r"(?P<blank>[ \t\r]+)",
     r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)",
     r"(?P<word>[^\W\d]\w*)",
     "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
     r"(?P<other>.)",
-]), re.DOTALL)
+    r"(?P<end>)",
+]) + ")", re.DOTALL)
 
 
 class Token:
@@ -86,9 +87,8 @@ def tokenize(source: str, sink: DiagnosticSink) -> list[Token]:
     while pos < n:
         m = match(source, pos)
         kind, end = m.lastgroup, m.end()
-        if kind == "blank":
-            pass
-        elif kind == "newline":
+        pos = m.start(kind)     # after the blanks
+        if kind == "newline":
             # collapse runs of blank lines into a single separator
             if tokens and tokens[-1].kind != "newline":
                 append(Token("newline", "\n", Loc(line, pos - line_start + 1)))
@@ -96,8 +96,8 @@ def tokenize(source: str, sink: DiagnosticSink) -> list[Token]:
             line_start = end
         elif kind == "comment":
             line_start += end - pos
-        else:
-            text = m.group()
+        elif kind != "end":
+            text = m.group(kind)
             loc = Loc(line, pos - line_start + 1)
             if kind == "word" and (text[0].isalpha() or text[0] == "_"):
                 append(Token("keyword" if text in KEYWORDS else "ident", text, loc))
