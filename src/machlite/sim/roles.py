@@ -52,7 +52,7 @@ def _i16(word: int) -> int:
 
 class Cpu:
     role = "?"
-    # slots keep a worker's instance dict, which its RPC state fills, small
+    # slotted like the field tiles below, which sit on nearly every tile
     __slots__ = ("m", "xy", "router", "until", "then", "cfifo", "outbox", "depth",
                  "injected", "delivered", "live_routers", "tile")
 
@@ -120,6 +120,7 @@ class Cpu:
 
 
 class MemCpu(Cpu):
+    __slots__ = ()
     image: WordMemory           # this tile's words
 
     def at(self, addr: int, dt: DType, shape=()) -> np.ndarray:
@@ -410,6 +411,13 @@ class FieldCpu(Cpu):
     the task and argument queues even while an earlier task is running;
     the task table bound is what finally backpressures."""
 
+    # a fabric has a field tile on nearly every tile, so their task state
+    # is in slots; the leaf classes add a `__dict__`, which stays unmade
+    # unless something sets an attribute of one processor (a wrapped
+    # `tick`), and a `__weakref__`
+    __slots__ = ("state", "rd", "task_q", "arg_q", "queued_arity", "defs", "table",
+                 "push_color", "stream")
+
     def __init__(self, m, xy):
         super().__init__(m, xy)
         self.state = "ctrl"
@@ -490,6 +498,13 @@ class FieldCpu(Cpu):
 
 class WorkerCpu(FieldCpu, MemCpu):
     role = "worker"
+    __slots__ = ("wx", "wy", "col_end", "send_color", "recv_color", "ring_mirror",
+                 "image", "occ", "op_dt", "n", "dyn_stop", "dst_addr", "buf",
+                 "map_dst", "map_srcs", "red_src", "idx_vals",
+                 "g_src", "g_dst", "g_window", "g_mul", "g_k",
+                 "sh_dst", "sh_snd", "sh_rcv", "sh_target", "sh_sending",
+                 "sh_receiving", "sh_need", "sh_ri", "sh_si", "sh_adv",
+                 "__dict__", "__weakref__")
 
     def __init__(self, m, xy, params, image):
         super().__init__(m, xy)
@@ -788,6 +803,7 @@ class ReduceCpu(FieldCpu):
     sends it runs the staged accumulation of its row position."""
 
     role = "reduce"
+    __slots__ = ("p", "acc", "buf", "dt", "__dict__", "__weakref__")
 
     def __init__(self, m, xy, params):
         super().__init__(m, xy)

@@ -55,6 +55,9 @@ def describe(w: int) -> str:
 class Router:
     """Per-tile switch state; movement is driven by the machine."""
 
+    __slots__ = ("x", "y", "index", "cpu", "rings", "ring_idx", "fifos", "chans",
+                 "routes", "outbox", "__weakref__")
+
     def __init__(self, x: int, y: int, rings: dict):
         self.x, self.y = x, y
         self.index = 0          # position in the machine's tile order
