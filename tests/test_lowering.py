@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,13 @@ from machlite.lowering import (
     resp_words,
     split_even,
 )
-from machlite.lowering.emit import emit_text
+from machlite.lowering import emit, layout
+from machlite.lowering.emit import emit_paint, emit_text
 from machlite.lowering.layout import REDUCE, RESP, SPINE, WORKER
 from machlite.lowering.rpc import (
     KIND_FIELDS, OperandSpec, RpcTable, decode_frame, encode_frame)
 from machlite.memwords import WORKER_WORDS, initial_images, word_view
-from machlite.pipeline import compile_source
+from machlite.pipeline import check, compile_source, run_reference
 from machlite.sim import Machine, SimConfig
 from machlite.sim.roles import WorkerCpu
 
@@ -657,3 +659,67 @@ def test_equal_rings_are_one_object():
     rings = [rr for per_tile in lay.routes.values() for rr in per_tile.values()]
     assert len(rings) == 2080
     assert len(set(rings)) == len({id(rr) for rr in rings}) == 47
+
+
+# --- the shared layout and the plan's observables ----------------------------
+
+def test_compiles_on_one_grid_share_the_layout():
+    a = compile_source(LISTING1)
+    b = compile_source(LISTING1, seed=3)
+    nx, ny, n_resp = a.vm.nx, a.vm.ny, a.vm.n_resp
+    assert a.vm.layout is b.vm.layout is build_layout(nx, ny, n_resp)
+    assert build_layout(nx, ny, n_resp) is build_layout(nx=nx, ny=ny, n_resp=n_resp)
+    assert build_layout(4, 4) is build_layout(4, 4, 4)
+    assert compile_source(FORMS["nested_temporaries"]).vm.layout is not a.vm.layout
+
+
+def test_layout_fields_cannot_be_assigned():
+    lay = build_layout(4, 4)
+    for f in dataclasses.fields(lay):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lay, f.name, getattr(lay, f.name))
+
+
+def layout_digest(vm) -> str:
+    """sha256 over the roles, routes, role parameters, drain order and
+    paint listing of the program's layout."""
+    lay = vm.layout
+    parts = (sorted(lay.roles.items()),
+             sorted((xy, sorted(rings.items())) for xy, rings in lay.routes.items()),
+             sorted((xy, sorted(p.items())) for xy, p in lay.role_params.items()),
+             lay.resp_order, emit_paint(vm))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def test_layouts_unchanged_by_compiling_and_running():
+    bundles = image_bundles("programs") + image_bundles("forms")
+    before = {id(b.vm.layout): layout_digest(b.vm) for _, b in bundles}
+    for name, b in bundles:
+        assert check(b, SimConfig(trace=False)) == [], name
+    again = image_bundles("programs") + image_bundles("forms")
+    assert {id(b.vm.layout) for _, b in again} == set(before)
+    assert {id(b.vm.layout): layout_digest(b.vm) for _, b in bundles + again} == before
+
+
+def test_cached_paint_equals_a_fresh_build():
+    vms = [b.vm for group in ("programs", "fuzz") for _, b in image_bundles(group)]
+    for vm in {(vm.nx, vm.ny, vm.n_resp): vm for vm in vms}.values():
+        fresh = layout._layout.__wrapped__(vm.nx, vm.ny, vm.n_resp)
+        assert fresh is not vm.layout
+        assert emit_paint(vm) == emit._paint.__wrapped__(fresh)
+
+
+def test_compile_and_reference_run_take_one_liveness_pass(monkeypatch):
+    calls = []
+    lifespans = memplan.lifespans
+    monkeypatch.setattr(memplan, "lifespans", lambda g: calls.append(g) or lifespans(g))
+    for p in PROGRAMS:
+        calls.clear()
+        run_reference(compile_source(p.read_text()))
+        assert len(calls) == 1, p.stem
+
+
+@pytest.mark.parametrize("group", ["programs", "forms", "fuzz"])
+def test_plan_observables_equal_liveness_observables(group):
+    for name, b in image_bundles(group):
+        assert memplan.observables(b.graph, b.plan) == memplan.observables(b.graph), name
