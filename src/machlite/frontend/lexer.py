@@ -86,8 +86,8 @@ def tokenize(source: str, sink: DiagnosticSink) -> list[Token]:
     pos, n = 0, len(source)
     while pos < n:
         m = match(source, pos)
-        kind, end = m.lastgroup, m.end()
-        pos = m.start(kind)     # after the blanks
+        kind = m.lastgroup
+        pos, end = m.span(kind)     # the token, after its leading blanks
         if kind == "newline":
             # collapse runs of blank lines into a single separator
             if tokens and tokens[-1].kind != "newline":
