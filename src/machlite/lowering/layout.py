@@ -142,13 +142,15 @@ def _layout(nx: int, ny: int, n_resp: int) -> FabricLayout:
         raise CompileError([Diagnostic(f"worker grid {nx}x{ny} must be even and at least 2x2")])
     if n_resp < 2 or n_resp % 2:
         raise CompileError([Diagnostic(f"response tile count {n_resp} must be even and at least 2")])
-    half, xm = ny // 2, 2 + nx // 2 - 1
+    gw, half = nx + 4, ny // 2
+    xm = 2 + nx // 2 - 1
+    xe = xm + 1
     per_side = n_resp // 2
-    if xm - per_side < 0 or xm + 1 + per_side >= nx + 4:
+    if xm - per_side < 0 or xe + per_side >= gw:
         raise CompileError([Diagnostic(
             f"{n_resp} response tiles do not fit the control row of a {nx}x{ny} field")])
-    lay = FabricLayout(nx=nx, ny=ny, n_resp=n_resp, gw=nx + 4, gh=ny + 3,
-                       yru=half, yc=half + 1, yrl=half + 2, xm=xm, xe=xm + 1)
+    lay = FabricLayout(nx=nx, ny=ny, n_resp=n_resp, gw=gw, gh=ny + 3,
+                       yru=half, yc=half + 1, yrl=half + 2, xm=xm, xe=xe)
 
     roles, routes, params = lay.roles, lay.routes, lay.role_params
     for x in range(lay.gw):

@@ -52,7 +52,7 @@ def _i16(word: int) -> int:
 
 class Cpu:
     role = "?"
-    # slotted like the field tiles below, which sit on nearly every tile
+    # slots: a fabric has a processor on nearly every tile
     __slots__ = ("m", "xy", "router", "until", "then", "cfifo", "outbox", "depth",
                  "injected", "delivered", "live_routers", "tile")
 
@@ -411,10 +411,9 @@ class FieldCpu(Cpu):
     the task and argument queues even while an earlier task is running;
     the task table bound is what finally backpressures."""
 
-    # a fabric has a field tile on nearly every tile, so their task state
-    # is in slots; the leaf classes add a `__dict__`, which stays unmade
-    # unless something sets an attribute of one processor (a wrapped
-    # `tick`), and a `__weakref__`
+    # the task state is in slots too; the leaf classes add a `__dict__`,
+    # which stays unmade unless something sets an attribute of one
+    # processor (a wrapped `tick`), and a `__weakref__`
     __slots__ = ("state", "rd", "task_q", "arg_q", "queued_arity", "defs", "table",
                  "push_color", "stream")
 

@@ -439,6 +439,15 @@ def test_simulator_state_per_tile_is_small(name):
     assert (peak - images) / len(m.tiles) < 7 * 1024
 
 
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_field_tiles_keep_their_run_state_in_slots(path):
+    """Every attribute a worker or reduction tile sets over a run is a
+    slot, so no field tile's instance dict is ever made."""
+    m = Machine(program(path).vm, SimConfig(trace=False))
+    m.run()
+    assert {k for cpu in m.cpus if isinstance(cpu, FieldCpu) for k in vars(cpu)} == set()
+
+
 def traced_run(vm):
     """(machine, tracemalloc peak) over `Machine(vm)` and its run."""
     tracemalloc.start()
