@@ -133,6 +133,7 @@ LAYOUT_CACHE_SIZE = 32
 def build_layout(nx: int, ny: int, n_resp: int = 4) -> FabricLayout:
     """The shared layout of an nx x ny worker field with n_resp response
     tiles: built on the first request for the key, the same object after."""
+    # positional here, so that keyword and default arguments share a key
     return _layout(nx, ny, n_resp)
 
 
