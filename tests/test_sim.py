@@ -428,6 +428,13 @@ def test_finished_stall_machine_is_freed_without_the_cycle_collector(name):
         lambda: StallMachine(vm, SimConfig(trace=False), 1, rates=(0.5,)))
 
 
+@pytest.mark.parametrize("name", ["listing1", "two_shifts"])
+def test_finished_delay_machine_is_freed_without_the_cycle_collector(name):
+    vm = stall_bundle(name).vm
+    assert_freed_without_the_cycle_collector(
+        lambda: DelayMachine(vm, SimConfig(trace=False), 5, 0, 50))
+
+
 @pytest.mark.parametrize("name", ["listing1", "stencil"])
 def test_simulator_state_per_tile_is_small(name):
     """Beyond the words of the memory images, a machine and its run
@@ -565,7 +572,9 @@ STALL_CASES = [p.stem for p in PROGRAMS] + ["two_shifts"]
 
 def stall_bundle(name: str):
     if name == "two_shifts":
-        return compile_source(TWO_SHIFTS)
+        if name not in _bundles:
+            _bundles[name] = compile_source(TWO_SHIFTS)
+        return _bundles[name]
     return program(next(p for p in PROGRAMS if p.stem == name))
 
 
@@ -579,6 +588,14 @@ def test_stall_machine_without_stalls_is_the_plain_machine():
 
 # (case, seed) pairs whose stalled run ends with wrong outputs
 STALL_XFAIL = {("stencil", 0), ("stencil", 1), ("two_shifts", 1)}
+ROUTER_STALL_XFAIL = {("stencil", 1), ("stencil", 2)}
+# (case, worker, k, D) delay points whose run ends with wrong outputs
+DELAY_XFAIL = {("two_shifts", w, 0, 300) for w in (5, 6, 7, 9, 10, 11, 13, 14, 15)} | {
+    ("stencil", w, k, 1000) for w, ks in {
+        13: (2,), 14: (2, 3), 15: (2, 3), 16: (2, 3), 17: (2, 3), 19: (1, 2),
+        20: (1, 2, 3), 21: (1, 2, 3), 22: (1, 2, 3), 23: (1, 2, 3), 25: (0, 1, 2),
+        26: (0, 1, 2, 3), 27: (0, 1, 2, 3), 28: (0, 1, 2, 3), 29: (0, 1, 2, 3),
+        31: (0, 1), 32: (0, 1), 33: (0, 1), 34: (0, 1), 35: (0, 1)}.items() for k in ks}
 SHIFT_DEFECT = (
     "open-ring shift defect, as in fuzz seed 2516: a worker's SHIFT_A/SHIFT_B "
     "receive ring rests open, so a neighbour that has moved on to the next "
@@ -615,3 +632,131 @@ def test_stall_fuzz_campaign():
             if mis:
                 failures[seed] = mis
     assert failures == {}
+
+
+# --- router-side stall oracle ------------------------------------------------
+
+
+class RouterStallMachine(Machine):
+    """The router-side twin of StallMachine: each router gets its own
+    stall rate, drawn from `rates`, and each of its moves is withheld at
+    that rate, which is legal back-pressure.  A withheld move counts as
+    progress and moves nothing."""
+
+    def __init__(self, vm, cfg, seed: int, rates=(0, 0.5, 0.95)):
+        super().__init__(vm, cfg)
+        self.rng = random.Random(seed)
+        self.rates = [self.rng.choice(rates) for _ in self.tiles]
+
+    def try_move(self, r, color, port, used):
+        if self.rng.random() < self.rates[r.index]:
+            return True
+        return super().try_move(r, color, port, used)
+
+
+def router_stall_check(b, seed: int) -> list[str]:
+    """`pipeline.check` with the simulator run on a RouterStallMachine."""
+    return checked_run(b, RouterStallMachine(b.vm, SimConfig(trace=False), seed))[1]
+
+
+def test_router_stall_machine_without_stalls_is_the_plain_machine():
+    for name in ("listing1", "mixed", "stencil"):
+        m = RouterStallMachine(stall_bundle(name).vm, SimConfig(trace=False), 0, rates=(0,))
+        m.run()
+        stats = hashlib.sha256(repr(m.stats()).encode()).hexdigest()[:16]
+        assert (m.cycle, stats) == RUN_GOLDEN[name, "default"][:2]
+
+
+@pytest.mark.parametrize("name,seed", [_xfail_if((n, s) in ROUTER_STALL_XFAIL, n, s)
+                                       for n in STALL_CASES for s in range(3)])
+def test_router_stalled_run_agrees(name, seed):
+    assert router_stall_check(stall_bundle(name), seed) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [_xfail_if(n == "stencil", n) for n in STALL_CASES])
+def test_router_stall_campaign(name):
+    b = stall_bundle(name)
+    failures = {seed: mis for seed in range(15) if (mis := router_stall_check(b, seed))}
+    assert failures == {}
+
+
+# --- delay oracle ------------------------------------------------------------
+
+
+def hold_ready_task(cpu, k: int, delay: int) -> None:
+    """Shadow `cpu.ctrl` so that at the worker's k-th ready task boundary
+    (counted from 0) it makes progress for `delay` cycles without
+    dispatching, while ingest goes on; any other tick is the class's.  The
+    shadow reaches `cpu` through a weak reference, as `wrap_tick` does."""
+    ref, ctrl = weakref.ref(cpu), type(cpu).ctrl
+    seen, until = [0], []
+
+    def held_ctrl():
+        c = ref()
+        if not until and c.task_q and len(c.arg_q) >= c.defs[c.task_q[0]].arity:
+            if seen[0] == k:
+                until.append(c.m.cycle + delay)
+            seen[0] += 1
+        if until and c.m.cycle < until[0]:
+            return True
+        return ctrl(c)
+    cpu.ctrl = held_ctrl
+
+
+class DelayMachine(Machine):
+    """One point of a delay-bound-1 search (Emmi, Qadeer and Rakamarić,
+    "Delay-bounded scheduling", POPL 2011): worker `worker`, in processor
+    order, holds its k-th ready task for `delay` cycles.  A task starts
+    when its data has arrived, so holding it is a legal timing that may
+    change cycles but never outputs."""
+
+    def __init__(self, vm, cfg, worker: int, k: int, delay: int):
+        super().__init__(vm, cfg)
+        hold_ready_task([c for c in self.cpus if isinstance(c, WorkerCpu)][worker], k, delay)
+
+
+def delay_points(name: str, boundaries: int, delays) -> list[tuple]:
+    """Every (case, worker, k, D) of the case's grid with k < boundaries."""
+    vm = stall_bundle(name).vm
+    return [(name, w, k, d) for d in delays
+            for w in range(vm.nx * vm.ny) for k in range(boundaries)]
+
+
+# tier-1: every point of two_shifts; slow: every point of stencil
+DELAY_POINTS = (delay_points("two_shifts", 8, (50, 300))
+                + delay_points("stencil", 24, (300, 1000)))
+
+
+def test_delay_sets_keep_their_size():
+    counts = {}
+    for name, *_ in DELAY_POINTS:
+        counts[name] = counts.get(name, 0) + 1
+    assert counts == {"two_shifts": 256, "stencil": 1728}
+
+
+def _delay_param(name, w, k, d):
+    marks = [pytest.mark.slow] if name == "stencil" else []
+    if (name, w, k, d) in DELAY_XFAIL:
+        marks.append(pytest.mark.xfail(strict=True, reason=SHIFT_DEFECT))
+    return pytest.param(name, w, k, d, marks=marks, id=f"{name}-w{w}-k{k}-D{d}")
+
+
+@pytest.mark.parametrize("name,worker,k,delay", [_delay_param(*p) for p in DELAY_POINTS])
+def test_delayed_run_agrees(name, worker, k, delay):
+    b = stall_bundle(name)
+    m = DelayMachine(b.vm, SimConfig(trace=False), worker, k, delay)
+    assert checked_run(b, m)[1] == []
+
+
+def test_delay_machine_holds_one_task():
+    """The held worker dispatches its k-th ready task `delay` cycles late;
+    a delay past the end of the worker's boundaries changes nothing."""
+    vm = stall_bundle("two_shifts").vm
+    plain = Machine(vm, SimConfig(trace=False))
+    plain.run()
+    late = DelayMachine(vm, SimConfig(trace=False), 5, 0, 300)
+    late.run()
+    never = DelayMachine(vm, SimConfig(trace=False), 5, 50, 300)
+    never.run()
+    assert late.cycle > plain.cycle == never.cycle
