@@ -10,9 +10,11 @@ The control row holds the merge tile and the executive tile side by side at
 the center, flanked by response tiles working outward in drain order
 (left-inner, right-inner, left-next, right-next, ...).
 
-Routes are expressed per tile per color as a ring of states; a state maps an
+Routes are expressed per tile per color as a ring of states; a state maps one
 input port to one or more output ports.  Ports: C (the tile's own processor),
-L, R (x-1, x+1), U, D (y-1, y+1).
+L, R (x-1, x+1), U, D (y-1, y+1).  Only the drains and the reduction chains
+have rings of more than one state, which their control wavelets step; every
+other route, the shifts' included, is static.
 
 A layout depends on (nx, ny, n_resp) alone: a program adds only RPCs,
 sections and memory.  So a layout is a frozen value shared per
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..diagnostics import CompileError, Diagnostic
 
-# Color channel ids (the fabric provides 24; we use 15).
+# Color channel ids (the fabric provides 24; we use 21).
 CTRL_DRAIN = 0      # response -> merge: RPC id chunks
 ARGS_DRAIN = 1      # response -> merge: argument word chunks
 CTRL_BCAST = 2      # merge -> field: RPC id stream
@@ -41,10 +43,23 @@ RED_UP_E = 8        # reduction stage 3: upper-right inner tile to final tile
 RED_UP_S = 9        # reduction stage 3: lower inner pair to final tile
 RED_BCAST = 10      # reduction stage 4: final tile to every worker
 RED_CTRL = 11       # reduction stage 4: final tile to the executive
-SHIFT_A = 12        # neighbor exchange: phase-A transmit, phase-B receive
-SHIFT_B = 13        # neighbor exchange: phase-B transmit, phase-A receive
+SHIFT_E0, SHIFT_E1 = 12, 13     # neighbor exchange east, sent by phase 0 / 1
 LOOPBACK = 14       # self-routed index stream for gather/scatter
+SHIFT_S0, SHIFT_S1 = 15, 16     # neighbor exchange south
+SHIFT_W0, SHIFT_W1 = 17, 18     # neighbor exchange west
+SHIFT_N0, SHIFT_N1 = 19, 20     # neighbor exchange north
 N_COLORS = 24
+
+# SHIFT_COLOR[(dx, dy), phase]: the color a worker of that phase sends a
+# shift by (dx, dy) on, and the one its neighbor at +(dx, dy) receives on;
+# SHIFT_PORT[(dx, dy)] is the port the words leave the sender by
+SHIFT_COLOR = {
+    ((1, 0), 0): SHIFT_E0, ((1, 0), 1): SHIFT_E1,
+    ((0, 1), 0): SHIFT_S0, ((0, 1), 1): SHIFT_S1,
+    ((-1, 0), 0): SHIFT_W0, ((-1, 0), 1): SHIFT_W1,
+    ((0, -1), 0): SHIFT_N0, ((0, -1), 1): SHIFT_N1,
+}
+SHIFT_PORT = {(1, 0): "R", (0, 1): "D", (-1, 0): "L", (0, -1): "U"}
 
 COLOR_NAMES = {
     CTRL_DRAIN: "ctrl_drain", ARGS_DRAIN: "args_drain",
@@ -53,8 +68,9 @@ COLOR_NAMES = {
     RED_COL: "red_col", RED_ROW: "red_row",
     RED_UP_E: "red_up_e", RED_UP_S: "red_up_s",
     RED_BCAST: "red_bcast", RED_CTRL: "red_ctrl",
-    SHIFT_A: "shift_a", SHIFT_B: "shift_b",
-    LOOPBACK: "loopback",
+    SHIFT_E0: "shift_e0", SHIFT_E1: "shift_e1", LOOPBACK: "loopback",
+    SHIFT_S0: "shift_s0", SHIFT_S1: "shift_s1", SHIFT_W0: "shift_w0",
+    SHIFT_W1: "shift_w1", SHIFT_N0: "shift_n0", SHIFT_N1: "shift_n1",
 }
 COLOR_IDS = {v: k for k, v in COLOR_NAMES.items()}
 
@@ -325,19 +341,19 @@ def _reduction_routes(lay: FabricLayout, shared) -> None:
 
 
 def _shift_routes(lay: FabricLayout, shared) -> None:
-    send = shared({"C": ("R",)}, {"C": ("D",)}, {"C": ("L",)}, {"C": ("U",)})
-    recv = shared({"L": ("C",)}, {"U": ("C",)}, {"R": ("C",)}, {"D": ("C",)})
-    for wx, wy in lay.workers():
-        xy = lay.fabric_of(wx, wy)
-        a, b = (send, recv) if lay.phase(wx, wy) == 0 else (recv, send)
-        _add(lay.routes, xy, SHIFT_A, a)
-        _add(lay.routes, xy, SHIFT_B, b)
-    # Vertical pass-through across the three-strip for column shifts.
-    through = shared({"U": ("D",), "D": ("U",)})
-    for x in range(2, lay.nx + 2):
-        for y in (lay.yru, lay.yc, lay.yrl):
-            for color in (SHIFT_A, SHIFT_B):
-                _add(lay.routes, (x, y), color, through)
+    """One static route per shift color: out of each sender, into its
+    neighbor at +d, and across the three-strip for the column shifts."""
+    for (d, p), color in SHIFT_COLOR.items():
+        out = SHIFT_PORT[d]
+        send, recv = shared({"C": (out,)}), shared({_opp(out): ("C",)})
+        for wx, wy in lay.workers():
+            _add(lay.routes, lay.fabric_of(wx, wy), color,
+                 send if lay.phase(wx, wy) == p else recv)
+        if out in ("U", "D"):
+            through = shared({_opp(out): (out,)})
+            for x in range(2, lay.nx + 2):
+                for y in (lay.yru, lay.yc, lay.yrl):
+                    _add(lay.routes, (x, y), color, through)
 
 
 def _worker_local_routes(lay: FabricLayout, shared) -> None:

@@ -20,7 +20,10 @@ encoding end to end.
 
 A shift keeps its words packed, 2 B each, in `array("H")`: the sender's
 copy of its source, taken at dispatch, and the receiver's preallocated
-buffer of `sh_need` words.
+buffer of `sh_need` words.  Its route is static: a worker sends on the
+color of its direction and phase (`layout.SHIFT_COLOR`) and receives on
+its neighbor's, so no shift steps a ring.  Only the drains and the
+reduction chains still steer their rings with `ADVANCE` and `RESET`.
 """
 from __future__ import annotations
 
@@ -38,12 +41,9 @@ from ..memwords import (
     word_view)
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
-    RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_A, SHIFT_B, WAKE)
+    RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_COLOR, WAKE)
 from ..lowering.rpc import decode_frame
 from .router import ADVANCE, RESET, data
-
-# shift ring state per (dx, dy): E, S, W, N
-SHIFT_STATE = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
 def _i16(word: int) -> int:
@@ -497,21 +497,18 @@ class FieldCpu(Cpu):
 
 class WorkerCpu(FieldCpu, MemCpu):
     role = "worker"
-    __slots__ = ("wx", "wy", "col_end", "send_color", "recv_color", "ring_mirror",
+    __slots__ = ("wx", "wy", "col_end", "phase", "send_color", "recv_color",
                  "image", "occ", "op_dt", "n", "dyn_stop", "dst_addr", "buf",
                  "map_dst", "map_srcs", "red_src", "idx_vals",
                  "g_src", "g_dst", "g_window", "g_mul", "g_k",
-                 "sh_dst", "sh_snd", "sh_rcv", "sh_target", "sh_sending",
-                 "sh_receiving", "sh_need", "sh_ri", "sh_si", "sh_adv",
-                 "__dict__", "__weakref__")
+                 "sh_dst", "sh_snd", "sh_rcv", "sh_receiving", "sh_need",
+                 "sh_ri", "sh_si", "__dict__", "__weakref__")
 
     def __init__(self, m, xy, params, image):
         super().__init__(m, xy)
         self.wx, self.wy = params["wx"], params["wy"]
         self.col_end = params["col_end"]
-        self.send_color = SHIFT_A if params["phase"] == 0 else SHIFT_B
-        self.recv_color = SHIFT_B if params["phase"] == 0 else SHIFT_A
-        self.ring_mirror = {SHIFT_A: 0, SHIFT_B: 0}
+        self.phase = params["phase"]
         self.image = image
         self.occ = 0
 
@@ -726,8 +723,8 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.retire()
             return True
         dt = self.op_dt
-        self.sh_target = SHIFT_STATE[(dx, dy)]
-        self.sh_sending = sending
+        self.send_color = SHIFT_COLOR[(dx, dy), self.phase]
+        self.recv_color = SHIFT_COLOR[(dx, dy), 1 - self.phase]
         self.sh_receiving = receiving
         self.sh_need = n * dt.words if receiving else 0
         self.sh_rcv = array("H", [0]) * self.sh_need
@@ -739,36 +736,8 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.sh_snd.frombytes(src.astype(np.uint16).tobytes())
         self.sh_si = 0
         self.sh_dst = self.operand(rd.dst, f["dst"], dt, n)
-        self.sleep(self.m.cfg.rpc_setup_cycles, "shift_begin")
+        self.sleep(self.m.cfg.rpc_setup_cycles, "shift_xfer")
         return True
-
-    def shift_begin(self) -> None:
-        self.sh_adv = {}
-        if self.sh_sending:
-            d = (self.sh_target - self.ring_mirror[self.send_color]) % 4
-            self.ring_mirror[self.send_color] = self.sh_target
-            if d:
-                self.sh_adv[self.send_color] = d
-        if self.sh_receiving:
-            d = (self.sh_target - self.ring_mirror[self.recv_color]) % 4
-            self.ring_mirror[self.recv_color] = self.sh_target
-            if d:
-                self.sh_adv[self.recv_color] = d
-        self.state = "shift_adv" if self.sh_adv else "shift_xfer"
-
-    def shift_adv(self) -> bool:
-        prog = False
-        for color in list(self.sh_adv):
-            if self.push(color, ADVANCE):
-                self.sh_adv[color] -= 1
-                if not self.sh_adv[color]:
-                    del self.sh_adv[color]
-                prog = True
-        if not self.sh_adv:
-            self.state = "shift_xfer"
-        if prog:
-            self.occ += 1
-        return prog
 
     def shift_xfer(self) -> bool:
         prog = False

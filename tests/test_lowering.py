@@ -654,6 +654,48 @@ def test_bank_gap_words_are_not_held():
     m.run()                         # the run reads and writes planned words only
 
 
+def _route_grids() -> list[tuple]:
+    """(nx, ny, n_resp) of the 8 programs' layouts, 2x2 and 16x16."""
+    grids = {(b.vm.nx, b.vm.ny, b.vm.n_resp) for _, b in image_bundles("programs")}
+    return sorted(grids | {(2, 2, 4), (16, 16, 4)})
+
+
+def _delivered_at(lay, xy, color):
+    """The tile that delivers a word sent on `color` by the processor of
+    `xy`, following its one-state routes; None if the route ends first."""
+    step = {"L": (-1, 0), "R": (1, 0), "U": (0, -1), "D": (0, 1)}
+    port = "C"
+    while True:
+        rr = lay.routes.get(xy, {}).get(color)
+        if rr is None or len(rr) != 1 or dict(rr[0]).get(port) is None:
+            return None
+        (out,) = dict(rr[0])[port]
+        if out == "C":
+            return xy
+        xy = (xy[0] + step[out][0], xy[1] + step[out][1])
+        port = {"L": "R", "R": "L", "U": "D", "D": "U"}[out]
+
+
+def test_routes_have_one_input_per_state_and_shifts_reach_their_neighbour():
+    """Every route state has exactly one input port, a layout uses at most
+    `N_COLORS` colors, and a worker's shift sent in each direction is
+    delivered to its neighbour there, on that neighbour's receive color."""
+    for nx, ny, n_resp in _route_grids():
+        lay = build_layout(nx, ny, n_resp)
+        colors = {c for rings in lay.routes.values() for c in rings}
+        assert len(colors) <= layout.N_COLORS, (nx, ny)
+        assert [(xy, c) for xy, rings in lay.routes.items() for c, rr in rings.items()
+                if any(len(st) != 1 for st in rr)] == [], (nx, ny)
+        for wx, wy in lay.workers():
+            for (d, p), color in layout.SHIFT_COLOR.items():
+                qx, qy = wx + d[0], wy + d[1]
+                if p != lay.phase(wx, wy) or not (0 <= qx < nx and 0 <= qy < ny):
+                    continue
+                nb = lay.fabric_of(qx, qy)
+                assert _delivered_at(lay, lay.fabric_of(wx, wy), color) == nb
+                assert color == layout.SHIFT_COLOR[d, 1 - lay.phase(qx, qy)]
+
+
 def test_equal_rings_are_one_object():
     lay = build_layout(16, 16)
     rings = [rr for per_tile in lay.routes.values() for rr in per_tile.values()]
