@@ -699,8 +699,8 @@ def test_routes_have_one_input_per_state_and_shifts_reach_their_neighbour():
 def test_equal_rings_are_one_object():
     lay = build_layout(16, 16)
     rings = [rr for per_tile in lay.routes.values() for rr in per_tile.values()]
-    assert len(rings) == 2080
-    assert len(set(rings)) == len({id(rr) for rr in rings}) == 47
+    assert len(rings) == 3712
+    assert len(set(rings)) == len({id(rr) for rr in rings}) == 45
 
 
 # --- the shared layout and the plan's observables ----------------------------

@@ -49,14 +49,14 @@ FUZZ_MAX_NODES = 40
 
 # name -> (default-config cycles, sha256 of the emitted asm listing)
 GOLDEN = {
-    "dynwin": (280, "f07b7fc9415643b207ad2522355897d71febbf4817e51016215fd6e376cf9eeb"),
-    "elementwise": (419, "5cb4cac2bdc8620c9cec87ce6cee0aad82b59842388e54a5221d3e23c0294e90"),
-    "indirection": (329, "5ca35b954ec1aaf09811742e870d55ace29f40283d2e855b4173b66ddb0a4500"),
-    "listing1": (718, "bcce4f7701983f2e1996095e64d133a4661b4f2a268734bfc568bc3df92474a1"),
-    "loops": (545, "b1a335268c6fe3e5920c19976acaa63a4200c57dcd0edfe3e3e3ae3670b5b5f4"),
-    "mixed": (762, "59a9e24fe65bf09eb1e609f01a4f11a4f4ac32cda699657af5d95af20391dcae"),
-    "reductions": (504, "b0c55d9dea8a62a8ce81c31ae03288ecd7e5713e6effc66980dde4aac9df4543"),
-    "stencil": (734, "da6038d8bfcd95a7e46791fc3f4b2b62b569e9da8a9b75f30f11e7d3d43f9745"),
+    "dynwin": (280, "937beda41fc4636759c9e7095debc34516f675d08b70d80dbe7c47b8056d785f"),
+    "elementwise": (419, "7956e90db58a5ae18c1dc1c33bf7637b7f6489a4ed51a4c16ebe71bf9d2521d2"),
+    "indirection": (329, "91923b1793e1fe47bc4ce87b07759c9b57a0b3b5357b2188483344c8f1684a38"),
+    "listing1": (718, "0b13b214915cbedbd4879e86579254df40efac384c3dec0a7f5df74471921fd2"),
+    "loops": (545, "76a037dda1941ef49cbcbf4982b8210e371c021a229cc17124f8977e585401ca"),
+    "mixed": (760, "dfd506d4b7dd0cfd14308b8d76fd9c1a94bcfe5d7ffe08cc221c5d8e02cb60ee"),
+    "reductions": (504, "1e4dad6f99a2ee24f0b76f6b662b4c7c0c6199cdf6cdaa9e1dbeddd597e066aa"),
+    "stencil": (721, "5e8ec8e4ef080df8638e374958d790f07e2bae5f99240386a8bb6b35a72f8951"),
 }
 
 # hop latency 3 needs control_path_latency >= 3h + 3 = 12
@@ -106,13 +106,13 @@ RUN_GOLDEN = {
     ("loops", "hop3"): (557, "d4098439f1f19c28", "6344890d74a6a172"),
     ("loops", "rpc1"): (190, "6bed7903deeab2c0", "6344890d74a6a172"),
     ("loops", "rpc200"): (1705, "25a2d5974a6ae142", "6344890d74a6a172"),
-    ("mixed", "default"): (762, "552ebbdae52f1ea1", "2f5b3c9852d19def"),
-    ("mixed", "fifo1"): (788, "0667839424c8463a", "2f5b3c9852d19def"),
-    ("mixed", "fifo2"): (762, "552ebbdae52f1ea1", "2f5b3c9852d19def"),
-    ("mixed", "hop2"): (781, "9e9e4f1165db319c", "2f5b3c9852d19def"),
-    ("mixed", "hop3"): (802, "f75b6d11d3001a68", "2f5b3c9852d19def"),
-    ("mixed", "rpc1"): (236, "e335d4f0a5aed907", "2f5b3c9852d19def"),
-    ("mixed", "rpc200"): (2212, "1d93fcf8fea9e7b3", "2f5b3c9852d19def"),
+    ("mixed", "default"): (760, "31cfebbb8610bc90", "2f5b3c9852d19def"),
+    ("mixed", "fifo1"): (786, "d05193cdf9895248", "2f5b3c9852d19def"),
+    ("mixed", "fifo2"): (760, "31cfebbb8610bc90", "2f5b3c9852d19def"),
+    ("mixed", "hop2"): (779, "f390cd0c46c6d598", "2f5b3c9852d19def"),
+    ("mixed", "hop3"): (800, "1d0cd22547c99926", "2f5b3c9852d19def"),
+    ("mixed", "rpc1"): (236, "ab5066f29708cdc3", "2f5b3c9852d19def"),
+    ("mixed", "rpc200"): (2210, "29f8980a949caf2c", "2f5b3c9852d19def"),
     ("reductions", "default"): (504, "ab1d4d288106d1ab", "df8c3327d0ffcbb1"),
     ("reductions", "fifo1"): (523, "60eae7374c4feb4b", "df8c3327d0ffcbb1"),
     ("reductions", "fifo2"): (504, "ab1d4d288106d1ab", "df8c3327d0ffcbb1"),
@@ -120,13 +120,13 @@ RUN_GOLDEN = {
     ("reductions", "hop3"): (582, "e96befcefc304ada", "df8c3327d0ffcbb1"),
     ("reductions", "rpc1"): (187, "f903013b94c20348", "df8c3327d0ffcbb1"),
     ("reductions", "rpc200"): (1374, "20ed74a23874abef", "df8c3327d0ffcbb1"),
-    ("stencil", "default"): (734, "d8fc2478d72627b9", "c37eb241396a1ec6"),
-    ("stencil", "fifo1"): (784, "a74dbc7fa0ce5ed9", "c37eb241396a1ec6"),
-    ("stencil", "fifo2"): (734, "d8fc2478d72627b9", "c37eb241396a1ec6"),
-    ("stencil", "hop2"): (748, "a3c6e8c9aba7b7ff", "c37eb241396a1ec6"),
-    ("stencil", "hop3"): (764, "8ddb5411c263d1ff", "c37eb241396a1ec6"),
-    ("stencil", "rpc1"): (194, "67cc5c42570efa27", "c37eb241396a1ec6"),
-    ("stencil", "rpc200"): (2184, "a8503245481c4a45", "c37eb241396a1ec6"),
+    ("stencil", "default"): (721, "8c8d70f26de10ee1", "c37eb241396a1ec6"),
+    ("stencil", "fifo1"): (771, "2a94f19833ddd9a8", "c37eb241396a1ec6"),
+    ("stencil", "fifo2"): (721, "8c8d70f26de10ee1", "c37eb241396a1ec6"),
+    ("stencil", "hop2"): (735, "755c009c71f5a131", "c37eb241396a1ec6"),
+    ("stencil", "hop3"): (751, "cbcf11b336a25f04", "c37eb241396a1ec6"),
+    ("stencil", "rpc1"): (181, "2fc8bd19511b4bcb", "c37eb241396a1ec6"),
+    ("stencil", "rpc200"): (2171, "3cedb0ca7bfcb8ed", "c37eb241396a1ec6"),
 }
 
 _bundles: dict = {}
@@ -200,7 +200,7 @@ def test_program_run_matches_golden(path, variant):
 
 # sha256 of repr((seed, cycles, stats())) over the fuzz seeds 0-59 that
 # `machlite fuzz` runs, in seed order, under the default config
-FUZZ_SCHEDULE_GOLDEN = "1c80682e61ef1d4236457a138990796a30fa0b41a01a87e05b0c3babf0a3bc60"
+FUZZ_SCHEDULE_GOLDEN = "38d7ddd334a599d506ec44d2eb22d5fd81abee4bceea691202df3c854c12b3b0"
 
 
 def test_fuzz_scheduling_matches_golden():
@@ -226,7 +226,7 @@ def test_fuzz_seed_agrees(seed):
 # every program and of fuzz seeds 0-199 as `machlite fuzz` compiles them,
 # each image expanded to its dense layout: (nx, ny, worker_words) and
 # (WORKER_WORDS,) words, zero outside the planned spans
-INIT_STATE_GOLDEN = "50599e4613ab17b9f3427e6c052f337ba809c796665fe67b7eb49a198fc58cc5"
+INIT_STATE_GOLDEN = "7aaeba5137e8b4609b568bc24eb773280857f752a50393f624cbf846ced0361b"
 
 
 def test_initial_state_matches_golden():
@@ -267,13 +267,13 @@ def test_fuzz_seed_2516_back_to_back_shifts():
 # per config: sha256 of repr((seed, cycles, stats())) and the output arrays
 # of every fuzz seed 0-299 that `machlite fuzz` runs, in seed order
 CAMPAIGN_GOLDEN = {
-    "default": "6cec8d4a3b18da87dec0bda00ffc39e079e82212fe35d20ee81621a249a94e07",
-    "fifo1": "18ac51ffe10faf123a486cf9c8ef7b692743d57fd9a6224d46f919e8176355b2",
-    "fifo2": "dbb3b89e37ae3a62bc889e24c8eb3c6ae80bb0f84d0e777a281974b97e6ef880",
-    "hop2": "b8ba428ec157a831657cdc0e7055d87345f942d3a2f92d6f25b91a58243eae8f",
-    "hop3": "541f185376abfa10cb1b304e1a12bd1d65678a76b366f9619c2eed5bd576ff62",
-    "rpc1": "b99684ddd956cff482adc3fbd2ec03178d8c29aef1d44cf81d81d00e37b86c4d",
-    "rpc200": "26d3be334995a5450ce1e532a0040d39d71a33acccee5a65ba5780f5c7468ece",
+    "default": "ae07d086f1d818467a79ed98307290327da6374ebe278a229d41720d3f6f77b5",
+    "fifo1": "bc71be71803981597ad64960bdd1ff060ec0750b7b403f06896aa976956b85a1",
+    "fifo2": "b3f4a5d381b435fc9206e028552f9ccf46070e17d56ea55c1a96dbf81a4b1e25",
+    "hop2": "0d3329f0aaded55ce544d28a70c20e4f61fd66d4ba3630b4d0d8c38658979eb6",
+    "hop3": "5b6016a6c46d75d6cb93e127e9817b42062d62792ec23bd757838eda7fc1ee5d",
+    "rpc1": "4737a2203c15e58201ffc9c22ee08c1dc744b5e66ecc86e4acaee03b32c3df70",
+    "rpc200": "4d7e9e3709ae74f4fd7e73ba19f5a1fb34e9359819fd0b3db7eafc90d46025ed",
 }
 
 
@@ -386,8 +386,8 @@ SCHEDULE_GOLDEN = {
     "listing1": {"try_move": 20825, "moves": 17663, "exec": [150, 139],
                  "merge": [175, 174], "resp": [339, 280], "worker": [16252, 12550],
                  "reduce": [3349, 2661]},
-    "stencil": {"try_move": 10501, "moves": 10020, "exec": [8, 7],
-                "merge": [83, 82], "resp": [104, 90], "worker": [6886, 6236],
+    "stencil": {"try_move": 10087, "moves": 9626, "exec": [8, 7],
+                "merge": [83, 82], "resp": [104, 90], "worker": [6488, 5842],
                 "reduce": [948, 900]},
 }
 
