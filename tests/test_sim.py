@@ -10,13 +10,16 @@ it did.  An initial-state golden pins the `--emit asm` listing and the
 start images of the programs and of fuzz seeds 0-199.  A schedule golden
 pins, for two programs, what the benchmark tracer counts: `try_move`
 calls, moves and per-role ticks.  A stall oracle reruns the programs with
-processor ticks withheld at random, which may change cycles but must not
-change outputs.  A memory test bounds what the simulator allocates per
-tile beyond the memory images.
+processor ticks withheld at random, and its router-side twin with router
+moves withheld at random; a delay oracle holds one worker's k-th ready
+task for D cycles, over every worker and k below a bound.  Each may change
+cycles but must not change outputs.  A memory test bounds what the
+simulator allocates per tile beyond the memory images.
 
-The long campaign (fuzz seeds 0-299 under every variant, each variant's
-cycles, `stats()` and outputs pinned by one sha256) is marked `slow` and
-deselected by default; run it with `pytest -m slow`.
+The long campaigns (fuzz seeds 0-299 under every variant, each variant's
+cycles, `stats()` and outputs pinned by one sha256; the stall campaigns;
+the `stencil` delay set) are marked `slow` and deselected by default; run
+them with `pytest -m slow`.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import random
 import tracemalloc
 import weakref
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -255,10 +259,9 @@ def test_program_agrees_under_variant(path, variant):
     assert check(program(path), SimConfig(trace=False, **VARIANTS[variant])) == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a2 differs at worker (2,3) after back-to-back col and row shifts: "
-    "it receives the tail of the col-shift stream"))
 def test_fuzz_seed_2516_back_to_back_shifts():
+    """Back-to-back col and row shifts: worker (2,3) must take none of the
+    col shift's words into the row shift's destination a2."""
     b = fuzz_bundle(2516)
     assert b is not None
     assert check(b, SimConfig(trace=False)) == []
@@ -423,14 +426,10 @@ def test_finished_machine_is_freed_without_the_cycle_collector(path):
 
 @pytest.mark.parametrize("name", ["listing1", "two_shifts"])
 def test_finished_stall_machine_is_freed_without_the_cycle_collector(name):
+    """Also a DelayMachine, whose held worker shadows its own `ctrl`."""
     vm = stall_bundle(name).vm
     assert_freed_without_the_cycle_collector(
         lambda: StallMachine(vm, SimConfig(trace=False), 1, rates=(0.5,)))
-
-
-@pytest.mark.parametrize("name", ["listing1", "two_shifts"])
-def test_finished_delay_machine_is_freed_without_the_cycle_collector(name):
-    vm = stall_bundle(name).vm
     assert_freed_without_the_cycle_collector(
         lambda: DelayMachine(vm, SimConfig(trace=False), 5, 0, 50))
 
@@ -489,7 +488,7 @@ def test_scaled_grid_machine_per_tile_is_small():
         "la a[64,64,16] f32 = rand\nla b[64,64,16] f32 = rand\ngs acc f32 = 0.0\n"
         "a += b\nshift(b, a, row, 1)\nreduce(b, acc)\n").vm
     m, peak = traced_run(vm)
-    assert m.cycle == 403
+    assert m.cycle == 402
     assert peak / len(m.tiles) < 8 * 1024
 
 
@@ -579,43 +578,22 @@ def stall_bundle(name: str):
 
 
 def test_stall_machine_without_stalls_is_the_plain_machine():
+    """Either side's stall oracle, at rate 0."""
     for name in ("listing1", "mixed", "stencil"):
-        m = StallMachine(stall_bundle(name).vm, SimConfig(trace=False), 0, rates=(0,))
-        m.run()
-        stats = hashlib.sha256(repr(m.stats()).encode()).hexdigest()[:16]
-        assert (m.cycle, stats) == RUN_GOLDEN[name, "default"][:2]
+        for stalls in (StallMachine, RouterStallMachine):
+            m = stalls(stall_bundle(name).vm, SimConfig(trace=False), 0, rates=(0,))
+            m.run()
+            stats = hashlib.sha256(repr(m.stats()).encode()).hexdigest()[:16]
+            assert (m.cycle, stats) == RUN_GOLDEN[name, "default"][:2]
 
 
-# (case, seed) pairs whose stalled run ends with wrong outputs
-STALL_XFAIL = {("stencil", 0), ("stencil", 1), ("two_shifts", 1)}
-ROUTER_STALL_XFAIL = {("stencil", 1), ("stencil", 2)}
-# (case, worker, k, D) delay points whose run ends with wrong outputs
-DELAY_XFAIL = {("two_shifts", w, 0, 300) for w in (5, 6, 7, 9, 10, 11, 13, 14, 15)} | {
-    ("stencil", w, k, 1000) for w, ks in {
-        13: (2,), 14: (2, 3), 15: (2, 3), 16: (2, 3), 17: (2, 3), 19: (1, 2),
-        20: (1, 2, 3), 21: (1, 2, 3), 22: (1, 2, 3), 23: (1, 2, 3), 25: (0, 1, 2),
-        26: (0, 1, 2, 3), 27: (0, 1, 2, 3), 28: (0, 1, 2, 3), 29: (0, 1, 2, 3),
-        31: (0, 1), 32: (0, 1), 33: (0, 1), 34: (0, 1), 35: (0, 1)}.items() for k in ks}
-SHIFT_DEFECT = (
-    "open-ring shift defect, as in fuzz seed 2516: a worker's SHIFT_A/SHIFT_B "
-    "receive ring rests open, so a neighbour that has moved on to the next "
-    "shift delivers into a receiver that has not entered it yet")
-
-
-def _xfail_if(bad: bool, *args):
-    marks = [pytest.mark.xfail(strict=True, reason=SHIFT_DEFECT)] if bad else []
-    return pytest.param(*args, marks=marks)
-
-
-@pytest.mark.parametrize("name,seed", [_xfail_if((n, s) in STALL_XFAIL, n, s)
-                                       for n in STALL_CASES for s in range(3)])
+@pytest.mark.parametrize("name,seed", [(n, s) for n in STALL_CASES for s in range(3)])
 def test_stalled_run_agrees(name, seed):
     assert stall_check(stall_bundle(name), seed) == []
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", [_xfail_if(n in ("stencil", "two_shifts"), n)
-                                  for n in STALL_CASES])
+@pytest.mark.parametrize("name", STALL_CASES)
 def test_stall_campaign(name):
     b = stall_bundle(name)
     failures = {seed: mis for seed in range(15) if (mis := stall_check(b, seed))}
@@ -659,22 +637,13 @@ def router_stall_check(b, seed: int) -> list[str]:
     return checked_run(b, RouterStallMachine(b.vm, SimConfig(trace=False), seed))[1]
 
 
-def test_router_stall_machine_without_stalls_is_the_plain_machine():
-    for name in ("listing1", "mixed", "stencil"):
-        m = RouterStallMachine(stall_bundle(name).vm, SimConfig(trace=False), 0, rates=(0,))
-        m.run()
-        stats = hashlib.sha256(repr(m.stats()).encode()).hexdigest()[:16]
-        assert (m.cycle, stats) == RUN_GOLDEN[name, "default"][:2]
-
-
-@pytest.mark.parametrize("name,seed", [_xfail_if((n, s) in ROUTER_STALL_XFAIL, n, s)
-                                       for n in STALL_CASES for s in range(3)])
+@pytest.mark.parametrize("name,seed", [(n, s) for n in STALL_CASES for s in range(3)])
 def test_router_stalled_run_agrees(name, seed):
     assert router_stall_check(stall_bundle(name), seed) == []
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", [_xfail_if(n == "stencil", n) for n in STALL_CASES])
+@pytest.mark.parametrize("name", STALL_CASES)
 def test_router_stall_campaign(name):
     b = stall_bundle(name)
     failures = {seed: mis for seed in range(15) if (mis := router_stall_check(b, seed))}
@@ -729,16 +698,11 @@ DELAY_POINTS = (delay_points("two_shifts", 8, (50, 300))
 
 
 def test_delay_sets_keep_their_size():
-    counts = {}
-    for name, *_ in DELAY_POINTS:
-        counts[name] = counts.get(name, 0) + 1
-    assert counts == {"two_shifts": 256, "stencil": 1728}
+    assert Counter(name for name, *_ in DELAY_POINTS) == {"two_shifts": 256, "stencil": 1728}
 
 
 def _delay_param(name, w, k, d):
     marks = [pytest.mark.slow] if name == "stencil" else []
-    if (name, w, k, d) in DELAY_XFAIL:
-        marks.append(pytest.mark.xfail(strict=True, reason=SHIFT_DEFECT))
     return pytest.param(name, w, k, d, marks=marks, id=f"{name}-w{w}-k{k}-D{d}")
 
 
