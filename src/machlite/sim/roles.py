@@ -23,7 +23,7 @@ copy of its source, taken at dispatch, and the receiver's preallocated
 buffer of `sh_need` words.  Its route is static: a worker sends on the
 color of its direction and phase (`layout.SHIFT_COLOR`) and receives on
 its neighbor's, so no shift steps a ring.  Only the drains and the
-reduction chains still steer their rings with `ADVANCE` and `RESET`.
+reduction chains steer their rings, with `ADVANCE` and `RESET`.
 """
 from __future__ import annotations
 

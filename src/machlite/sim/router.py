@@ -3,9 +3,10 @@
 Each tile carries one router with bounded per-(color, input-port) FIFOs and a
 bounded per-color delivery queue toward its own processor.  Color channels are
 routed by a small ring of states; a state maps one input port to an output
-port set.  Most rings have one state and never step, the shift colors'
-among them (see `layout.SHIFT_COLOR`).  Only the drains and the reduction
-chains have more, and their control wavelets steer them in-band:
+port set.  Most rings, the shift colors' among them (see
+`layout.SHIFT_COLOR`), have one state and never step.  Only the drains and
+the reduction chains have more, and their control wavelets steer them
+in-band:
 
   data     routed by the current ring state
   advance  absorbed by the router it was pushed into; steps that ring
