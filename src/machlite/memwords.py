@@ -30,6 +30,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from machlite.diagnostics import SimFault
 from machlite.frontend.syntax import DType, InitSpec
 
 WORKER_WORDS = 24_576          # 48 KB of 16-bit words per tile
@@ -81,6 +82,53 @@ def fold_sum(vals, dt: DType):
             acc = np.float32(acc + v)
         return acc
     return vals.astype(np.int64).sum().astype(np.int16)
+
+
+def check_stop(stop: int, start: int, extent: int, x: int, y: int) -> int:
+    """`stop`, once it is a dynamic stop in `[start, extent]` on PE (x, y)."""
+    if not start <= stop <= extent:
+        raise SimFault(f"dynamic stop {stop} outside [{start}, {extent}] "
+                       f"for axis of extent {extent} at PE ({x}, {y})")
+    return stop
+
+
+def check_index(kind: str, idx, size: int, x: int, y: int) -> None:
+    """Fault at the first of the `kind` indices `idx` that is outside a
+    window of `size` elements on PE (x, y)."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    bad = np.flatnonzero((idx < 0) | (idx >= size))
+    if bad.size:
+        k = int(bad[0])
+        raise SimFault(f"{kind} index {idx[k]} outside window of {size} "
+                       f"elements at PE ({x}, {y}), element {k}")
+
+
+def gather(src, idx, mul=None) -> np.ndarray:
+    """`src[idx[k]]` (times `mul[k]`, wrapping in i16) for every k, flat."""
+    out = np.asarray(src).reshape(-1)[np.asarray(idx, dtype=np.int64).reshape(-1)]
+    if mul is None:
+        return out
+    with np.errstate(over="ignore"):
+        return out * np.asarray(mul).reshape(-1)
+
+
+def scatter(dst, idx, src) -> None:
+    """`dst.flat[idx[k]] = src[k]` for every k: every source is read before
+    any write, and the last write wins."""
+    idx = np.asarray(idx).reshape(-1).tolist()
+    last = dict(zip(idx, range(len(idx))))
+    out = dst.flatten()
+    out[list(last)] = np.asarray(src).reshape(-1)[list(last.values())]
+    dst[...] = out.reshape(dst.shape)
+
+
+def shift_ends(x: int, y: int, dx: int, dy: int, x0: int, x1: int, y0: int,
+               y1: int) -> tuple[bool, bool]:
+    """(sends, receives) of PE (x, y) in a shift by (dx, dy) over the PEs
+    [x0, x1) x [y0, y1): a PE sends to (x + dx, y + dy) and receives from
+    (x - dx, y - dy) when both ends are in the region."""
+    ins = [x0 <= x + k * dx < x1 and y0 <= y + k * dy < y1 for k in (0, 1, -1)]
+    return ins[0] and ins[1], ins[0] and ins[2]
 
 
 def encode_words(arr: np.ndarray, dtype: DType) -> np.ndarray:

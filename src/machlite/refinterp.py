@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from machlite.diagnostics import SimFault
 from machlite.frontend.syntax import DType, VarKind
 from machlite.irg import (
     IRGraph,
@@ -33,7 +32,8 @@ from machlite.irg import (
 )
 from machlite.memplan import MemPlan, observables
 from machlite.memwords import (
-    CMPS, alu, fold_sum, initial_images, np_dtype, word_view)
+    CMPS, alu, check_index, check_stop, fold_sum, gather, initial_images,
+    np_dtype, scatter, shift_ends, word_view)
 
 
 @dataclass
@@ -98,12 +98,8 @@ class _Interp:
         for ax in access.mem:
             stop = ax.stop
             if stop is None:
-                nval = int(self.arrays[self.g.by_name[ax.dyn]][x, y])
-                if not ax.start <= nval <= ax.extent:
-                    raise SimFault(
-                        f"dynamic stop {nval} outside [{ax.start}, {ax.extent}] "
-                        f"for axis of extent {ax.extent} at PE ({x}, {y})")
-                stop = nval
+                stop = check_stop(int(self.arrays[self.g.by_name[ax.dyn]][x, y]),
+                                  ax.start, ax.extent, x, y)
             out.append(slice(ax.start, stop))
         return tuple(out)
 
@@ -247,10 +243,9 @@ class _Interp:
         snapshot = self.arrays[src.mlid].copy()
         for x in range(xs, xe):
             for y in range(ys, ye):
-                px, py = x - dx, y - dy
-                if not (xs <= px < xe and ys <= py < ye):
+                if not shift_ends(x, y, dx, dy, xs, xe, ys, ye)[1]:
                     continue  # boundary keeps its previous contents
-                sval = snapshot[(px, py) + self.mem_slices(src.access, sml)]
+                sval = snapshot[(x - dx, y - dy) + self.mem_slices(src.access, sml)]
                 if dml.var_kind is VarKind.LA:
                     dview = darr[(x, y) + self.mem_slices(n.dest_slice, dml)]
                     dview[...] = sval.reshape(dview.shape)
@@ -258,56 +253,27 @@ class _Interp:
                     darr[x, y] = sval
 
     def eval_gather_scatter(self, n: IRNode) -> None:
+        """Gather or `gather_mul` from the window of args[0] at the indices
+        of args[1] (times args[2]), or scatter args[0] into the
+        destination window at the indices of args[1]."""
         op = n.op_name
-        region = self.region_of(n)
-        (xs, xe, xst), (ys, ye, yst) = region
-        if op == "scatter":
-            src_a, idx_a, dst_a = n.args[0], n.args[1], n.args[2]
-        elif op == "gather":
-            src_a, idx_a = n.args[0], n.args[1]
-        else:
-            src_a, idx_a, mul_a = n.args[0], n.args[1], n.args[2]
-        sml = self.g.memlocs[src_a.mlid]
-        iml = self.g.memlocs[idx_a.mlid]
-        dml = self.g.memlocs[n.result_index]
-        sarr = self.arrays[src_a.mlid]
-        iarr = self.arrays[idx_a.mlid]
-        darr = self.arrays[n.result_index]
-        marr = self.arrays[n.args[2].mlid] if op == "gather_mul" else None
+        (xs, xe, xst), (ys, ye, yst) = self.region_of(n)
+
+        def window(mlid, access, x, y):
+            ml = self.g.memlocs[mlid]
+            return self.arrays[mlid][(x, y) + self.mem_slices(access, ml, x, y)]
         for x in range(xs, xe, xst):
             for y in range(ys, ye, yst):
-                swin = sarr[(x, y) + self.mem_slices(src_a.access, sml, x, y)].reshape(-1)
-                idx = iarr[(x, y) + self.mem_slices(idx_a.access, iml, x, y)].reshape(-1)
+                src, idx = (window(a.mlid, a.access, x, y) for a in n.args[:2])
+                dst = window(n.result_index, n.dest_slice, x, y)
                 if op == "scatter":
-                    dview = darr[(x, y) + self.mem_slices(n.dest_slice, dml, x, y)]
-                    flat = dview.copy().reshape(-1)
-                    for k, j in enumerate(idx):
-                        j = int(j)
-                        if not 0 <= j < flat.size:
-                            raise SimFault(
-                                f"scatter index {j} outside window of {flat.size} "
-                                f"elements at PE ({x}, {y}), element {k}")
-                        flat[j] = swin[k]
-                    dview[...] = flat.reshape(dview.shape)
-                    continue
-                dview = darr[(x, y) + self.mem_slices(n.dest_slice, dml, x, y)]
-                mwin = None
-                if op == "gather_mul":
-                    mwin = marr[(x, y) + self.mem_slices(
-                        mul_a.access, self.g.memlocs[mul_a.mlid], x, y)].reshape(-1)
-                out = np.empty(idx.size, dtype=darr.dtype)
-                with np.errstate(over="ignore"):
-                    for k, j in enumerate(idx):
-                        j = int(j)
-                        if not 0 <= j < swin.size:
-                            raise SimFault(
-                                f"gather index {j} outside window of {swin.size} "
-                                f"elements at PE ({x}, {y}), element {k}")
-                        if op == "gather":
-                            out[k] = swin[j]
-                        else:
-                            out[k] = np.asarray(swin[j] * mwin[k], dtype=darr.dtype)
-                dview[...] = out.reshape(dview.shape)
+                    check_index(op, idx, dst.size, x, y)
+                    scatter(dst, idx, src)
+                else:
+                    check_index("gather", idx, src.size, x, y)
+                    mul = (window(n.args[2].mlid, n.args[2].access, x, y)
+                           if op == "gather_mul" else None)
+                    dst[...] = gather(src, idx, mul).reshape(dst.shape)
 
     def eval_loop(self, n: IRNode) -> None:
         start = n.attrs["start"]

@@ -37,8 +37,8 @@ import numpy as np
 from ..diagnostics import SimFault
 from ..frontend.syntax import DType
 from ..memwords import (
-    CMPS, WordMemory, alu, decode_words, encode_words, fold_sum, np_dtype,
-    word_view)
+    CMPS, WordMemory, alu, check_index, check_stop, decode_words, encode_words,
+    fold_sum, gather, np_dtype, scatter, shift_ends, word_view)
 from ..lowering.layout import (
     ACK, ARGS_BCAST, ARGS_DRAIN, CTRL_BCAST, CTRL_DRAIN, LOOPBACK, RED_BCAST,
     RED_COL, RED_CTRL, RED_ROW, RED_UP_E, RED_UP_S, SHIFT_COLOR, WAKE)
@@ -500,7 +500,7 @@ class WorkerCpu(FieldCpu, MemCpu):
     __slots__ = ("wx", "wy", "col_end", "phase", "send_color", "recv_color",
                  "image", "occ", "op_dt", "n", "dyn_stop", "dst_addr", "buf",
                  "map_dst", "map_srcs", "red_src", "idx_vals",
-                 "g_src", "g_dst", "g_window", "g_mul", "g_k",
+                 "g_src", "g_dst", "g_mul", "g_k",
                  "sh_dst", "sh_snd", "sh_rcv", "sh_receiving", "sh_need",
                  "sh_ri", "sh_si", "__dict__", "__weakref__")
 
@@ -519,11 +519,7 @@ class WorkerCpu(FieldCpu, MemCpu):
     # --- operand decoding ----------------------------------------------------
 
     def dyn_len(self, start: int, extent: int) -> int:
-        v = self.dyn_stop
-        if not start <= v <= extent:
-            raise SimFault(f"dynamic stop {v} outside [{start}, {extent}] "
-                           f"for axis of extent {extent} at PE ({self.wx}, {self.wy})")
-        return v - start
+        return check_stop(self.dyn_stop, start, extent, self.wx, self.wy) - start
 
     def operand(self, spec, w, dt, n):
         """Decode one operand's argument words into an immediate or a live
@@ -568,7 +564,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         image and its shift buffers."""
         self.m.record_occ(self.wx, self.wy, self.occ)
         self.map_dst = self.map_srcs = self.red_src = self.idx_vals = None
-        self.g_src = self.g_dst = self.g_window = self.g_mul = None
+        self.g_src = self.g_dst = self.g_mul = None
         self.sh_dst = self.sh_snd = self.sh_rcv = None
         self.state = "ctrl"
 
@@ -615,15 +611,17 @@ class WorkerCpu(FieldCpu, MemCpu):
             idx = self.operand(rd.srcs[1], f["src1"], idx_dt, 0)
             self.n = idx.size
             self.g_src = self.operand(rd.srcs[0], f["src0"], dt, self.n)
-            self.g_dst = self.g_window = self.operand(rd.dst, f["dst"], dt, n_static)
+            self.g_dst = window = self.operand(rd.dst, f["dst"], dt, n_static)
         else:
             self.g_dst = self.operand(rd.dst, f["dst"], dt, n_static)
             self.n = self.g_dst.size
             idx = self.operand(rd.srcs[1], f["src1"], idx_dt, self.n)
-            self.g_src = self.g_window = self.operand(rd.srcs[0], f["src0"], dt, n_static)
+            self.g_src = window = self.operand(rd.srcs[0], f["src0"], dt, n_static)
         self.g_mul = (self.fetch(self.operand(rd.srcs[2], f["src2"], dt, self.n), self.n)
                       if rd.kind == "gather_mul" else None)
         self.idx_vals = self.fetch(idx, self.n).tolist()
+        check_index("scatter" if rd.kind == "scatter" else "gather", self.idx_vals,
+                    window.size, self.wx, self.wy)
         self.sleep(setup, "begin_gather")
         return True
 
@@ -674,39 +672,21 @@ class WorkerCpu(FieldCpu, MemCpu):
         return True
 
     def index_back(self) -> bool:
-        """Take index g_k back and check it against the window; once the
-        last is back, move the elements."""
-        w = self.pop(LOOPBACK)
-        if w is None:
+        """Take index g_k back; once the last is back, move the elements."""
+        if self.pop(LOOPBACK) is None:
             return False
         self.occ += 1
-        j, size = _i16(w), self.g_window.size
-        if not 0 <= j < size:
-            kind = "scatter" if self.rd.kind == "scatter" else "gather"
-            raise SimFault(f"{kind} index {j} outside window of {size} elements "
-                           f"at PE ({self.wx}, {self.wy}), element {self.g_k}")
         self.g_k += 1
         if self.g_k < self.n:
             self.state = "index_out"
             return True
-        self.move()
+        dst = self.g_dst
+        if self.rd.kind == "scatter":
+            scatter(dst, self.idx_vals, self.g_src)
+        else:
+            dst[...] = gather(self.g_src, self.idx_vals, self.g_mul).reshape(dst.shape)
         self.retire()
         return True
-
-    def move(self) -> None:
-        """Move every element at once, reading every source before any
-        write."""
-        src, dst = self.g_src.reshape(-1), self.g_dst
-        if self.rd.kind == "scatter":
-            last = dict(zip(self.idx_vals, range(self.n)))   # the last write wins
-            out = dst.flatten()
-            out[list(last)] = src[list(last.values())]
-        else:
-            out = src[self.idx_vals]
-            if self.g_mul is not None:
-                with np.errstate(over="ignore"):
-                    out = out * self.g_mul
-        dst[...] = out.reshape(dst.shape)
 
     # --- shift ---------------------------------------------------------------
 
@@ -715,10 +695,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         (n,), (x0,), (x1,), (y0,), (y1,) = f["len"], f["x0"], f["x1"], f["y0"], f["y1"]
         dx, dy = _i16(f["dx"][0]), _i16(f["dy"][0])
         self.dyn_stop = None
-        wx, wy = self.wx, self.wy
-        inside = x0 <= wx < x1 and y0 <= wy < y1
-        sending = inside and x0 <= wx + dx < x1 and y0 <= wy + dy < y1
-        receiving = inside and x0 <= wx - dx < x1 and y0 <= wy - dy < y1
+        sending, receiving = shift_ends(self.wx, self.wy, dx, dy, x0, x1, y0, y1)
         if not (sending or receiving):
             self.retire()
             return True
