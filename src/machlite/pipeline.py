@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import CompileError, Diagnostic
+from .diagnostics import CompileError, Diagnostic, SimFault
 from .frontend import GridConfig, VarKind, analyze, parse
 from . import irg, memplan, refinterp
 from .lowering import lower
@@ -76,8 +76,19 @@ def run_machine(b: Bundle, cfg: SimConfig | None = None):
 def check(b: Bundle, cfg: SimConfig | None = None, *,
           rel: float = 1e-5) -> list[str]:
     """Run both backends and return the mismatch report (empty = agree);
-    `rel` is the relative tolerance of f32 reduction results."""
-    ref = run_reference(b)
+    `rel` is the relative tolerance of f32 reduction results.  A data
+    fault of the reference is raised again when the simulator raises the
+    same one, and is a mismatch when it raises another or none."""
+    try:
+        ref = run_reference(b)
+    except SimFault as want:
+        try:
+            run_machine(b, cfg)
+        except SimFault as got:
+            if str(got) == str(want):
+                raise
+            return [f"data fault: reference {want}; simulator {got}"]
+        return [f"data fault: reference {want}; simulator none"]
     m = Machine(b.vm, cfg)
     m.run()
     got = m.result(tainted=ref.tainted)

@@ -35,6 +35,12 @@ The machine is done when the executive has stopped after its halt
 instruction, every queue is empty and every processor is idle.  A window
 with no router movement, no processor progress and no timer pending
 raises DeadlockError with a dump of the blocked channels.
+
+A worker whose map or gather-family task faults on its data (an index or
+a dynamic stop out of range) records (task number, x, y, fault) in
+`faults` and retires the task unwritten.  When the run ends, `run` raises
+the least recorded fault, ahead of any deadlock or cycle-cap error: the
+one the reference interpreter stops at, whatever the timing.
 """
 from __future__ import annotations
 
@@ -87,6 +93,7 @@ class Machine:
         self.section_latencies: list = []
         self.pending_depart = None
         self.worker_busy: dict = {}     # (x, y) -> cycles spent on RPCs
+        self.faults: list = []          # (task number, x, y, SimFault)
         self._last_progress = 0
         # wavelets in all FIFOs and delivery queues; tile indices of the
         # routers with a nonempty input FIFO; indices into cpus of the
@@ -298,14 +305,20 @@ class Machine:
 
     def run(self, max_cycles: int | None = None) -> None:
         cap = max_cycles or self.cfg.max_cycles
-        while not self.done:
-            if self.timers and not self.live_routers and not self.live_cpus:
-                self.cycle = self.timers[0][0] - 1
-            self.step()
-            if self.cycle > cap:
-                raise DeadlockError(
-                    f"exceeded {cap} cycles without finishing",
-                    self.deadlock_report())
+        try:
+            while not self.done:
+                if self.timers and not self.live_routers and not self.live_cpus:
+                    self.cycle = self.timers[0][0] - 1
+                self.step()
+                if self.cycle > cap:
+                    raise DeadlockError(
+                        f"exceeded {cap} cycles without finishing",
+                        self.deadlock_report())
+        except DeadlockError:
+            if not self.faults:
+                raise
+        if self.faults:
+            raise min(self.faults, key=lambda f: f[:3])[3]
         self.assert_quiescent()
 
     def assert_quiescent(self) -> None:

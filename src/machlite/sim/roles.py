@@ -415,7 +415,7 @@ class FieldCpu(Cpu):
     # which stays unmade unless something sets an attribute of one
     # processor (a wrapped `tick`), and a `__weakref__`
     __slots__ = ("state", "rd", "task_q", "arg_q", "queued_arity", "defs", "table",
-                 "push_color", "stream")
+                 "push_color", "stream", "tasks")
 
     def __init__(self, m, xy):
         super().__init__(m, xy)
@@ -426,6 +426,7 @@ class FieldCpu(Cpu):
         self.queued_arity = 0          # argument words the queued tasks take
         self.defs = m.vm.rpcs.defs
         self.table = m.vm.task_table_size
+        self.tasks = 0      # tasks taken: every field tile takes every task
 
     @property
     def idle(self) -> bool:
@@ -457,6 +458,7 @@ class FieldCpu(Cpu):
         if len(self.arg_q) < n:
             return None
         del self.task_q[0]
+        self.tasks += 1
         self.queued_arity -= n
         self.rd = rd
         words = self.arg_q[:n]
@@ -592,10 +594,21 @@ class WorkerCpu(FieldCpu, MemCpu):
                 zero = np.zeros((), dtype=np_dtype(self.op_dt))
                 self.queue_partial(zero)
             return True
-        if not mask:
-            self.retire()
-            return True
-        dt = self.op_dt
+        if mask:
+            try:
+                self.dispatch_data(f, setup)
+                return True
+            except SimFault as e:
+                # a map or gather-family task exchanges nothing with other
+                # tiles, so retiring it unwritten cannot stall the fabric
+                self.m.faults.append((self.tasks, self.wx, self.wy, e))
+        self.retire()
+        return True
+
+    def dispatch_data(self, f: dict, setup: int) -> None:
+        """Decode a map or gather-family task's operands, check its
+        indices and start it."""
+        rd, dt = self.rd, self.op_dt
         n_static = f["len"][0]
         if rd.kind == "map":
             self.map_dst = self.operand(rd.dst, f["dst"], dt, n_static)
@@ -603,7 +616,7 @@ class WorkerCpu(FieldCpu, MemCpu):
             self.map_srcs = [self.operand(s, f[f"src{k}"], dt, self.n)
                              for k, s in enumerate(rd.srcs)]
             self.sleep(setup, "begin_map")
-            return True
+            return
         # gather family: the indices address the source window of a
         # gather, the destination window of a scatter
         idx_dt = DType.I16
@@ -623,7 +636,6 @@ class WorkerCpu(FieldCpu, MemCpu):
         check_index("scatter" if rd.kind == "scatter" else "gather", self.idx_vals,
                     window.size, self.wx, self.wy)
         self.sleep(setup, "begin_gather")
-        return True
 
     def begin_map(self) -> None:
         self.sleep(max(self.n, 1), "finish_map")

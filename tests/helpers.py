@@ -7,6 +7,14 @@ from machlite import irg
 from machlite.frontend import GridConfig, analyze, parse
 
 
+# several workers of a 4x4 grid hold an index out of range: (source, the
+# least fault by (x, y), then element, which both backends report)
+MANY_FAULTS = (
+    "la a[4,4,4] i16 = randint(0, 5)\nla b[4,4,4] f32 = rand\n"
+    "b[:, :, :] = take(b[:, :, :], a[:, :, :])\n",
+    "gather index 4 outside window of 4 elements at PE (0, 0), element 1")
+
+
 def typed_of(src: str, nx: int = 4, ny: int = 4):
     prog, diags = parse(src)
     assert not diags, diags

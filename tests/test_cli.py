@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import MANY_FAULTS
 from machlite import cli
 from machlite.diagnostics import DiagnosticSink
 from machlite.frontend.lexer import tokenize
@@ -542,27 +543,37 @@ def test_diff_of_equal_nans_exits_0(tmp_path, capsys):
     assert capsys.readouterr() == ("all variables within tolerance\n", "")
 
 
-# only worker (0, 0) of the 2x2 grid holds the value out of range
+# name -> (grid, source, fault); in the 2x2 cases only worker (0, 0) holds
+# a value out of range, in the 4x4 case several workers do, and both
+# backends name the least (x, y), then element
 DATA_FAULTS = {
     "gather_index": (
-        "la s[2,2,8] f32 = rand\nla i[2,2,2] i16 = [9, 0, 0, 1, 2, 3, 4, 5]\n"
+        "2x2", "la s[2,2,8] f32 = rand\nla i[2,2,2] i16 = [9, 0, 0, 1, 2, 3, 4, 5]\n"
         "out la d[2,2,2] f32\nd = take(s, i)\n",
         "gather index 9 outside window of 8 elements at PE (0, 0), element 0"),
     "scatter_index": (
-        "la s[2,2,2] f32 = rand\nla i[2,2,2] i16 = [1, 8, 0, 1, 2, 3, 4, 5]\n"
+        "2x2", "la s[2,2,2] f32 = rand\nla i[2,2,2] i16 = [1, 8, 0, 1, 2, 3, 4, 5]\n"
         "la d[2,2,8] f32 = rand\nput(d, i, s)\n",
         "scatter index 8 outside window of 8 elements at PE (0, 0), element 1"),
     "dynamic_stop": (
-        "la a[2,2,8] f32 = rand\nla b[2,2,8] f32 = rand\nls n i16 = [9, 2, 8, 0]\n"
+        "2x2", "la a[2,2,8] f32 = rand\nla b[2,2,8] f32 = rand\nls n i16 = [9, 2, 8, 0]\n"
         "a[:, :, 0:n] = b[:, :, 0:n] * 2.0\n",
         "dynamic stop 9 outside [0, 8] for axis of extent 8 at PE (0, 0)"),
+    "gather_index_on_many_workers": ("4x4", *MANY_FAULTS),
 }
 
 
 @pytest.mark.parametrize("backend", ["ref", "sim"])
 @pytest.mark.parametrize("name", sorted(DATA_FAULTS))
 def test_data_fault_is_the_same_on_both_backends(tmp_path, capsys, name, backend):
-    text, msg = DATA_FAULTS[name]
+    grid, text, msg = DATA_FAULTS[name]
     code, err = cli_exit(tmp_path, capsys, text, "run", "--backend", backend,
-                         "--grid", "2x2")
+                         "--grid", grid)
+    assert (code, err.splitlines()) == (1, [f"error: {msg}"])
+
+
+@pytest.mark.parametrize("name", sorted(DATA_FAULTS))
+def test_diff_raises_the_fault_both_backends_share(tmp_path, capsys, name):
+    grid, text, msg = DATA_FAULTS[name]
+    code, err = cli_exit(tmp_path, capsys, text, "diff", "--grid", grid)
     assert (code, err.splitlines()) == (1, [f"error: {msg}"])

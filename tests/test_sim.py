@@ -26,6 +26,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import re
 import tracemalloc
 import weakref
 from array import array
@@ -35,7 +36,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import FORMS, dense
+from helpers import FORMS, MANY_FAULTS, dense
+from machlite import pipeline
+from machlite.diagnostics import SimFault
 from machlite.fuzz import gen_source
 from machlite.irg import ordered_walk
 from machlite.lowering.emit import emit_text
@@ -724,3 +727,71 @@ def test_delay_machine_holds_one_task():
     never = DelayMachine(vm, SimConfig(trace=False), 5, 50, 300)
     never.run()
     assert late.cycle > plain.cycle == never.cycle
+
+
+# --- data faults -------------------------------------------------------------
+
+
+FAULT_TIMINGS = ([("plain", Machine, ())]
+                 + [(f"stall-{s}", StallMachine, (s,)) for s in range(3)]
+                 + [(f"router-stall-{s}", RouterStallMachine, (s,)) for s in range(3)]
+                 + [(f"delay-w{w}-D{d}", DelayMachine, (w, 0, d))
+                    for w in (0, 1, 4, 5) for d in (50, 300)])
+
+
+@pytest.mark.parametrize("machine,args",
+                         [pytest.param(c, a, id=i) for i, c, a in FAULT_TIMINGS])
+def test_least_data_fault_whatever_the_timing(machine, args):
+    """Several workers fault in one task; under every timing the run
+    raises the least fault by (x, y), then element, as the reference."""
+    text, fault = MANY_FAULTS
+    m = machine(compile_source(text).vm, SimConfig(trace=False), *args)
+    with pytest.raises(SimFault) as err:
+        m.run()
+    assert str(err.value) == fault
+
+
+def test_data_fault_comes_ahead_of_a_deadlock():
+    """A worker that waits for argument words no one sends deadlocks the
+    run; the faults recorded before are raised instead."""
+    text, fault = MANY_FAULTS
+    b = compile_source(text)
+    m = Machine(b.vm, SimConfig(trace=False, deadlock_window=200))
+    cpu = next(c for c in m.cpus if isinstance(c, WorkerCpu))
+    cpu.task_q.append(0)
+    cpu.queued_arity += b.vm.rpcs.defs[0].arity
+    with pytest.raises(SimFault) as err:
+        m.run()
+    assert str(err.value) == fault
+
+
+class FaultlessMachine(Machine):
+    def run(self, max_cycles=None):
+        try:
+            super().run(max_cycles)
+        except SimFault:
+            pass
+
+
+class OtherFaultMachine(Machine):
+    def run(self, max_cycles=None):
+        raise SimFault("dynamic stop 9 outside [0, 8] for axis of extent 8 at PE (1, 1)")
+
+
+@pytest.mark.parametrize("machine,line", [
+    (Machine, None),
+    (FaultlessMachine, "simulator none"),
+    (OtherFaultMachine, "simulator dynamic stop 9 outside [0, 8] for axis of "
+                        "extent 8 at PE (1, 1)"),
+])
+def test_gate_compares_data_faults(monkeypatch, machine, line):
+    """`check` raises a fault both backends share, and reports a fault the
+    simulator does not share as a mismatch that names both outcomes."""
+    text, fault = MANY_FAULTS
+    b = compile_source(text)
+    monkeypatch.setattr(pipeline, "Machine", machine)
+    if line is None:
+        with pytest.raises(SimFault, match=re.escape(fault)):
+            check(b, SimConfig(trace=False))
+    else:
+        assert check(b, SimConfig(trace=False)) == [f"data fault: reference {fault}; {line}"]
