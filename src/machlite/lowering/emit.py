@@ -68,10 +68,7 @@ def _rpc_line(d: RpcDef) -> str:
 
 
 def _ring_str(rr) -> str:
-    states = []
-    for st in rr:
-        states.append("&".join(f"{i}>{'+'.join(outs)}" for i, outs in st))
-    return "|".join(states)
+    return "|".join(f"{i}>{'+'.join(outs)}" for i, outs in rr)
 
 
 def _kernel_body(d: RpcDef) -> list[str]:

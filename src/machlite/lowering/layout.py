@@ -79,12 +79,16 @@ EXEC, MERGE, RESP, WORKER, REDUCE, SPINE, UNUSED = (
 
 
 def ring(*states):
-    """Build a route ring; each state is a dict {in_port: (out, ...)}.
+    """Build a route ring; each state is a dict {in_port: (out, ...)} of
+    one input port, stored as the pair (in_port, (out, ...)).
 
     Rings are shared values: every tile of a layout that routes a colour
     the same way holds the same tuple, and no holder mutates it.
     """
-    return tuple(tuple(sorted((i, tuple(o)) for i, o in st.items())) for st in states)
+    for st in states:
+        if len(st) != 1:
+            raise ValueError(f"route state {st} has {len(st)} input ports, not one")
+    return tuple((i, tuple(o)) for st in states for i, o in st.items())
 
 
 def _ring_pool():

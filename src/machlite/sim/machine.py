@@ -11,10 +11,11 @@ A cycle visits only the tiles that can act.  The router phase visits, in
 tile order, the routers that held a wavelet in an input FIFO when it began;
 a wavelet landing during the phase cannot move before the next cycle, so
 its router joins the set for then.  A router serves its input channels in
-a fixed (color, port) order and resolves where an input port of a color
-goes once per ring state, on first use, as a bitmask of output ports and
-the queues behind them.  Wavelets are ints (see `router`): an input FIFO
-holds (wavelet, ready cycle) pairs and a delivery queue bare wavelets.
+a fixed (color, port) order and resolves where a color goes once per ring
+state, on first use, as the one input port that state routes, a bitmask
+of output ports and the queues behind them.  Wavelets are ints (see
+`router`): an input FIFO holds (wavelet, ready cycle) pairs and a
+delivery queue bare wavelets.
 
 The processor phase ticks, in processor order, the live processors.  A
 tick that makes no progress changes nothing, and it reads only the
@@ -186,11 +187,11 @@ class Machine:
             self.in_flight -= 1
             self.wake_blocked(r.cpu)
             return True
-        route = r.routes.get(key)
+        route = r.routes.get(color)
         if route is None:
-            route = r.routes[key] = self.resolve(r, color, port)
-        mask, targets = route
-        if mask is None:
+            route = r.routes[color] = self.resolve(r, color)
+        in_port, mask, targets = route
+        if in_port != port:
             return False
         u = used.get(color, 0)
         if u & mask:
@@ -227,14 +228,15 @@ class Machine:
             r.step_ring(color)
         return True
 
-    def resolve(self, r: Router, color: int, port: str) -> tuple:
-        """(port mask, targets) of input `port` in the current ring state of
-        `color`, or (None, ()) when that state does not route it.  A target
-        is (queue, neighbour tile index), with None for the delivery queue."""
+    def resolve(self, r: Router, color: int) -> tuple:
+        """(input port, port mask, targets) of the current ring state of
+        `color` at `r`, or (None, 0, ()) when `r` does not route `color`.
+        A target is (queue, neighbour tile index), with None for the
+        delivery queue."""
         ring = r.rings.get(color)
-        outs = dict(ring[r.ring_idx[color]]).get(port) if ring else None
-        if outs is None:
-            return None, ()
+        if not ring:
+            return None, 0, ()
+        port, outs = ring[r.ring_idx.get(color, 0)]
         mask = 0
         targets = []
         for o in outs:
@@ -245,7 +247,7 @@ class Machine:
                 nb = self.links[o][r.index]
                 assert nb is not None, (r.x, r.y, COLOR_NAMES.get(color), o)
                 targets.append((nb.fifo(color, OPPOSITE[o]), nb.index))
-        return mask, tuple(targets)
+        return port, mask, tuple(targets)
 
     def wake_blocked(self, cpu: int | None) -> None:
         """A wavelet left the C input FIFO of the tile of processor `cpu`,

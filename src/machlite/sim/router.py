@@ -67,15 +67,15 @@ class Router:
         self.cpu = None         # index of this tile's processor, if any
         # color -> ring of states ((in_port, (out, ...)), ...), as laid out
         self.rings = rings
-        self.ring_idx = {c: 0 for c in self.rings}
+        # color -> state of each ring that has stepped; the rest are in state 0
+        self.ring_idx: dict[int, int] = {}
         self.fifos: dict[tuple, list] = {}
         # (color, port, fifo) of every input channel, in service order
         self.chans: list[tuple] = []
-        # (color, input port) -> (port mask, targets) of the current ring
-        # state, or (None, ()) when it does not route the port; filled by
-        # the machine on first use (see Machine.resolve), dropped for a
-        # color when its ring steps
-        self.routes: dict[tuple, tuple] = {}
+        # color -> (input port, port mask, targets) of its current ring
+        # state; filled by the machine on first use (see Machine.resolve),
+        # dropped when the ring steps
+        self.routes: dict[int, tuple] = {}
         self.outbox: dict[int, list] = {}
 
     def fifo(self, color: int, port: str) -> list:
@@ -95,10 +95,8 @@ class Router:
     def step_ring(self, color: int) -> None:
         ring = self.rings.get(color)
         if ring:
-            self.ring_idx[color] = (self.ring_idx[color] + 1) % len(ring)
-            routes = self.routes
-            for p in PORTS:
-                routes.pop((color, p), None)
+            self.ring_idx[color] = (self.ring_idx.get(color, 0) + 1) % len(ring)
+            self.routes.pop(color, None)
 
     def busy_channels(self):
         """Nonempty input channels in deterministic service order."""

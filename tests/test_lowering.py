@@ -34,6 +34,7 @@ from machlite.memwords import WORKER_WORDS, initial_images, word_view
 from machlite.pipeline import check, compile_source, run_reference
 from machlite.sim import Machine, SimConfig
 from machlite.sim.roles import WorkerCpu
+from machlite.sim.router import PORTS
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mach"))
 
@@ -667,9 +668,9 @@ def _delivered_at(lay, xy, color):
     port = "C"
     while True:
         rr = lay.routes.get(xy, {}).get(color)
-        if rr is None or len(rr) != 1 or dict(rr[0]).get(port) is None:
+        if rr is None or len(rr) != 1 or rr[0][0] != port:
             return None
-        (out,) = dict(rr[0])[port]
+        (out,) = rr[0][1]
         if out == "C":
             return xy
         xy = (xy[0] + step[out][0], xy[1] + step[out][1])
@@ -685,7 +686,7 @@ def test_routes_have_one_input_per_state_and_shifts_reach_their_neighbour():
         colors = {c for rings in lay.routes.values() for c in rings}
         assert len(colors) <= layout.N_COLORS, (nx, ny)
         assert [(xy, c) for xy, rings in lay.routes.items() for c, rr in rings.items()
-                if any(len(st) != 1 for st in rr)] == [], (nx, ny)
+                if any(len(st) != 2 or st[0] not in PORTS for st in rr)] == [], (nx, ny)
         for wx, wy in lay.workers():
             for (d, p), color in layout.SHIFT_COLOR.items():
                 qx, qy = wx + d[0], wy + d[1]
@@ -694,6 +695,12 @@ def test_routes_have_one_input_per_state_and_shifts_reach_their_neighbour():
                 nb = lay.fabric_of(qx, qy)
                 assert _delivered_at(lay, lay.fabric_of(wx, wy), color) == nb
                 assert color == layout.SHIFT_COLOR[d, 1 - lay.phase(qx, qy)]
+
+
+def test_a_route_state_takes_one_input_port():
+    assert layout.ring({"C": ["L", "R"]}, {"R": ("C",)}) == (("C", ("L", "R")), ("R", ("C",)))
+    with pytest.raises(ValueError, match="has 2 input ports"):
+        layout.ring({"C": ("L",), "R": ("L",)})
 
 
 def test_equal_rings_are_one_object():
