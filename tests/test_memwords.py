@@ -1,15 +1,17 @@
-"""The data mapping of a logical array into per-tile word images, and the
-initializers frozen into them."""
+"""The data mapping of a logical array into per-tile word images, the
+initializers frozen into them, and the gather family's shared kernels
+against an independent per-element oracle."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from machlite.diagnostics import SimFault
 from machlite.frontend.semantic import GridConfig, declared_shape
 from machlite.frontend.syntax import DType, InitSpec, TensorDecl, VarKind
 from machlite.memwords import (
-    WORKER_WORDS, WordMemory, encode_words, fold_sum, initial_images,
-    materialize_init, word_view)
+    WORKER_WORDS, WordMemory, check_index, encode_words, fold_sum, gather,
+    initial_images, materialize_init, scatter, word_view)
 
 from helpers import dense
 
@@ -222,3 +224,145 @@ def test_random_inits_draw_from_the_seed_and_the_variable_index():
         assert np.array_equal(draw(form, SEED, VAR_INDEX), draw(form, SEED, VAR_INDEX))
         assert not np.array_equal(draw(form, SEED, VAR_INDEX), draw(form, SEED, VAR_INDEX + 1))
         assert not np.array_equal(draw(form, SEED, VAR_INDEX), draw(form, SEED + 1, VAR_INDEX))
+
+
+# --- the gather family's kernels against a per-element oracle ----------------
+
+PE = (1, 2)
+
+
+def oracle(op: str, src, idx, dst, mul=None):
+    """One element at a time, calling no shared kernel: write the window
+    `dst` in place, or return the fault text of the first index outside the
+    indexed window (the destination of a scatter, the source of a gather),
+    writing nothing."""
+    kind, flat = ("scatter", dst.flatten()) if op == "scatter" else ("gather", None)
+    size = dst.size if op == "scatter" else src.size
+    out = np.empty(len(idx), dtype=dst.dtype)
+    for k, j in enumerate(int(j) for j in idx):
+        if not 0 <= j < size:
+            return (f"{kind} index {j} outside window of {size} elements "
+                    f"at PE ({PE[0]}, {PE[1]}), element {k}")
+        if op == "scatter":
+            flat[j] = src.flat[k]
+        elif mul is None:
+            out[k] = src.flat[j]
+        else:
+            out[k] = (int(src.flat[j]) * int(mul[k]) + 0x8000) % 0x10000 - 0x8000 \
+                if dst.dtype == np.int16 else np.float32(src.flat[j]) * np.float32(mul[k])
+    dst[...] = (flat if op == "scatter" else out).reshape(dst.shape)
+    return None
+
+
+def kernels(op: str, src, idx, dst, mul=None):
+    """The same step through `check_index`, `gather` and `scatter`."""
+    try:
+        check_index("scatter" if op == "scatter" else "gather", idx,
+                    (dst if op == "scatter" else src).size, *PE)
+    except SimFault as e:
+        return str(e)
+    if op == "scatter":
+        scatter(dst, idx, src)
+    else:
+        dst[...] = gather(src, idx, mul).reshape(dst.shape)
+    return None
+
+
+def windows(rng, base, n: int):
+    """Views of `base` holding `n` elements: a flat run, or (when n splits)
+    a strided 2-D window."""
+    rows, cols = base.shape
+    if n and n % 2 == 0 and n // 2 <= cols and rng.random() < 0.5:
+        c0 = int(rng.integers(0, cols - n // 2 + 1))
+        return lambda a: a[1:3, c0:c0 + n // 2]
+    a0 = int(rng.integers(0, base.size - n + 1))
+    return lambda a: a.reshape(-1)[a0:a0 + n]
+
+
+def first(n: int):
+    """The view of an array's first `n` elements, flat."""
+    return lambda a: a.reshape(-1)[:n]
+
+
+def agree(op, dt, src, idx, dst_base, dst_win, mul=None):
+    """Run oracle and kernels on copies of the destination; assert the same
+    fault, or the same words everywhere in the destination array."""
+    want_base, got_base = dst_base.copy(), dst_base.copy()
+    want = oracle(op, src, idx, dst_win(want_base), mul)
+    got = kernels(op, src, idx, dst_win(got_base), mul)
+    assert got == want
+    assert want_base.tobytes() == got_base.tobytes()
+    if want is not None:      # a fault writes nothing
+        assert got_base.tobytes() == dst_base.tobytes()
+
+
+def values(rng, dt, shape):
+    if dt is DType.F32:
+        return rng.standard_normal(shape).astype(np.float32)
+    return rng.integers(-32768, 32768, shape).astype(np.int16)
+
+
+@pytest.mark.parametrize("dt", [DType.F32, DType.I16], ids=lambda d: d.value)
+@pytest.mark.parametrize("op", ["gather", "gather_mul", "scatter"])
+def test_kernels_agree_with_the_per_element_oracle(op, dt):
+    rng = np.random.default_rng([7, len(op), dt is DType.F32])
+    for _ in range(300):
+        size, n = int(rng.integers(0, 9)), int(rng.integers(0, 9))
+        hi = size + 2 if rng.random() < 0.2 else max(size, 1)
+        idx = rng.integers(-1 if hi > size else 0, hi, n).astype(np.int16)
+        base = values(rng, dt, (3, 6))
+        if op == "scatter":
+            src = values(rng, dt, n)
+            agree(op, dt, src, idx, base, windows(rng, base, size))
+        else:
+            src = windows(rng, base, size)(base.copy())
+            mul = values(rng, dt, n) if op == "gather_mul" else None
+            agree(op, dt, src, idx, values(rng, dt, (3, 6)), windows(rng, base, n), mul)
+
+
+EDGES = {
+    # name -> (op, window size, indices)
+    "repeated_scatter_indices": ("scatter", 4, [2, 0, 2, 2, 1, 0]),
+    "scatter_out_of_range_first": ("scatter", 4, [4, 0, 1]),
+    "scatter_out_of_range_last": ("scatter", 4, [0, 1, -1]),
+    "gather_out_of_range_first": ("gather", 4, [-3, 0, 1]),
+    "gather_out_of_range_last": ("gather", 4, [0, 1, 4]),
+    "empty_window_and_indices": ("gather", 0, []),
+    "empty_scatter": ("scatter", 0, []),
+    "index_into_an_empty_window": ("scatter", 0, [0]),
+}
+
+
+@pytest.mark.parametrize("dt", [DType.F32, DType.I16], ids=lambda d: d.value)
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_kernels_agree_on_the_edges(name, dt):
+    op, size, idx = EDGES[name]
+    rng = np.random.default_rng(3)
+    idx = np.array(idx, dtype=np.int16)
+    base = values(rng, dt, (3, 6))
+    if op == "scatter":
+        agree(op, dt, values(rng, dt, idx.size), idx, base, first(size))
+    else:
+        agree(op, dt, base.reshape(-1)[:size], idx, values(rng, dt, (3, 6)),
+              first(idx.size))
+
+
+def test_the_last_scatter_write_wins_and_sources_are_read_first():
+    dst = np.arange(4, dtype=np.int16)
+    scatter(dst, [1, 1, 0], dst[[3, 2, 1]].copy())
+    assert dst.tolist() == [1, 2, 2, 3]
+    # a source that aliases the destination is read before any write
+    a = np.arange(4, dtype=np.float32)
+    scatter(a, [1, 2, 3, 0], a)
+    assert a.tolist() == [3.0, 0.0, 1.0, 2.0]
+
+
+def test_gather_mul_wraps_in_i16():
+    src = np.array([300, -300, 7], dtype=np.int16)
+    mul = np.array([300, 300, 2], dtype=np.int16)
+    got = gather(src, np.array([0, 1, 2], dtype=np.int16), mul)
+    assert got.dtype == np.int16
+    assert got.tolist() == [90000 - 65536, -90000 + 65536, 14]
+    with pytest.raises(SimFault) as err:
+        check_index("gather", [0, 3], 3, 5, 6)
+    assert str(err.value) == "gather index 3 outside window of 3 elements at PE (5, 6), element 1"
