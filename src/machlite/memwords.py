@@ -7,6 +7,14 @@ into it (`word_view`), and the initial state: declared initializers frozen
 under the run seed (`materialize_init`) and the images both backends start
 from (`initial_images`).
 
+Each VM operation's rule on one PE's data is written here once, and both
+backends call it: the gather move (`gather`, with `gather_mul`'s wrapping
+product) and the scatter move (`scatter`: every source read before any
+write, the last write wins); the index check (`check_index`) and the
+dynamic-stop check (`check_stop`), the only code that words those two
+located faults; and the shift pairing (`shift_ends`): which PEs of a
+region send and which receive.
+
 f32 values occupy two consecutive words, low word first.  All per-element
 orders are C-order over the declared memory axes.
 

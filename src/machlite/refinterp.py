@@ -12,7 +12,10 @@ place.  Two storage modes:
 
 f32 reductions accumulate sequentially in float32, workers in C-order over
 (x, y) and elements in memory order; that ordering is the definition other
-backends are measured against.
+backends are measured against.  The per-PE rules come from `memwords`, as
+the simulator's do: the ALU, the reduction fold, the gather and scatter
+moves, the index and dynamic-stop checks and the shift pairing.  The walk
+stops at the first fault in (node, x, y, element) order.
 """
 from __future__ import annotations
 

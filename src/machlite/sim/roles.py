@@ -16,7 +16,11 @@ frame (`lowering.rpc.decode_frame`) and decides once per task which steps
 the kind runs.  Each operand's base/start/length words become an immediate
 or a live view of the tile's image through `memwords.word_view`, never a
 lookup in the source graph, so the simulator exercises the broadcast
-encoding end to end.
+encoding end to end.  What a task does to the data is the reference's
+rule, from `memwords`: the ALU, the reduction fold, the gather and scatter
+moves, the index and dynamic-stop checks (made once, at dispatch) and the
+shift pairing.  A map or gather-family task that faults is recorded on the
+machine and retires unwritten (see `machine`).
 
 A shift keeps its words packed, 2 B each, in `array("H")`: the sender's
 copy of its source, taken at dispatch, and the receiver's preallocated
