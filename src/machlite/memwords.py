@@ -100,13 +100,15 @@ def check_stop(stop: int, start: int, extent: int, x: int, y: int) -> int:
     return stop
 
 
-def check_index(kind: str, idx, size: int, x: int, y: int) -> None:
-    """Fault at the first of the `kind` indices `idx` that is outside a
-    window of `size` elements on PE (x, y)."""
+def check_index(op: str, idx, size: int, x: int, y: int) -> None:
+    """Fault at the first index of `idx` outside the window of `size`
+    elements that `op` (`gather`, `gather_mul` or `scatter`) indexes on
+    PE (x, y)."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     bad = np.flatnonzero((idx < 0) | (idx >= size))
     if bad.size:
         k = int(bad[0])
+        kind = "scatter" if op == "scatter" else "gather"
         raise SimFault(f"{kind} index {idx[k]} outside window of {size} "
                        f"elements at PE ({x}, {y}), element {k}")
 

@@ -273,7 +273,7 @@ class _Interp:
                     check_index(op, idx, dst.size, x, y)
                     scatter(dst, idx, src)
                 else:
-                    check_index("gather", idx, src.size, x, y)
+                    check_index(op, idx, src.size, x, y)
                     mul = (window(n.args[2].mlid, n.args[2].access, x, y)
                            if op == "gather_mul" else None)
                     dst[...] = gather(src, idx, mul).reshape(dst.shape)

@@ -637,8 +637,7 @@ class WorkerCpu(FieldCpu, MemCpu):
         self.g_mul = (self.fetch(self.operand(rd.srcs[2], f["src2"], dt, self.n), self.n)
                       if rd.kind == "gather_mul" else None)
         self.idx_vals = self.fetch(idx, self.n).tolist()
-        check_index("scatter" if rd.kind == "scatter" else "gather", self.idx_vals,
-                    window.size, self.wx, self.wy)
+        check_index(rd.kind, self.idx_vals, window.size, self.wx, self.wy)
         self.sleep(setup, "begin_gather")
 
     def begin_map(self) -> None:

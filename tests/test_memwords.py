@@ -257,8 +257,7 @@ def oracle(op: str, src, idx, dst, mul=None):
 def kernels(op: str, src, idx, dst, mul=None):
     """The same step through `check_index`, `gather` and `scatter`."""
     try:
-        check_index("scatter" if op == "scatter" else "gather", idx,
-                    (dst if op == "scatter" else src).size, *PE)
+        check_index(op, idx, (dst if op == "scatter" else src).size, *PE)
     except SimFault as e:
         return str(e)
     if op == "scatter":
